@@ -19,9 +19,7 @@ import dataclasses
 import math
 
 from .errors import ConsistencyError, DescriptorError, DomainError
-from .modular_forms import principal_power, theta
-
-CONVENTIONS = ("paper-endo", "gilkey-full")
+from .modular_forms import _as_tau, principal_power, theta
 
 _KINDS = ("compact", "alf")
 
@@ -128,19 +126,27 @@ def neck_check(desc: ManifoldDescriptor) -> dict:
             "derived_b1_D": int(desc.b1) if holds else None}
 
 
-def _dirichlet_numbers(desc: ManifoldDescriptor) -> tuple[int, int]:
-    b0 = 0 if desc.b0_D == "derive" else int(desc.b0_D)
-    if desc.b1_D == "derive":
-        check = neck_check(desc)
-        if not check["condition_holds"]:
-            raise DescriptorError(
-                "dirichlet-underived",
-                f"{desc.name}: b1_D marked derive but the neck condition "
-                f"fails; supply it explicitly")
-        b1 = check["derived_b1_D"]
-    else:
-        b1 = int(desc.b1_D)
-    return b0, b1
+def harmonic_count(desc: ManifoldDescriptor, k: int) -> int:
+    """Number of harmonic k-forms (k = 0, 1) that enter the weights.
+
+    Compact spaces use the Betti number b_k, ALF spaces the Dirichlet
+    number.  A derived b0_D is 0, since constants violate the Dirichlet
+    condition; a derived b1_D is b1 and needs the neck condition.
+    """
+    if desc.kind == "compact":
+        return desc.b0 if k == 0 else desc.b1
+    given = desc.b0_D if k == 0 else desc.b1_D
+    if given != "derive":
+        return int(given)
+    if k == 0:
+        return 0
+    check = neck_check(desc)
+    if not check["condition_holds"]:
+        raise DescriptorError(
+            "dirichlet-underived",
+            f"{desc.name}: b1_D marked derive but the neck condition "
+            f"fails; supply it explicitly")
+    return check["derived_b1_D"]
 
 
 def _require_integrals(desc: ManifoldDescriptor, curv):
@@ -153,85 +159,49 @@ def _require_integrals(desc: ManifoldDescriptor, curv):
     return curv
 
 
-def _riemann_term(curv, convention: str) -> float:
-    # the two norms differ by 4 on any metric, the coefficients by 2, so
-    # the products agree exactly on Ricci-flat spaces and only there
+def _riemann_norm(curv, convention: str) -> tuple[float, float]:
+    """(integrated Riemann-square norm, its divisor in the correction)."""
+    # the two norms differ by 4 on any metric, the divisors by 2, so the
+    # quotients agree exactly on Ricci-flat spaces and only there
     if convention == "paper-endo":
-        return curv.I_R_endo / 120.0
+        return curv.I_R_endo, 120.0
     if convention == "gilkey-full":
-        return curv.I_R_full / 240.0
+        return curv.I_R_full, 240.0
     raise DomainError("convention-unknown", repr(convention))
+
+
+def _correction(curv, convention: str) -> float:
+    """Quartic-curvature bracket shared by the weights and the exponent."""
+    i_R, divisor = _riemann_norm(curv, convention)
+    return i_R / divisor - 87.0 / 2880.0 * curv.I_r + curv.I_s2 / 128.0
 
 
 def imtau_exponent(desc: ManifoldDescriptor, curv=None,
                    convention: str = "paper-endo") -> float:
     """Exponent of Im(tau)/8pi^2 in the one-loop partition value."""
     curv = _require_integrals(desc, curv)
-    if desc.kind == "alf":
-        b0, b1 = _dirichlet_numbers(desc)
-    else:
-        b0, b1 = desc.b0, desc.b1
-    corr = (_riemann_term(curv, convention) - 87.0 / 2880.0 * curv.I_r
-            + curv.I_s2 / 128.0)
-    return 0.5 * (b1 - b0 + corr / math.pi ** 2)
-
-
-def _weight_corr(curv, convention: str) -> float:
-    return 2.0 * (_riemann_term(curv, convention)
-                  - 87.0 / 2880.0 * curv.I_r
-                  + curv.I_s2 / 128.0) / math.pi ** 2
-
-
-def compact_weights(desc: ManifoldDescriptor, curv=None,
-                    convention: str = "paper-endo") -> ModularWeights:
-    if desc.kind != "compact":
-        raise DescriptorError("kind-mismatch",
-                              f"{desc.name}: compact weights on {desc.kind}")
-    curv = _require_integrals(desc, curv)
-    corr = _weight_corr(curv, convention)
-    base = 2.0 * desc.b0 - 2.0 * desc.b1
-    alpha = 0.25 * (base + 2.0 * desc.bplus_l2 - corr)
-    beta = 0.25 * (base + 2.0 * desc.bminus_l2 - corr)
-    return ModularWeights(alpha=alpha, beta=beta,
-                          sigma_phase=0.5 * (desc.bplus_l2 - desc.bminus_l2),
-                          convention=convention)
-
-
-def alf_weights(desc: ManifoldDescriptor, curv=None,
-                convention: str = "paper-endo") -> ModularWeights:
-    if desc.kind != "alf":
-        raise DescriptorError("kind-mismatch",
-                              f"{desc.name}: ALF weights on {desc.kind}")
-    curv = _require_integrals(desc, curv)
-    b0d, b1d = _dirichlet_numbers(desc)
-    corr = _weight_corr(curv, convention)
-    base = 2.0 * b0d - 2.0 * b1d
-    alpha = 0.25 * (base + 2.0 * desc.bplus_l2 - corr)
-    beta = 0.25 * (base + 2.0 * desc.bminus_l2 - corr)
-    return ModularWeights(alpha=alpha, beta=beta,
-                          sigma_phase=0.5 * (desc.bplus_l2 - desc.bminus_l2),
-                          convention=convention)
+    b0, b1 = harmonic_count(desc, 0), harmonic_count(desc, 1)
+    return 0.5 * (b1 - b0 + _correction(curv, convention) / math.pi ** 2)
 
 
 def weights_for(desc: ManifoldDescriptor, curv=None,
                 convention: str = "paper-endo") -> ModularWeights:
-    if desc.kind == "compact":
-        return compact_weights(desc, curv, convention)
-    return alf_weights(desc, curv, convention)
-
-
-def _as_upper(tau) -> complex:
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError("tau-upper-half", f"Im tau = {tau.imag} must be > 0")
-    return tau
+    """Modular weights (alpha, beta) and the phase of the inversion law."""
+    curv = _require_integrals(desc, curv)
+    base = 2.0 * harmonic_count(desc, 0) - 2.0 * harmonic_count(desc, 1)
+    corr = 2.0 * _correction(curv, convention) / math.pi ** 2
+    alpha = 0.25 * (base + 2.0 * desc.bplus_l2 - corr)
+    beta = 0.25 * (base + 2.0 * desc.bminus_l2 - corr)
+    return ModularWeights(alpha=alpha, beta=beta,
+                          sigma_phase=0.5 * (desc.bplus_l2 - desc.bminus_l2),
+                          convention=convention)
 
 
 def assemble_partition(desc: ManifoldDescriptor, tau,
                        convention: str = "paper-endo",
                        curv=None) -> PartitionEvaluation:
     """One-loop partition value at coupling tau, factor by factor."""
-    tau = _as_upper(tau)
+    tau = _as_tau(tau)
     exponent = imtau_exponent(desc, curv, convention)
     th_p = theta(tau).value ** desc.bplus_l2
     th_m = theta(-tau.conjugate()).value ** desc.bminus_l2
@@ -264,7 +234,7 @@ def verify_modularity(desc: ManifoldDescriptor, tau_samples,
     phase = principal_power(complex(0.0, -1.0), w.sigma_phase)
     worst = 0.0
     for tau in tau_samples:
-        tau = _as_upper(tau)
+        tau = _as_tau(tau)
         z = assemble_partition(desc, tau, convention, curv).value
         z_inv = assemble_partition(desc, -1.0 / tau, convention, curv).value
         rhs = (phase * principal_power(tau, w.alpha)
@@ -291,16 +261,13 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv=None,
     integrals) raise a consistency error.
     """
     curv = _require_integrals(desc, curv)
-    if desc.kind == "alf":
-        try:
-            b0x, b1x = _dirichlet_numbers(desc)
-        except DescriptorError as exc:
-            raise ConsistencyError(
-                "weights-not-local",
-                f"{desc.name}: weights are not locally representable; "
-                f"{exc}") from exc
-    else:
-        b0x, b1x = desc.b0, desc.b1
+    try:
+        b0x, b1x = harmonic_count(desc, 0), harmonic_count(desc, 1)
+    except DescriptorError as exc:
+        raise ConsistencyError(
+            "weights-not-local",
+            f"{desc.name}: weights are not locally representable; "
+            f"{exc}") from exc
     chi_top = 2.0 * b0x - 2.0 * b1x + desc.bplus_l2 + desc.bminus_l2
     sigma_top = float(desc.bplus_l2 - desc.bminus_l2)
 
@@ -327,12 +294,8 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv=None,
             f"density integral")
     else:
         c_p = sigma_top / (4.0 * curv.I_p)
-    if convention == "paper-endo":
-        c_R = -1.0 / (240.0 * math.pi ** 2)
-        i_R = curv.I_R_endo
-    else:
-        c_R = -1.0 / (480.0 * math.pi ** 2)
-        i_R = curv.I_R_full
+    i_R, divisor = _riemann_norm(curv, convention)
+    c_R = -1.0 / (2.0 * divisor * math.pi ** 2)
     c_r = 87.0 / (5760.0 * math.pi ** 2)
     c_s2 = -1.0 / (256.0 * math.pi ** 2)
 
@@ -364,7 +327,7 @@ def pathological_partition(tau) -> dict:
     the negative real axis the square root takes its upper-half-plane
     limit (documented edge: tau = i gives exactly i).
     """
-    tau = _as_upper(tau)
+    tau = _as_tau(tau)
     z = 1j / tau.conjugate()
     if z.imag == 0.0 and z.real < 0.0:
         gaussian = cmath.exp(0.5 * (math.log(abs(z)) + 1j * math.pi))

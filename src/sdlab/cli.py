@@ -9,19 +9,21 @@ budgets, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__, cache
 from .assembly import (anomaly_counterterms, assemble_partition,
-                       imtau_exponent, neck_check, pathological_partition,
-                       verify_modularity, weights_for)
-from .catalog import (BUILTINS, CatalogEntry, builtin_names, get_entry,
-                      parse_manifest)
+                       harmonic_count, imtau_exponent, neck_check,
+                       pathological_partition, verify_modularity, weights_for)
+from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
+                      get_entry, parse_manifest)
 from .errors import SdlabError, UsageError
-from .geometry import (CurvatureIntegrals, boundary_report, curvature_at,
-                       integrate_invariants)
+from .geometry import CurvatureIntegrals, boundary_report, curvature_at
 from .jsonio import canonical_dumps
 from .lattice_sum import brute_force_partition, theta_product
 from .modular_forms import cot_contour_theta, s_transform_residual, theta
@@ -128,26 +130,29 @@ def _entry(args) -> CatalogEntry:
     return get_entry(args.manifold, extra)
 
 
+_INTEGRAL_FIELDS = {f.name for f in dataclasses.fields(CurvatureIntegrals)}
+
+
 def _integrals_for(entry: CatalogEntry, resolution: int,
                    cutoff: float | None, use_cache: bool = True):
-    """(integrals, cache_key or None, hit) for a catalog entry."""
+    """(integrals, cache_key or None, hit) for a catalog entry; only
+    integrals computed from a chart are cached."""
+    compute = functools.partial(entry_integrals, entry, resolution, cutoff)
     if entry.descriptor.analytic_integrals is not None:
-        return entry.descriptor.analytic_integrals, None, False
+        return compute(), None, False
     backend = entry.backend
-    if backend is None:
-        raise UsageError("no-geometry",
-                         f"{entry.name} has neither a chart nor integrals")
     payload = {"kind": "curvature-integrals", "backend": backend.id,
                "params": backend.params, "resolution": resolution,
                "cutoff": cutoff}
     if not use_cache:
-        ci = integrate_invariants(backend, resolution=resolution,
-                                  cutoff_rho=cutoff)
-        return ci, cache.cache_key(payload), False
-    record, key, hit = cache.get_or_compute(
-        payload,
-        lambda: integrate_invariants(backend, resolution=resolution,
-                                     cutoff_rho=cutoff).as_dict())
+        return compute(), cache.cache_key(payload), False
+    record, key, hit = cache.get_or_compute(payload,
+                                            lambda: compute().as_dict())
+    if not (isinstance(record, dict) and record.keys() == _INTEGRAL_FIELDS):
+        warnings.warn(f"cache entry {key} does not hold curvature "
+                      f"integrals, recomputing")
+        record, hit = compute().as_dict(), False
+        cache.store(key, record)
     return CurvatureIntegrals(**record), key, hit
 
 
@@ -216,13 +221,11 @@ def cmd_integrate(args):
 def cmd_boundary(args):
     entry = _entry(args)
     backend = _require_backend(entry)
-    rows = []
-    for rho in parse_floats(args.rho, None, "--rho"):
-        rep = boundary_report(backend, rho, resolution=args.resolution)
-        rows.append(rep.as_dict())
+    rhos = parse_floats(args.rho, None, "--rho")
+    rows = [boundary_report(backend, rho, resolution=args.resolution).as_dict()
+            for rho in rhos]
     env = _envelope("boundary",
-                    {"manifold": entry.name,
-                     "rho": list(parse_floats(args.rho, None, "--rho")),
+                    {"manifold": entry.name, "rho": list(rhos),
                      "resolution": args.resolution},
                     {"reports": rows})
     return env, 0, rows
@@ -385,20 +388,8 @@ def cmd_verify_gauss_bonnet(args):
     entry = _entry(args)
     d = entry.descriptor
     ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
-    if d.kind == "alf":
-        check = neck_check(d)
-        b0x = 0 if d.b0_D == "derive" else int(d.b0_D)
-        if d.b1_D == "derive":
-            if not check["condition_holds"]:
-                raise UsageError(
-                    "dirichlet-underived",
-                    f"{d.name}: topological Euler count needs b1_D")
-            b1x = check["derived_b1_D"]
-        else:
-            b1x = int(d.b1_D)
-    else:
-        b0x, b1x = d.b0, d.b1
-    chi = 2 * b0x - 2 * b1x + d.bplus_l2 + d.bminus_l2
+    chi = (2 * harmonic_count(d, 0) - 2 * harmonic_count(d, 1)
+           + d.bplus_l2 + d.bminus_l2)
     diff = abs(chi - ci.I_gb)
     tol = 0.03 * max(1.0, abs(chi))
     ok = diff <= tol
@@ -451,11 +442,11 @@ def cmd_verify_decay(args):
 
 # --------------------------------------------------------------------- main
 
-def _add_manifold_opts(p, resolution_default=4):
+def _add_manifold_opts(p):
     p.add_argument("--manifold", required=True, help="catalog entry name")
     p.add_argument("--manifest", default=None,
                    help="INI manifest adding user manifolds")
-    p.add_argument("--resolution", type=int, default=resolution_default)
+    p.add_argument("--resolution", type=int, default=4)
     p.add_argument("--cutoff", type=float, default=None,
                    help="ALF truncation radius (default 10x geometry scale)")
 
@@ -466,6 +457,16 @@ def _add_convention(p):
                    help="quartic-curvature norm convention")
 
 
+def _command(sub, name: str, handler, help: str, *adders):
+    """Subparser for one command: --json, then each adder's options."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=handler)
+    for add in adders:
+        add(p)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdlab",
                      description="modular structure of abelian gauge fields "
@@ -473,115 +474,72 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", metavar="command")
 
-    p = sub.add_parser("theta", help="theta series with certified tail")
+    p = _command(sub, "theta", cmd_theta, "theta series with certified tail")
     p.add_argument("--tau", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_theta)
 
-    p = sub.add_parser("lattice",
-                       help="brute-force flux sum vs theta product")
+    p = _command(sub, "lattice", cmd_lattice,
+                 "brute-force flux sum vs theta product")
     p.add_argument("--tau", required=True)
     p.add_argument("--bplus", type=int, required=True)
     p.add_argument("--bminus", type=int, required=True)
     p.add_argument("--box", type=int, default=30)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_lattice)
 
-    p = sub.add_parser("curvature", help="pointwise curvature invariants")
-    _add_manifold_opts(p)
+    p = _command(sub, "curvature", cmd_curvature,
+                 "pointwise curvature invariants", _add_manifold_opts)
     p.add_argument("--point", required=True, help="x1,x2,x3,x4")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_curvature)
 
-    p = sub.add_parser("integrate", help="volume curvature integrals")
-    _add_manifold_opts(p)
+    p = _command(sub, "integrate", cmd_integrate, "volume curvature integrals",
+                 _add_manifold_opts)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_integrate)
 
-    p = sub.add_parser("boundary", help="truncation-boundary reports")
-    _add_manifold_opts(p)
+    p = _command(sub, "boundary", cmd_boundary, "truncation-boundary reports",
+                 _add_manifold_opts)
     p.add_argument("--rho", required=True, help="comma-separated radii")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(handler=cmd_boundary)
 
-    p = sub.add_parser("zeta", help="flat-torus spectral zeta at s = 0")
+    p = _command(sub, "zeta", cmd_zeta, "flat-torus spectral zeta at s = 0")
     p.add_argument("--lattice", required=True,
                    help="16 floats, 4x4 generator rows")
     p.add_argument("--k", type=int, required=True, choices=range(0, 5))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_zeta)
 
-    p = sub.add_parser("weights", help="modular weights (alpha, beta)")
-    _add_manifold_opts(p)
-    _add_convention(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_weights)
-
-    p = sub.add_parser("partition", help="partition value at a coupling")
-    _add_manifold_opts(p)
-    _add_convention(p)
+    _command(sub, "weights", cmd_weights, "modular weights (alpha, beta)",
+             _add_manifold_opts, _add_convention)
+    p = _command(sub, "partition", cmd_partition,
+                 "partition value at a coupling",
+                 _add_manifold_opts, _add_convention)
     p.add_argument("--tau", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_partition)
+    _command(sub, "anomaly", cmd_anomaly, "local counterterm coefficients",
+             _add_manifold_opts, _add_convention)
 
-    p = sub.add_parser("anomaly", help="local counterterm coefficients")
-    _add_manifold_opts(p)
-    _add_convention(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_anomaly)
-
-    p = sub.add_parser("pathology",
-                       help="leftover Gaussian factor without the "
-                            "holonomy constraint")
+    p = _command(sub, "pathology", cmd_pathology,
+                 "leftover Gaussian factor without the holonomy constraint")
     p.add_argument("--tau", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_pathology)
 
-    p = sub.add_parser("neck", help="1-form Dirichlet derivability check")
+    p = _command(sub, "neck", cmd_neck, "1-form Dirichlet derivability check")
     p.add_argument("--manifold", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_neck)
 
-    p = sub.add_parser("catalog", help="list or show catalog entries")
+    p = _command(sub, "catalog", cmd_catalog, "list or show catalog entries")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_catalog)
 
     v = sub.add_parser("verify", help="dual-route consistency checks")
     vsub = v.add_subparsers(dest="verify_cmd", metavar="check")
-
-    p = vsub.add_parser("theta", help="inversion law and contour route")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_verify_theta)
-
-    p = vsub.add_parser("modularity", help="partition transformation law")
-    _add_manifold_opts(p)
-    _add_convention(p)
+    _command(vsub, "theta", cmd_verify_theta, "inversion law and contour route")
+    p = _command(vsub, "modularity", cmd_verify_modularity,
+                 "partition transformation law",
+                 _add_manifold_opts, _add_convention)
     p.add_argument("--taus", default=None,
                    help="comma-separated coupling samples")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_verify_modularity)
-
-    p = vsub.add_parser("gauss-bonnet",
-                        help="Euler number vs curvature integral")
-    _add_manifold_opts(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_verify_gauss_bonnet)
-
-    p = vsub.add_parser("decay", help="boundary-term falloff")
-    _add_manifold_opts(p)
+    _command(vsub, "gauss-bonnet", cmd_verify_gauss_bonnet,
+             "Euler number vs curvature integral", _add_manifold_opts)
+    p = _command(vsub, "decay", cmd_verify_decay, "boundary-term falloff",
+                 _add_manifold_opts)
     p.add_argument("--rho", required=True,
                    help="comma-separated doubling radii, at least three")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_verify_decay)
-
     return parser
 
 

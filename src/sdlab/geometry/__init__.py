@@ -1,5 +1,4 @@
 from .backends import (
-    ChartInfo,
     FlatTorus,
     GeometryBackend,
     MultiTaubNut,
@@ -12,7 +11,6 @@ from .integrals import CurvatureIntegrals, integrate_invariants
 from .boundary import TruncationReport, boundary_report
 
 __all__ = [
-    "ChartInfo",
     "GeometryBackend",
     "FlatTorus",
     "RoundS4",

@@ -27,37 +27,52 @@ Charts and conventions:
   The bolt r = 2m is the ordinary interior point X = Y = 0 of this chart
   (no horizon coordinate singularity anywhere); sqrt(det g) = 8 m r^2
   sin(theta), and the Killing circle has proper period 8 pi m at infinity.
+
+Each backend also owns the geometry-specific halves of the integrals:
+``reduction`` splits its volume integral into segments of a
+tensor-product mesh, each with a chart embedding and a reduced volume
+weight, which the single driver in ``integrals`` refines and sums; the
+ALF backends (``alf = True``) add the truncation surface and the
+gradient of its level function that ``boundary`` works on.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ChartError, DescriptorError, DomainError
-
-_TAU_PERIOD_NOTE = "fiber period fixed to 4*pi*mass (smooth centers)"
+from . import quadrature as quad
 
 
 @dataclass(frozen=True)
-class ChartInfo:
-    coordinates: tuple[str, str, str, str]
-    ranges: tuple[tuple[float, float], ...]
-    excluded: str
+class Segment:
+    """One piece of a symmetry-reduced volume integral.
+
+    `edges` holds the panel edges of each axis of a tensor-product mesh
+    (no axes: a single sample) and `order` the Gauss order per panel.
+    `embed` maps the flattened mesh coordinates, one array per axis, to
+    chart points (n, 4) of `backend` and the reduced volume weight (n,).
+    """
+
+    edges: tuple
+    order: int
+    embed: Callable
+    backend: "GeometryBackend"
 
 
 class GeometryBackend:
-    """Common backend interface; subclasses fill in the metric and chart."""
+    """Common backend interface; subclasses fill in the metric, the chart
+    checks and the symmetry reduction."""
 
     id: str = ""
+    # infinite volume truncated at a cutoff, with a truncation boundary
+    alf = False
 
     @property
     def params(self) -> dict:
-        raise NotImplementedError
-
-    @property
-    def chart(self) -> ChartInfo:
         raise NotImplementedError
 
     def metric(self, x: np.ndarray) -> np.ndarray:
@@ -82,6 +97,16 @@ class GeometryBackend:
         """Deterministic spread of interior points for pointwise checks."""
         raise NotImplementedError
 
+    def reduction(self, resolution: int, cutoff: float | None):
+        """Symmetry reduction of the volume integral: (segments, tail_at).
+
+        `resolution` scales every panel count.  ALF backends integrate up
+        to `cutoff` and return the first-axis coordinate `tail_at` of the
+        last segment where a fitted power-law tail takes over; compact
+        backends return None.
+        """
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class FlatTorus(GeometryBackend):
@@ -95,12 +120,6 @@ class FlatTorus(GeometryBackend):
     @property
     def params(self) -> dict:
         return {"radii": list(self.radii)}
-
-    @property
-    def chart(self) -> ChartInfo:
-        return ChartInfo(("x1", "x2", "x3", "x4"),
-                         tuple((0.0, 2 * math.pi) for _ in range(4)),
-                         excluded="none (periodic chart)")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -128,6 +147,12 @@ class FlatTorus(GeometryBackend):
     def volume(self) -> float:
         return (2 * math.pi) ** 4 * math.prod(self.radii)
 
+    def reduction(self, resolution: int, cutoff: float | None):
+        # homogeneous: one sample times the volume
+        def embed():
+            return np.array([[0.1, 0.2, 0.3, 0.4]]), np.array([self.volume()])
+        return [Segment((), 1, embed, self)], None
+
 
 @dataclass(frozen=True)
 class RoundS4(GeometryBackend):
@@ -141,13 +166,6 @@ class RoundS4(GeometryBackend):
     @property
     def params(self) -> dict:
         return {"a": self.a}
-
-    @property
-    def chart(self) -> ChartInfo:
-        return ChartInfo(("chi", "theta", "phi", "psi"),
-                         ((0.0, math.pi), (0.0, math.pi), (0.0, math.pi),
-                          (0.0, 2 * math.pi)),
-                         excluded="poles of chi, theta, phi (sin = 0)")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -192,6 +210,19 @@ class RoundS4(GeometryBackend):
     def volume(self) -> float:
         return 8 * math.pi ** 2 * self.a ** 4 / 3
 
+    def reduction(self, resolution: int, cutoff: float | None):
+        # isotropic about the pole: invariants depend on chi alone
+        a = self.a
+
+        def embed(chi):
+            pts = np.stack([chi, np.full_like(chi, 1.1),
+                            np.full_like(chi, 0.9), np.full_like(chi, 2.3)],
+                           axis=1)
+            return pts, 2.0 * math.pi ** 2 * a ** 4 * np.sin(chi) ** 3
+
+        edges = quad.uniform_edges(0.0, math.pi, 3 * resolution)
+        return [Segment((edges,), 10, embed, self)], None
+
 
 @dataclass(frozen=True)
 class MultiTaubNut(GeometryBackend):
@@ -201,6 +232,7 @@ class MultiTaubNut(GeometryBackend):
     # choice that moves the coordinate artifact away from quadrature regions
     string_signs: tuple[int, ...] | None = None
     id: str = field(default="multi-taub-nut", init=False)
+    alf = True
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -223,13 +255,6 @@ class MultiTaubNut(GeometryBackend):
 
     def fiber_period(self) -> float:
         return 4 * math.pi * self.mass
-
-    @property
-    def chart(self) -> ChartInfo:
-        return ChartInfo(("x", "y", "z", "t"),
-                         ((-math.inf, math.inf), (-math.inf, math.inf),
-                          (-math.inf, math.inf), (0.0, self.fiber_period())),
-                         excluded="centers and their Dirac-string rays")
 
     def _potential_and_oneform(self, x: np.ndarray):
         x = np.atleast_2d(x)
@@ -306,11 +331,107 @@ class MultiTaubNut(GeometryBackend):
                         np.full(count, 0.3)], axis=1)
         return pts
 
+    def _on_axis(self) -> np.ndarray:
+        """Centers as an (n, 3) array; the axisymmetric reductions need
+        them on one vertical axis."""
+        c = np.asarray(self.centers, dtype=float)
+        if np.ptp(c[:, 0]) > 1e-12 or np.ptp(c[:, 1]) > 1e-12:
+            raise DomainError("reduction-needs-axis",
+                              "axisymmetric reduction needs centers on a "
+                              "shared vertical axis")
+        return c
+
+    def reduction(self, resolution: int, cutoff: float | None):
+        if len(self.centers) == 1:
+            return self._radial(resolution, cutoff,
+                                np.asarray(self.centers[0], dtype=float), 1)
+        if len(self.centers) != 2:
+            raise DomainError("reduction-unsupported",
+                              "no symmetry reduction beyond 2 centers")
+        self._on_axis()
+        (x0, y0, z0), (x1, y1, z1) = self.centers
+        zc = 0.5 * (z0 + z1)
+        c = 0.5 * abs(z0 - z1)
+        if c < 1e-9:
+            return self._radial(resolution, cutoff, np.array([x0, y0, zc]), 2)
+        m = self.mass
+        fiber = self.fiber_period()
+        # the upper center's default string crosses the inner region, so
+        # the inner segment samples a copy with that string flipped up
+        iu = 0 if z0 > z1 else 1
+        near = MultiTaubNut(m, self.centers,
+                            tuple(-1 if i == iu else 1 for i in range(2)))
+
+        def embed(rho, theta):
+            # polar grid in the phi = 0 half-plane, upper half doubled
+            st, ct = np.sin(theta), np.cos(theta)
+            pts = np.stack([x0 + rho * st, np.full_like(rho, y0),
+                            zc + rho * ct,
+                            np.full_like(rho, 0.25 * fiber)], axis=1)
+            d0 = np.sqrt(rho * rho + c * c - 2.0 * rho * c * ct)
+            d1 = np.sqrt(rho * rho + c * c + 2.0 * rho * c * ct)
+            V = 1.0 + m / d0 + m / d1
+            return pts, 2.0 * fiber * 2.0 * math.pi * V * rho * rho * st
+
+        theta_edges = quad.graded_edges(0.0, 0.5 * math.pi, 2 * resolution,
+                                        first_width=0.02)
+        inner = quad.graded_edges(c, 0.0, 2 * resolution, first_width=m / 10.0)
+        outer = quad.graded_edges(c, cutoff, 3 * resolution,
+                                  first_width=m / 10.0)
+        return [Segment((inner, theta_edges), 8, embed, near),
+                Segment((outer, theta_edges), 8, embed, self)], cutoff
+
+    def _radial(self, resolution, cutoff, center, charge):
+        # all charge at one center: spherically symmetric about it
+        m = self.mass
+        fiber = self.fiber_period()
+
+        def embed(r):
+            pts = np.stack([center[0] + r, np.full_like(r, center[1]),
+                            np.full_like(r, center[2]),
+                            np.full_like(r, 0.25 * fiber)], axis=1)
+            V = 1.0 + charge * m / r
+            return pts, fiber * 4.0 * math.pi * V * r * r
+
+        edges = quad.graded_edges(0.0, cutoff, 3 * resolution,
+                                  first_width=m / 6.0)
+        return [Segment((edges,), 8, embed, self)], cutoff
+
+    def truncation_surface(self, rho: float, theta: np.ndarray):
+        """Coordinate sphere of radius rho about the centroid of the
+        centers at polar angles `theta` in the phi = 0 half-plane.
+
+        Returns the points (n, 4), the tangents d(point)/d(theta, phi, t)
+        (n, 4, 3) and the product of the two symmetry-circle lengths.
+        """
+        c = self._on_axis().mean(axis=0)
+        n = len(theta)
+        st, ct = np.sin(theta), np.cos(theta)
+        pts = np.stack([c[0] + rho * st, np.full(n, c[1]), c[2] + rho * ct,
+                        np.full(n, 0.25 * self.fiber_period())], axis=1)
+        jac = np.zeros((n, 4, 3))
+        jac[:, 0, 0] = rho * ct          # d/dtheta
+        jac[:, 2, 0] = -rho * st
+        jac[:, 1, 1] = rho * st          # d/dphi at phi = 0
+        jac[:, 3, 2] = 1.0               # d/dt
+        return pts, jac, 2.0 * math.pi * self.fiber_period()
+
+    def level_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Chart gradient of the truncation level function, the distance
+        from the centroid of the centers."""
+        c = np.asarray(self.centers, dtype=float).mean(axis=0)
+        rel = x[:, :3] - c[None, :]
+        r = np.linalg.norm(rel, axis=1)
+        out = np.zeros_like(x)
+        out[:, :3] = rel / r[:, None]
+        return out
+
 
 @dataclass(frozen=True)
 class Schwarzschild(GeometryBackend):
     mass: float = 1.0
     id: str = field(default="schwarzschild", init=False)
+    alf = True
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -319,13 +440,6 @@ class Schwarzschild(GeometryBackend):
     @property
     def params(self) -> dict:
         return {"mass": self.mass, "circle_period": 8 * math.pi * self.mass}
-
-    @property
-    def chart(self) -> ChartInfo:
-        return ChartInfo(("X", "Y", "theta", "phi"),
-                         ((-math.inf, math.inf), (-math.inf, math.inf),
-                          (0.0, math.pi), (0.0, 2 * math.pi)),
-                         excluded="theta poles (sin theta = 0)")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -368,6 +482,43 @@ class Schwarzschild(GeometryBackend):
         th = 0.5 + (math.pi - 1.0) * ((0.47 + 0.23 * t) % 1.0)
         ph = 2 * math.pi * ((0.11 + 0.53 * t) % 1.0)
         return np.stack([u * np.cos(ang), u * np.sin(ang), th, ph], axis=1)
+
+    def reduction(self, resolution: int, cutoff: float | None):
+        # spherically symmetric and rotation-invariant in the disc: the
+        # radial coordinate u = |(X, Y)| carries everything
+        m = self.mass
+        u_max = math.sqrt(cutoff - 2.0 * m)
+
+        def embed(u):
+            pts = np.stack([u, np.zeros_like(u), np.full_like(u, 1.1),
+                            np.full_like(u, 0.8)], axis=1)
+            r = 2.0 * m + u * u
+            return pts, 64.0 * math.pi ** 2 * m * u * r * r
+
+        edges = quad.graded_edges(0.0, u_max, 3 * resolution,
+                                  first_width=0.2 * math.sqrt(2.0 * m))
+        return [Segment((edges,), 8, embed, self)], u_max
+
+    def truncation_surface(self, rho: float, theta: np.ndarray):
+        """Area sphere r = rho at polar angles `theta`; same returns as
+        MultiTaubNut.truncation_surface with tangents along (theta, psi,
+        phi), psi the angle of the disc."""
+        u = math.sqrt(rho - 2.0 * self.mass)
+        n = len(theta)
+        pts = np.stack([np.full(n, u), np.zeros(n), theta, np.full(n, 0.3)],
+                       axis=1)
+        jac = np.zeros((n, 4, 3))
+        jac[:, 2, 0] = 1.0               # d/dtheta
+        jac[:, 1, 1] = u                 # d/dpsi along the disc circle at psi = 0
+        jac[:, 3, 2] = 1.0               # d/dphi
+        return pts, jac, (2.0 * math.pi) ** 2
+
+    def level_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Chart gradient of the truncation level function u^2 = r - 2m."""
+        out = np.zeros_like(x)
+        out[:, 0] = 2.0 * x[:, 0]
+        out[:, 1] = 2.0 * x[:, 1]
+        return out
 
 
 def metric_at(backend: GeometryBackend, x) -> np.ndarray:

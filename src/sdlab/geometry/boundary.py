@@ -2,8 +2,10 @@
 
 The boundary is the level set of the radial chart function (coordinate
 sphere around the NUT centroid, or r = rho for the black-hole chart).
-All our ALF boundaries are surfaces of revolution, so every field lives
-on a 1D polar-angle grid; the two symmetry circles integrate out.
+Each ALF backend supplies its surface (``truncation_surface``) and the
+gradient of its level function (``level_gradient``).  All our ALF
+boundaries are surfaces of revolution, so every field lives on a 1D
+polar-angle grid; the two symmetry circles integrate out.
 
 Conventions: e4 is the outward unit normal and the second fundamental
 form is Pi_ij = g(grad_{e_i} e_j, e4) on tangent frame indices, which
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .backends import GeometryBackend, MultiTaubNut, Schwarzschild
+from .backends import GeometryBackend
 from .curvature import curvature_batch
 
 _D1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # at offsets -2,-1,1,2
@@ -48,81 +50,13 @@ def _deriv_even(f: np.ndarray, step: float, parity: int) -> np.ndarray:
     return (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12.0 * step)
 
 
-class _Surface:
-    """Axisymmetric boundary chart: node points plus tangent data."""
-
-    def __init__(self, points, jac, df, circumference, theta, step):
-        self.points = points          # (n, 4) node coordinates
-        self.jac = jac                # (n, 4, 3) tangent basis d(point)/d(param)
-        self.df = df                  # (n, 4) gradient of the level function
-        self.circumference = circumference  # product of the two circle lengths
-        self.theta = theta
-        self.step = step
-
-
-def _tn_surface(backend: MultiTaubNut, rho: float, n_theta: int) -> _Surface:
-    centers = np.asarray(backend.centers, dtype=float)
-    if len(centers) > 1 and (np.ptp(centers[:, 0]) > 1e-12
-                             or np.ptp(centers[:, 1]) > 1e-12):
-        raise DomainError("reduction-needs-axis",
-                          "boundary grid needs centers on a shared "
-                          "vertical axis")
-    c = centers.mean(axis=0)
-    step = math.pi / n_theta
-    theta = (np.arange(n_theta) + 0.5) * step
-    st, ct = np.sin(theta), np.cos(theta)
-    zero = np.zeros(n_theta)
-    pts = np.stack([c[0] + rho * st, np.full(n_theta, c[1]),
-                    c[2] + rho * ct,
-                    np.full(n_theta, 0.25 * backend.fiber_period())], axis=1)
-    jac = np.zeros((n_theta, 4, 3))
-    jac[:, 0, 0] = rho * ct          # d/dtheta
-    jac[:, 2, 0] = -rho * st
-    jac[:, 1, 1] = rho * st          # d/dphi at phi = 0
-    jac[:, 3, 2] = 1.0               # d/dtau
-    df = np.stack([st, zero, ct, zero], axis=1)
-    circ = 2.0 * math.pi * backend.fiber_period()
-    return _Surface(pts, jac, df, circ, theta, step)
-
-
-def _schw_surface(backend: Schwarzschild, rho: float, n_theta: int) -> _Surface:
-    m = backend.mass
-    u = math.sqrt(rho - 2.0 * m)
-    step = math.pi / n_theta
-    theta = (np.arange(n_theta) + 0.5) * step
-    pts = np.stack([np.full(n_theta, u), np.zeros(n_theta), theta,
-                    np.full(n_theta, 0.3)], axis=1)
-    jac = np.zeros((n_theta, 4, 3))
-    jac[:, 2, 0] = 1.0               # d/dtheta
-    jac[:, 1, 1] = u                 # d/dpsi along the disc circle at psi = 0
-    jac[:, 3, 2] = 1.0               # d/dphi
-    df = np.zeros((n_theta, 4))
-    df[:, 0] = 2.0 * u
-    circ = (2.0 * math.pi) ** 2
-    return _Surface(pts, jac, df, circ, theta, step)
-
-
-def _unit_normal_covector(backend, surface, pts):
+def _unit_normal_covector(backend, pts):
     """n_mu = dF / |dF|_g at arbitrary points near the boundary."""
     g = backend.metric(pts)
     ginv = np.linalg.inv(g)
-    df = _level_gradient(backend, surface, pts)
+    df = backend.level_gradient(pts)
     norm = np.sqrt(np.einsum("nab,na,nb->n", ginv, df, df))
     return df / norm[:, None]
-
-
-def _level_gradient(backend, surface, pts):
-    if isinstance(backend, MultiTaubNut):
-        c = np.asarray(backend.centers, dtype=float).mean(axis=0)
-        rel = pts[:, :3] - c[None, :]
-        r = np.linalg.norm(rel, axis=1)
-        out = np.zeros_like(pts)
-        out[:, :3] = rel / r[:, None]
-        return out
-    out = np.zeros_like(pts)
-    out[:, 0] = 2.0 * pts[:, 0]
-    out[:, 1] = 2.0 * pts[:, 1]
-    return out
 
 
 def _gram_schmidt_frame(g, jac, normal_vec):
@@ -145,7 +79,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
                     resolution: int = 8) -> TruncationReport:
     """Second fundamental form and heat-coefficient boundary integrals
     on the truncation sphere of chart radius rho."""
-    if not isinstance(backend, (MultiTaubNut, Schwarzschild)):
+    if not getattr(backend, "alf", False):
         raise DomainError("boundary-needs-alf",
                           f"no truncation boundary for {type(backend).__name__}")
     core = 2.0 * backend.geometry_scale()
@@ -157,19 +91,17 @@ def boundary_report(backend: GeometryBackend, rho: float,
         raise DomainError("resolution-cap", f"resolution {resolution!r}")
 
     n_theta = 16 * resolution
-    if isinstance(backend, MultiTaubNut):
-        surf = _tn_surface(backend, rho, n_theta)
-    else:
-        surf = _schw_surface(backend, rho, n_theta)
-    pts = surf.points
+    step = math.pi / n_theta
+    theta = (np.arange(n_theta) + 0.5) * step
+    pts, jac, circumference = backend.truncation_surface(rho, theta)
     n = pts.shape[0]
 
     main = curvature_batch(backend, pts)
     g = main.g
     ginv = main.ginv
-    n_cov = _unit_normal_covector(backend, surf, pts)
+    n_cov = _unit_normal_covector(backend, pts)
     n_vec = np.einsum("nab,nb->na", ginv, n_cov)
-    frame = _gram_schmidt_frame(g, surf.jac, n_vec)
+    frame = _gram_schmidt_frame(g, jac, n_vec)
 
     # d(n_mu)/dx^nu by 4th-order differences of the analytic covector field
     h_n = 1e-3 * rho
@@ -178,8 +110,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
         for k, off in enumerate((-2.0, -1.0, 1.0, 2.0)):
             shifted = pts.copy()
             shifted[:, axis] += off * h_n
-            dn[:, axis, :] += _D1[k] * _unit_normal_covector(
-                backend, surf, shifted)
+            dn[:, axis, :] += _D1[k] * _unit_normal_covector(backend, shifted)
     dn /= h_n
     grad_n = dn - np.einsum("nlmk,nl->nmk", main.gamma, n_cov)
     pi_full = -np.einsum("nim,njk,nmk->nij", frame[:, :3], frame[:, :3], grad_n)
@@ -209,14 +140,14 @@ def boundary_report(backend: GeometryBackend, rho: float,
     ds4 /= h4
 
     # induced metric on the (theta, circle, circle) parametrization
-    h_ind = np.einsum("nma,nmk,nkb->nab", surf.jac, g, surf.jac)
+    h_ind = np.einsum("nma,nmk,nkb->nab", jac, g, jac)
     sqrt_h = np.sqrt(np.linalg.det(h_ind))
     h_up_tt = np.linalg.inv(h_ind)[:, 0, 0]
 
     # surface Laplacian of tr(Pi): axisymmetric scalar, so a 1D formula
-    dtr = _deriv_even(tr_pi, surf.step, parity=1)
+    dtr = _deriv_even(tr_pi, step, parity=1)
     flux = sqrt_h * h_up_tt * dtr
-    lap_tr = _deriv_even(flux, surf.step, parity=-1) / sqrt_h
+    lap_tr = _deriv_even(flux, step, parity=-1) / sqrt_h
 
     v40 = (-138.0 * ds4 + 140.0 * s * tr_pi + 4.0 * r_i4i4 * tr_pi
            - 12.0 * r_i4j4_pi + 4.0 * r_ijkj_pi + 24.0 * lap_tr
@@ -227,7 +158,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
            + (160.0 / 21.0) * tr_pi ** 3 - (352.0 / 7.0) * pi_pi * tr_pi
            + (1280.0 / 21.0) * pi3) / 360.0
 
-    measure = surf.circumference * surf.step * sqrt_h
+    measure = circumference * step * sqrt_h
     area = float(np.sum(measure))
     return TruncationReport(
         rho=float(rho),

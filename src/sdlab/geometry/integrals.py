@@ -1,11 +1,13 @@
 """Volume integrals of curvature invariants over the metric backends.
 
-Every backend admits a symmetry reduction: the flat torus is a single
-sample times the volume, the round sphere and the single-NUT and
-Schwarzschild spaces reduce to one radial coordinate, and the 2-NUT
-space reduces to an axisymmetric half-plane.  Quadrature is composite
-Gauss-Legendre; infinite ALF volumes are truncated at `cutoff_rho` and
-finished with a fitted power-law tail.
+Every backend states its own symmetry reduction (``reduction`` in
+``backends``): the flat torus is a single sample times the volume, the
+round sphere and the single-NUT and Schwarzschild spaces reduce to one
+radial coordinate, and the 2-NUT space to an axisymmetric half-plane.
+One driver integrates every reduction the same way: composite
+Gauss-Legendre on each segment's tensor mesh, refined once for the error
+estimate; infinite ALF volumes are truncated at `cutoff_rho` and
+finished with a power-law tail fitted on the last segment.
 
 Sums are numpy pairwise reductions in fixed node order, so values do
 not depend on evaluation chunking.
@@ -20,8 +22,7 @@ import numpy as np
 
 from ..errors import DomainError, ResourceError
 from . import quadrature as quad
-from .backends import (FlatTorus, GeometryBackend, MultiTaubNut, RoundS4,
-                       Schwarzschild)
+from .backends import GeometryBackend, Segment
 from .curvature import curvature_batch
 
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
@@ -58,34 +59,15 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-class _NodeCounter:
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
-
-
-def _torus(backend: FlatTorus, resolution: int):
-    pts = np.array([[0.1, 0.2, 0.3, 0.4]])
-    vals = _columns(backend, pts)[0] * backend.volume()
-    return vals, np.zeros(6), None, None, 1
+def _integrand(seg: Segment):
+    def f(*coords):
+        pts, w = seg.embed(*coords)
+        return w[:, None] * _columns(seg.backend, pts)
+    return f
 
 
-def _round_s4(backend: RoundS4, resolution: int):
-    a = backend.a
-
-    def f(chi):
-        pts = np.stack([chi, np.full_like(chi, 1.1),
-                        np.full_like(chi, 0.9), np.full_like(chi, 2.3)], axis=1)
-        cols = _columns(backend, pts)
-        w = 2.0 * math.pi ** 2 * a ** 4 * np.sin(chi) ** 3
-        return w[:, None] * cols
-
-    edges = quad.uniform_edges(0.0, math.pi, 3 * resolution)
-    vals, errs = quad.integrate_refined(f, edges, order=10)
-    nodes = 10 * (len(edges) - 1) * 3
-    return vals, errs, None, None, nodes
+def _node_counts(seg: Segment) -> list[int]:
+    return [seg.order * (len(e) - 1) for e in seg.edges]
 
 
 def _tail(window_f, cutoff: float):
@@ -105,123 +87,6 @@ def _tail(window_f, cutoff: float):
     return tails, terrs, p_gb, len(r)
 
 
-def _single_nut(backend: MultiTaubNut, resolution: int, cutoff: float,
-                center: np.ndarray, charge: int):
-    m = backend.mass
-    fiber = backend.fiber_period()
-
-    def f(r):
-        pts = np.stack([center[0] + r, np.full_like(r, center[1]),
-                        np.full_like(r, center[2]),
-                        np.full_like(r, 0.25 * fiber)], axis=1)
-        cols = _columns(backend, pts)
-        V = 1.0 + charge * m / r
-        w = fiber * 4.0 * math.pi * V * r * r
-        return w[:, None] * cols
-
-    edges = quad.graded_edges(0.0, cutoff, 3 * resolution, first_width=m / 6.0)
-    vals, errs = quad.integrate_refined(f, edges, order=8)
-    nodes = 8 * (len(edges) - 1) * 3
-    tails, terrs, p_gb, ntail = _tail(f, cutoff)
-    return vals + tails, errs + terrs, p_gb, cutoff, nodes + ntail
-
-
-def _two_nut(backend: MultiTaubNut, resolution: int, cutoff: float):
-    (x0, y0, z0), (x1, y1, z1) = backend.centers
-    if abs(x0 - x1) > 1e-12 or abs(y0 - y1) > 1e-12:
-        raise DomainError("reduction-needs-axis",
-                          "2-NUT reduction needs centers on a shared "
-                          "vertical axis")
-    zc = 0.5 * (z0 + z1)
-    c = 0.5 * abs(z0 - z1)
-    m = backend.mass
-    fiber = backend.fiber_period()
-    if c < 1e-9:
-        return _single_nut(backend, resolution, cutoff,
-                           np.array([x0, y0, zc]), charge=2)
-    iu = 0 if z0 > z1 else 1
-    signs_inner = tuple(-1 if i == iu else 1 for i in range(2))
-    gauge_far = backend  # default strings point down, safe for rho > c
-    gauge_near = MultiTaubNut(m, backend.centers, signs_inner)
-
-    def make_f(gauge):
-        def f2d(rho, theta):
-            # tensor grid in the phi = 0 half-plane, upper half doubled
-            R, T = np.meshgrid(rho, theta, indexing="ij")
-            st = np.sin(T).ravel()
-            ct = np.cos(T).ravel()
-            rr = R.ravel()
-            pts = np.stack([x0 + rr * st, np.full_like(rr, y0),
-                            zc + rr * ct,
-                            np.full_like(rr, 0.25 * fiber)], axis=1)
-            cols = _columns(gauge, pts)
-            d0 = np.sqrt(rr * rr + c * c - 2.0 * rr * c * ct)
-            d1 = np.sqrt(rr * rr + c * c + 2.0 * rr * c * ct)
-            V = 1.0 + m / d0 + m / d1
-            w = 2.0 * fiber * 2.0 * math.pi * V * rr * rr * st
-            out = w[:, None] * cols
-            return out.reshape(len(rho), len(theta), 6)
-        return f2d
-
-    theta_edges = quad.graded_edges(0.0, 0.5 * math.pi, 2 * resolution,
-                                    first_width=0.02)
-    segments = [
-        (quad.graded_edges(c, 0.0, 2 * resolution, first_width=m / 10.0),
-         make_f(gauge_near)),
-        (quad.graded_edges(c, cutoff, 3 * resolution, first_width=m / 10.0),
-         make_f(gauge_far)),
-    ]
-
-    def integrate_2d(redges, tedges, f2d, order):
-        xr, wr = quad.panel_rule(redges, order)
-        xt, wt = quad.panel_rule(tedges, order)
-        F = f2d(xr, xt)
-        inner = np.sum(wt[None, :, None] * F, axis=1)
-        return np.sum(wr[:, None] * inner, axis=0), len(xr) * len(xt)
-
-    vals = np.zeros(6)
-    errs = np.zeros(6)
-    nodes = 0
-    for redges, f2d in segments:
-        coarse, n0 = integrate_2d(redges, theta_edges, f2d, order=8)
-        fine, n1 = integrate_2d(quad.split_edges(redges),
-                                quad.split_edges(theta_edges), f2d, order=8)
-        vals += fine
-        errs += np.abs(fine - coarse)
-        nodes += n0 + n1
-
-    far_f2d = segments[1][1]
-
-    def window_f(r):
-        xt, wt = quad.panel_rule(theta_edges, 8)
-        F = far_f2d(r, xt)
-        return np.sum(wt[None, :, None] * F, axis=1)
-
-    tails, terrs, p_gb, ntail = _tail(window_f, cutoff)
-    xt_len = 8 * (len(theta_edges) - 1)
-    return vals + tails, errs + terrs, p_gb, cutoff, nodes + ntail * xt_len
-
-
-def _schwarzschild(backend: Schwarzschild, resolution: int, cutoff: float):
-    m = backend.mass
-    u_max = math.sqrt(cutoff - 2.0 * m)
-
-    def f(u):
-        pts = np.stack([u, np.zeros_like(u), np.full_like(u, 1.1),
-                        np.full_like(u, 0.8)], axis=1)
-        cols = _columns(backend, pts)
-        r = 2.0 * m + u * u
-        w = 64.0 * math.pi ** 2 * m * u * r * r
-        return w[:, None] * cols
-
-    edges = quad.graded_edges(0.0, u_max, 3 * resolution,
-                              first_width=0.2 * math.sqrt(2.0 * m))
-    vals, errs = quad.integrate_refined(f, edges, order=8)
-    nodes = 8 * (len(edges) - 1) * 3
-    tails, terrs, p_gb, ntail = _tail(f, u_max)
-    return vals + tails, errs + terrs, p_gb, cutoff, nodes + ntail
-
-
 def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
                          cutoff_rho: float | None = None) -> CurvatureIntegrals:
     """Integrate the six curvature invariants over the whole space.
@@ -236,8 +101,9 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
         raise DomainError("resolution-cap",
                           f"resolution {resolution} exceeds cap "
                           f"{MAX_RESOLUTION}")
-    is_alf = isinstance(backend, (MultiTaubNut, Schwarzschild))
-    if is_alf:
+    if not callable(getattr(backend, "reduction", None)):
+        raise DomainError("backend-unknown", type(backend).__name__)
+    if backend.alf:
         min_cut = CUTOFF_SCALE_MIN * backend.geometry_scale()
         if cutoff_rho is None:
             cutoff_rho = min_cut
@@ -249,26 +115,24 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
     else:
         cutoff_rho = None
 
-    if isinstance(backend, FlatTorus):
-        vals, errs, p_gb, cut, nodes = _torus(backend, resolution)
-    elif isinstance(backend, RoundS4):
-        vals, errs, p_gb, cut, nodes = _round_s4(backend, resolution)
-    elif isinstance(backend, MultiTaubNut):
-        if len(backend.centers) == 1:
-            vals, errs, p_gb, cut, nodes = _single_nut(
-                backend, resolution, cutoff_rho,
-                np.asarray(backend.centers[0], dtype=float), charge=1)
-        elif len(backend.centers) == 2:
-            vals, errs, p_gb, cut, nodes = _two_nut(
-                backend, resolution, cutoff_rho)
-        else:
-            raise DomainError("reduction-unsupported",
-                              "no symmetry reduction beyond 2 centers")
-    elif isinstance(backend, Schwarzschild):
-        vals, errs, p_gb, cut, nodes = _schwarzschild(
-            backend, resolution, cutoff_rho)
-    else:
-        raise DomainError("backend-unknown", type(backend).__name__)
+    segments, tail_at = backend.reduction(resolution, cutoff_rho)
+    vals, errs = np.sum([quad.integrate_refined(_integrand(seg), seg.edges,
+                                                seg.order)
+                         for seg in segments], axis=0)
+    nodes = 0
+    for seg in segments:
+        # coarse mesh plus the refined one (every axis split in two)
+        n = math.prod(_node_counts(seg))
+        nodes += n + n * 2 ** len(seg.edges) if seg.edges else n
+    p_gb = None
+    if tail_at is not None:
+        seg = segments[-1]
+        tails, terrs, p_gb, ntail = _tail(
+            lambda r: quad.first_axis_profile(_integrand(seg), r, seg.edges,
+                                              seg.order), tail_at)
+        vals = vals + tails
+        errs = errs + terrs
+        nodes += ntail * math.prod(_node_counts(seg)[1:])
 
     rel = errs / np.maximum(1.0, np.abs(vals))
     error_estimate = float(np.max(rel))
@@ -282,5 +146,5 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
         I_r=float(vals[2]), I_s2=float(vals[3]),
         I_gb=float(vals[4]), I_p=float(vals[5]),
         error_estimate=error_estimate, resolution=int(resolution),
-        cutoff_rho=cut, node_count=int(nodes),
+        cutoff_rho=cutoff_rho, node_count=int(nodes),
         tail_exponent=p_gb)

@@ -48,13 +48,6 @@ def uniform_edges(a: float, b: float, panels: int) -> np.ndarray:
     return np.linspace(a, b, panels + 1)
 
 
-def geometric_edges(a: float, b: float, panels: int) -> np.ndarray:
-    """Panel widths growing geometrically from a toward b; needs a > 0."""
-    if not 0 < a < b:
-        raise DomainError("geometric-edges", "need 0 < a < b")
-    return np.geomspace(a, b, panels + 1)
-
-
 def graded_edges(anchor: float, far: float, panels: int,
                  first_width: float) -> np.ndarray:
     """Edges from `anchor` toward `far` whose widths grow geometrically
@@ -82,24 +75,43 @@ def graded_edges(anchor: float, far: float, panels: int,
     return edges if sign > 0 else edges[::-1].copy()
 
 
-def integrate_columns(f, edges: np.ndarray, order: int) -> np.ndarray:
-    """Integrate a vectorized column-valued integrand over the panels.
+def _tensor_sum(f, axes, weights) -> np.ndarray:
+    """`f` on the tensor grid of the node arrays `axes`, summed against
+    `weights` over the trailing axes, last axis first.
 
-    `f` maps node array (n,) to values (n,) or (n, k); the reduction is
-    numpy pairwise summation in node order, independent of chunking.
+    `f` takes one flattened coordinate array per axis (first axis
+    slowest) and returns values (n,) or (n, k).  The reduction is numpy
+    pairwise summation in node order, independent of chunking.
     """
-    x, w = panel_rule(edges, order)
-    vals = np.asarray(f(x), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return np.sum(w[:, None] * vals, axis=0)
+    grids = np.meshgrid(*axes, indexing="ij")
+    vals = np.asarray(f(*(g.ravel() for g in grids)), dtype=float)
+    vals = vals.reshape(tuple(len(x) for x in axes) + (-1,))
+    for w in reversed(weights):
+        vals = np.sum(w[:, None] * vals, axis=-2)
+    return vals
 
 
-def integrate_refined(f, edges: np.ndarray, order: int):
+def integrate_columns(f, edges, order: int) -> np.ndarray:
+    """Integrate a vectorized column-valued integrand over a tensor mesh
+    with one panel-edge array per axis in `edges` (none: one sample)."""
+    rules = [panel_rule(e, order) for e in edges]
+    return _tensor_sum(f, [x for x, _ in rules], [w for _, w in rules])
+
+
+def integrate_refined(f, edges, order: int):
     """(fine value, |fine - coarse|) per column, coarse = given mesh."""
     coarse = integrate_columns(f, edges, order)
-    fine = integrate_columns(f, split_edges(edges), order)
+    if not edges:
+        return coarse, np.zeros_like(coarse)
+    fine = integrate_columns(f, [split_edges(e) for e in edges], order)
     return fine, np.abs(fine - coarse)
+
+
+def first_axis_profile(f, r: np.ndarray, edges, order: int) -> np.ndarray:
+    """`f` at first-axis points `r`, the other mesh axes integrated out on
+    their panels; shape (len(r), k)."""
+    rules = [panel_rule(e, order) for e in edges[1:]]
+    return _tensor_sum(f, [r] + [x for x, _ in rules], [w for _, w in rules])
 
 
 def fit_power_tail(r: np.ndarray, values: np.ndarray, cutoff: float,

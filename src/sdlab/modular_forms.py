@@ -41,9 +41,7 @@ class ComplexCoupling:
     value: complex
 
     def __post_init__(self) -> None:
-        if not self.value.imag > 0:
-            raise DomainError("im-tau-positive",
-                              f"coupling {self.value} not in the upper half-plane")
+        _as_tau(self.value)
 
     @classmethod
     def from_physical(cls, theta_angle: float, coupling_e: float) -> "ComplexCoupling":
@@ -61,9 +59,10 @@ class ThetaValue:
 
 
 def _as_tau(tau: complex | ComplexCoupling) -> complex:
+    """The coupling as a complex number; Im(tau) must be positive."""
     v = tau.value if isinstance(tau, ComplexCoupling) else complex(tau)
     if not v.imag > 0:
-        raise DomainError("im-tau-positive",
+        raise DomainError("tau-upper-half",
                           f"tau = {v} not in the upper half-plane")
     return v
 

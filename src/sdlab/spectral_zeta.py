@@ -17,7 +17,8 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from .errors import DescriptorError, DomainError
+from .assembly import harmonic_count
+from .errors import DomainError, ResourceError
 
 LATTICE_CONDITION_CAP = 1.0e4
 _CUT = 40.0  # summation cutoff in pi*|v|^2; tail below exp(-40)
@@ -49,8 +50,8 @@ def _shell_norms(basis: np.ndarray) -> np.ndarray:
     n_max = int(math.ceil(math.sqrt(_CUT / math.pi) / sigma_min))
     axis = np.arange(-n_max, n_max + 1)
     if (2 * n_max + 1) ** 4 > 2e8:
-        raise DomainError("lattice-enumeration",
-                          f"enumeration box {2 * n_max + 1}^4 too large")
+        raise ResourceError("lattice-enumeration",
+                            f"enumeration box {2 * n_max + 1}^4 too large")
     g1, g2, g3 = np.meshgrid(axis, axis, axis, indexing="ij")
     base = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
     out = []
@@ -130,19 +131,6 @@ _U4_WEIGHTS = {0: (2.0, -2.0, 5.0), 1: (-22.0, 172.0, -40.0)}
 _DIV_S_WEIGHT = {0: 12.0, 1: 48.0}
 
 
-def _dirichlet_betti(topo, k: int) -> int:
-    b = topo.b0_D if k == 0 else topo.b1_D
-    if b == "derive":
-        if k == 0:
-            return 0  # constants violating Dirichlet data cannot be harmonic
-        if not topo.h1_neck_trivial:
-            raise DescriptorError(
-                "dirichlet-data-missing",
-                f"{topo.name}: b1_D not derivable without the neck condition")
-        return int(topo.b1)
-    return int(b)
-
-
 def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
     """zeta_k(0) from the curvature-integral formula.
 
@@ -164,7 +152,7 @@ def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
         b_k = int(topo.b0 if k == 0 else topo.b1)
         value = -b_k + bulk
     else:
-        b_k = _dirichlet_betti(topo, k)
+        b_k = harmonic_count(topo, k)
         v4 = boundary.v40_integral if k == 0 else boundary.v41_integral
         flux = -_DIV_S_WEIGHT[k] / 360.0 * boundary.normal_s_flux
         value = -b_k + bulk + (v4 + flux) / (16.0 * math.pi ** 2)

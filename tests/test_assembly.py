@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 from sdlab.assembly import (
     ManifoldDescriptor,
     ModularWeights,
-    alf_weights,
     anomaly_counterterms,
     assemble_partition,
-    compact_weights,
     imtau_exponent,
     neck_check,
     pathological_partition,
@@ -91,15 +89,6 @@ def test_alf_descriptor_rejections(kw, slug):
     assert err.value.slug == slug
 
 
-def test_kind_mismatch_guards():
-    with pytest.raises(DescriptorError) as err:
-        alf_weights(desc("flat-torus"), ZERO)
-    assert err.value.slug == "kind-mismatch"
-    with pytest.raises(DescriptorError) as err:
-        compact_weights(desc("taub-nut-1"), TN1)
-    assert err.value.slug == "kind-mismatch"
-
-
 def test_integrals_required():
     with pytest.raises(DescriptorError) as err:
         weights_for(desc("flat-torus"))
@@ -156,7 +145,7 @@ def test_explicit_dirichlet_weights():
     d = ManifoldDescriptor(name="capped", kind="alf", b0=1, b1=0,
                            bplus_l2=1, bminus_l2=1, b0_D=0, b1_D=0,
                            h1_neck_trivial=False)
-    w = alf_weights(d, ci(I_gb=2.0))
+    w = weights_for(d, ci(I_gb=2.0))
     assert w.alpha == 0.5 and w.beta == 0.5
     assert imtau_exponent(d, ci(I_gb=2.0)) == 0.0
 

@@ -311,6 +311,21 @@ def test_cli_integrate_cache_round_trip(capsys, tmp_path, monkeypatch):
     assert out1.replace('"cache_hit": false', '"cache_hit": true') == out2
 
 
+def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    argv = ["integrate", "--manifold", "round-s4", "--resolution", "1",
+            "--json"]
+    _, good, _ = run_cli(capsys, argv)
+    path = tmp_path / f"{jsonio.canonical_loads(good)['cache_key']}.json"
+    path.write_text('{"I_gb": 1.0}', encoding="ascii")
+    with pytest.warns(UserWarning, match="does not hold curvature integrals"):
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == good
+    assert jsonio.canonical_loads(path.read_text(encoding="ascii"))["I_gb"] \
+        == jsonio.canonical_loads(good)["results"]["I_gb"]
+
+
 def test_cli_cutoff_too_small(capsys):
     code, _, err = run_cli(capsys, ["integrate", "--manifold", "taub-nut-1",
                                     "--cutoff", "2", "--no-cache"])

@@ -14,6 +14,7 @@ Oracles
   The result equals -61/90 and must match the curvature-integral route.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from sdlab.catalog import get_entry
-from sdlab.errors import DescriptorError, DomainError
+from sdlab.cli import main
+from sdlab.errors import DescriptorError, DomainError, ResourceError
 from sdlab.geometry.boundary import boundary_report
 from sdlab.geometry.integrals import CurvatureIntegrals
 from sdlab.spectral_zeta import (
@@ -139,7 +141,16 @@ def test_dirichlet_one_forms_need_neck_condition(schw_integrals):
     rep = boundary_report(entry.backend, 30.0, resolution=2)
     with pytest.raises(DescriptorError) as err:
         heat_zeta_zero(entry.descriptor, schw_integrals, 1, boundary=rep)
-    assert err.value.slug == "dirichlet-data-missing"
+    assert err.value.slug == "dirichlet-underived"
+
+
+def test_dirichlet_constants_need_no_neck_condition(schw_integrals):
+    # a derived b0_D is 0 whatever the neck does, so k = 0 goes through
+    entry = get_entry("schwarzschild")
+    rep = boundary_report(entry.backend, 30.0, resolution=2)
+    res = heat_zeta_zero(entry.descriptor, schw_integrals, 0, boundary=rep)
+    explicit = dataclasses.replace(entry.descriptor, b0_D=0)
+    assert res == heat_zeta_zero(explicit, schw_integrals, 0, boundary=rep)
 
 
 # ----------------------------------------------------------------- validation
@@ -155,6 +166,21 @@ def test_singular_lattice_rejected():
     with pytest.raises(DomainError) as err:
         torus_zeta_zero(np.zeros((4, 4)), 0)
     assert err.value.slug == "lattice-singular"
+
+
+CAPPED = np.diag([1.0, 1.0, 1.0, 0.3])  # dual scan box 151^4 > 2e8
+
+
+def test_enumeration_cap_is_a_resource_error():
+    with pytest.raises(ResourceError) as err:
+        torus_zeta_zero(CAPPED, 1)
+    assert err.value.slug == "lattice-enumeration"
+
+
+def test_enumeration_cap_exit_code(capsys):
+    code = main(["zeta", "--lattice", ",".join(map(str, CAPPED.ravel())),
+                 "--k", "1"])
+    assert code == 2 and "lattice-enumeration" in capsys.readouterr().err
 
 
 def test_ill_conditioned_lattice_rejected():
