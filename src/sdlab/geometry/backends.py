@@ -31,7 +31,7 @@ Charts and conventions:
 Each backend also owns the geometry-specific halves of the integrals:
 ``reduction`` splits its volume integral into segments of a
 tensor-product mesh, each with a chart embedding and a reduced volume
-weight, which the single driver in ``integrals`` refines and sums; the
+weight, which ``integrals.integrate_invariants`` refines and sums; the
 ALF backends (``alf = True``) add the truncation surface and the
 gradient of its level function that ``boundary`` works on.
 """

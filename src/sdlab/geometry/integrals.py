@@ -4,7 +4,7 @@ Every backend states its own symmetry reduction (``reduction`` in
 ``backends``): the flat torus is a single sample times the volume, the
 round sphere and the single-NUT and Schwarzschild spaces reduce to one
 radial coordinate, and the 2-NUT space to an axisymmetric half-plane.
-One driver integrates every reduction the same way: composite
+`integrate_invariants` treats every reduction the same way: composite
 Gauss-Legendre on each segment's tensor mesh, refined once for the error
 estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
