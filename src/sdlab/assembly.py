@@ -24,16 +24,6 @@ from .modular_forms import _as_tau, principal_power, theta
 _KINDS = ("compact", "alf")
 
 
-def _check_betti(name, label, value, bound):
-    if not isinstance(value, int) or value < 0:
-        raise DescriptorError("betti-nonnegative",
-                              f"{name}: {label} = {value!r}")
-    if value > bound:
-        raise DescriptorError(
-            "dirichlet-betti-bound",
-            f"{name}: {label} = {value} exceeds its absolute bound {bound}")
-
-
 @dataclasses.dataclass(frozen=True)
 class ManifoldDescriptor:
     """Topological and normalization data of one manifold."""
@@ -56,11 +46,22 @@ class ManifoldDescriptor:
         n = self.name
         if self.kind not in _KINDS:
             raise DescriptorError("kind-unknown", f"{n}: kind {self.kind!r}")
-        for lab, v in (("b0", self.b0), ("b1", self.b1),
-                       ("bplus_l2", self.bplus_l2),
-                       ("bminus_l2", self.bminus_l2)):
+        counts = [("b0", self.b0, None), ("b1", self.b1, None),
+                  ("bplus_l2", self.bplus_l2, None),
+                  ("bminus_l2", self.bminus_l2, None)]
+        if self.kind == "alf":
+            # given Dirichlet counts are bounded by b0, b1 (checked first)
+            counts += [(lab, v, bound) for lab, v, bound in
+                       (("b0_D", self.b0_D, self.b0),
+                        ("b1_D", self.b1_D, self.b1))
+                       if v is not None and v != "derive"]
+        for lab, v, bound in counts:
             if not isinstance(v, int) or v < 0:
                 raise DescriptorError("betti-nonnegative", f"{n}: {lab} = {v!r}")
+            if bound is not None and v > bound:
+                raise DescriptorError(
+                    "dirichlet-betti-bound",
+                    f"{n}: {lab} = {v} exceeds its absolute bound {bound}")
         if not isinstance(self.torsion_order, int) or self.torsion_order < 1:
             raise DescriptorError("torsion-positive",
                                   f"{n}: torsion_order = {self.torsion_order!r}")
@@ -84,11 +85,6 @@ class ManifoldDescriptor:
         if not isinstance(self.h1_neck_trivial, bool):
             raise DescriptorError("neck-flag-missing",
                                   f"{n}: ALF descriptor needs h1_neck_trivial")
-        for lab, v, bound in (("b0_D", self.b0_D, self.b0),
-                              ("b1_D", self.b1_D, self.b1)):
-            if v == "derive":
-                continue
-            _check_betti(n, lab, v, bound)
 
 
 @dataclasses.dataclass(frozen=True)

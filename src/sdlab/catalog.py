@@ -111,80 +111,82 @@ def entry_integrals(entry: CatalogEntry, resolution: int = 4,
 
 # ---------------------------------------------------------------- manifests
 
-_DESC_KEYS = {
-    "kind": str, "b0": int, "b1": int, "bplus_l2": int, "bminus_l2": int,
-    "torsion_order": int, "b0_d": None, "b1_d": None,
-    "h1_neck_trivial": None, "geometry": str,
-    "vol_flat_torus_factor": float,
-}
-_BACKEND_KEYS = ("mass", "centers", "string_signs", "radius", "radii")
-_ANALYTIC_KEYS = ("i_r_full", "i_r_endo", "i_ricci", "i_s2", "i_gb", "i_p")
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise DescriptorError("manifest-value",
-                          f"[{section}] {key} = {raw!r} is not a boolean")
+    raise ValueError("expected a boolean")
 
 
-def _parse_dirichlet(section: str, key: str, raw: str):
+def _dirichlet(raw: str) -> int | str:
     raw = raw.strip()
-    if raw == "derive":
-        return "derive"
-    try:
-        return int(raw)
-    except ValueError:
-        raise DescriptorError(
-            "manifest-value",
-            f"[{section}] {key} = {raw!r}; expected an integer or 'derive'")
+    return "derive" if raw == "derive" else int(raw)
 
 
-def _parse_floats(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _signs(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in _floats(raw))
+
+
+# manifest key -> conversion of its raw string
+_DESC_KEYS = {
+    "kind": str.strip, "b0": int, "b1": int, "bplus_l2": int,
+    "bminus_l2": int, "torsion_order": int, "b0_d": _dirichlet,
+    "b1_d": _dirichlet, "h1_neck_trivial": _bool, "geometry": str.strip,
+    "vol_flat_torus_factor": float,
+}
+_BACKEND_KEYS = {"mass": float, "centers": _floats, "string_signs": _signs,
+                 "radius": float, "radii": _floats}
+_ANALYTIC_KEYS = ("i_r_full", "i_r_endo", "i_ricci", "i_s2", "i_gb", "i_p")
+_KEY_TYPES = {**_DESC_KEYS, **_BACKEND_KEYS,
+              **dict.fromkeys(_ANALYTIC_KEYS, float)}
+# manifest keys whose descriptor field is spelled differently
+_FIELDS = {"b0_d": "b0_D", "b1_d": "b1_D"}
+
+
+def _convert(section: str, key: str, raw: str):
+    """`raw` through the conversion of `key`; a malformed value is a
+    `manifest-value` error, never a bare ValueError."""
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
+        return _KEY_TYPES[key](raw)
+    except (ValueError, OverflowError) as exc:
         raise DescriptorError("manifest-value",
-                              f"[{section}] {key} = {raw!r}")
+                              f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _backend_from(section: str, geometry: str, opts: dict):
-    mass = float(opts["mass"]) if "mass" in opts else None
+def _backend_from(section: str, geometry: str, vals: dict):
     if geometry == "analytic":
         return None
     if geometry == "flat-torus":
-        radii = _parse_floats(section, "radii", opts.get("radii", "1 1 1 1"))
+        radii = vals.get("radii", (1.0, 1.0, 1.0, 1.0))
         if len(radii) != 4:
             raise DescriptorError("manifest-value",
                                   f"[{section}] radii needs 4 entries")
         return FlatTorus(radii=radii)
     if geometry == "round-s4":
-        return RoundS4(a=float(opts.get("radius", 1.0)))
+        return RoundS4(a=vals.get("radius", 1.0))
     if geometry == "multi-taub-nut":
-        flat = _parse_floats(section, "centers", opts.get("centers", "0 0 0"))
+        flat = vals.get("centers", (0.0, 0.0, 0.0))
         if len(flat) % 3:
             raise DescriptorError(
                 "manifest-value",
                 f"[{section}] centers needs 3 floats per center")
         centers = tuple(tuple(flat[i:i + 3]) for i in range(0, len(flat), 3))
-        signs = None
-        if "string_signs" in opts:
-            signs = tuple(int(v) for v in
-                          _parse_floats(section, "string_signs",
-                                        opts["string_signs"]))
-        return MultiTaubNut(mass=mass if mass is not None else 0.5,
-                            centers=centers, string_signs=signs)
+        return MultiTaubNut(mass=vals.get("mass", 0.5), centers=centers,
+                            string_signs=vals.get("string_signs"))
     if geometry == "schwarzschild":
-        return Schwarzschild(mass=mass if mass is not None else 1.0)
+        return Schwarzschild(mass=vals.get("mass", 1.0))
     raise DescriptorError("geometry-unknown",
                           f"[{section}] geometry = {geometry!r}")
 
 
-def _analytic_from(section: str, opts: dict) -> CurvatureIntegrals | None:
-    present = [k for k in _ANALYTIC_KEYS if k in opts]
+def _analytic_from(section: str, vals: dict) -> CurvatureIntegrals | None:
+    present = [k for k in _ANALYTIC_KEYS if k in vals]
     if not present:
         return None
     if len(present) != len(_ANALYTIC_KEYS):
@@ -192,11 +194,10 @@ def _analytic_from(section: str, opts: dict) -> CurvatureIntegrals | None:
         raise DescriptorError(
             "manifest-value",
             f"[{section}] analytic integrals incomplete, missing {missing}")
-    val = {k: float(opts[k]) for k in _ANALYTIC_KEYS}
     return CurvatureIntegrals(
-        I_R_full=val["i_r_full"], I_R_endo=val["i_r_endo"],
-        I_r=val["i_ricci"], I_s2=val["i_s2"], I_gb=val["i_gb"],
-        I_p=val["i_p"], error_estimate=0.0, resolution=0,
+        I_R_full=vals["i_r_full"], I_R_endo=vals["i_r_endo"],
+        I_r=vals["i_ricci"], I_s2=vals["i_s2"], I_gb=vals["i_gb"],
+        I_p=vals["i_p"], error_estimate=0.0, resolution=0,
         cutoff_rho=None, node_count=0)
 
 
@@ -213,33 +214,16 @@ def parse_manifest(path: str) -> dict:
                 "manifest-shadows-builtin",
                 f"[{section}] collides with a built-in entry")
         opts = dict(parser[section])
-        unknown = (set(opts) - set(_DESC_KEYS) - set(_BACKEND_KEYS)
-                   - set(_ANALYTIC_KEYS))
+        unknown = set(opts) - set(_KEY_TYPES)
         if unknown:
             raise DescriptorError(
                 "manifest-key-unknown",
                 f"[{section}] unknown keys {sorted(unknown)}")
+        vals = {key: _convert(section, key, raw) for key, raw in opts.items()}
         kw = {"name": section}
-        for key in ("kind", "geometry"):
-            if key in opts:
-                kw[key] = opts[key].strip()
-        for key in ("b0", "b1", "bplus_l2", "bminus_l2", "torsion_order"):
-            if key in opts:
-                try:
-                    kw[key] = int(opts[key])
-                except ValueError:
-                    raise DescriptorError("manifest-value",
-                                          f"[{section}] {key} = {opts[key]!r}")
-        if "vol_flat_torus_factor" in opts:
-            kw["vol_flat_torus_factor"] = float(opts["vol_flat_torus_factor"])
-        if "b0_d" in opts:
-            kw["b0_D"] = _parse_dirichlet(section, "b0_d", opts["b0_d"])
-        if "b1_d" in opts:
-            kw["b1_D"] = _parse_dirichlet(section, "b1_d", opts["b1_d"])
-        if "h1_neck_trivial" in opts:
-            kw["h1_neck_trivial"] = _parse_bool(section, "h1_neck_trivial",
-                                                opts["h1_neck_trivial"])
-        analytic = _analytic_from(section, opts)
+        kw.update((_FIELDS.get(key, key), v) for key, v in vals.items()
+                  if key in _DESC_KEYS)
+        analytic = _analytic_from(section, vals)
         if analytic is not None:
             kw["analytic_integrals"] = analytic
         for key in ("b0", "b1", "bplus_l2", "bminus_l2", "kind"):
@@ -247,7 +231,7 @@ def parse_manifest(path: str) -> dict:
                 raise DescriptorError("manifest-key-missing",
                                       f"[{section}] needs {key}")
         desc = ManifoldDescriptor(**kw)
-        backend = _backend_from(section, desc.geometry, opts)
+        backend = _backend_from(section, desc.geometry, vals)
         if backend is None and analytic is None:
             raise DescriptorError(
                 "manifest-incomplete",

@@ -4,7 +4,6 @@ from .backends import (
     MultiTaubNut,
     RoundS4,
     Schwarzschild,
-    metric_at,
 )
 from .curvature import CurvatureSample, curvature_at
 from .integrals import CurvatureIntegrals, integrate_invariants
@@ -16,7 +15,6 @@ __all__ = [
     "RoundS4",
     "MultiTaubNut",
     "Schwarzschild",
-    "metric_at",
     "CurvatureSample",
     "curvature_at",
     "CurvatureIntegrals",

@@ -207,9 +207,6 @@ class RoundS4(GeometryBackend):
                          lo + (0.71 + 0.23 * t) % 1.0 * span,
                          (0.5 + 0.53 * t) % (2 * math.pi)], axis=1)
 
-    def volume(self) -> float:
-        return 8 * math.pi ** 2 * self.a ** 4 / 3
-
     def reduction(self, resolution: int, cutoff: float | None):
         # isotropic about the pole: invariants depend on chi alone
         a = self.a
@@ -356,11 +353,13 @@ class MultiTaubNut(GeometryBackend):
             return self._radial(resolution, cutoff, np.array([x0, y0, zc]), 2)
         m = self.mass
         fiber = self.fiber_period()
-        # the upper center's default string crosses the inner region, so
-        # the inner segment samples a copy with that string flipped up
+        # the invariants do not depend on the string gauge, so each segment
+        # samples a copy in a gauge whose strings miss it: the outer one
+        # with both strings down, the inner one with the upper string up
         iu = 0 if z0 > z1 else 1
         near = MultiTaubNut(m, self.centers,
                             tuple(-1 if i == iu else 1 for i in range(2)))
+        far = MultiTaubNut(m, self.centers)
 
         def embed(rho, theta):
             # polar grid in the phi = 0 half-plane, upper half doubled
@@ -379,7 +378,7 @@ class MultiTaubNut(GeometryBackend):
         outer = quad.graded_edges(c, cutoff, 3 * resolution,
                                   first_width=m / 10.0)
         return [Segment((inner, theta_edges), 8, embed, near),
-                Segment((outer, theta_edges), 8, embed, self)], cutoff
+                Segment((outer, theta_edges), 8, embed, far)], cutoff
 
     def _radial(self, resolution, cutoff, center, charge):
         # all charge at one center: spherically symmetric about it
@@ -520,13 +519,3 @@ class Schwarzschild(GeometryBackend):
         out[:, 1] = 2.0 * x[:, 1]
         return out
 
-
-def metric_at(backend: GeometryBackend, x) -> np.ndarray:
-    """Single-point metric with chart validation."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (4,):
-        raise DomainError("point-shape",
-                          f"expected 4 coordinates, got shape {arr.shape}")
-    pt = arr.reshape(1, 4)
-    backend.check_points(pt, margin=0.0 if isinstance(backend, FlatTorus) else 1e-9)
-    return backend.metric(pt)[0]

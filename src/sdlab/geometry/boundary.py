@@ -21,9 +21,7 @@ import numpy as np
 
 from ..errors import DomainError
 from .backends import GeometryBackend
-from .curvature import curvature_batch
-
-_D1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # at offsets -2,-1,1,2
+from .curvature import _OFFS, _W1, curvature_batch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,10 +105,10 @@ def boundary_report(backend: GeometryBackend, rho: float,
     h_n = 1e-3 * rho
     dn = np.zeros((n, 4, 4))
     for axis in range(4):
-        for k, off in enumerate((-2.0, -1.0, 1.0, 2.0)):
+        for w, off in zip(_W1, _OFFS):
             shifted = pts.copy()
             shifted[:, axis] += off * h_n
-            dn[:, axis, :] += _D1[k] * _unit_normal_covector(backend, shifted)
+            dn[:, axis, :] += w * _unit_normal_covector(backend, shifted)
     dn /= h_n
     grad_n = dn - np.einsum("nlmk,nl->nmk", main.gamma, n_cov)
     pi_full = -np.einsum("nim,njk,nmk->nij", frame[:, :3], frame[:, :3], grad_n)
@@ -132,11 +130,11 @@ def boundary_report(backend: GeometryBackend, rho: float,
     # curvature step keep the difference quotient above the noise floor
     h4 = 0.05 * rho
     ds4 = np.zeros(n)
-    for k, off in enumerate((-2.0, -1.0, 1.0, 2.0)):
+    for w, off in zip(_W1, _OFFS):
         moved = pts + off * h4 * n_vec
         sb = curvature_batch(backend, moved, h=5e-3 * float(
             np.min(backend.fd_scale(moved))))
-        ds4 += _D1[k] * sb.scalar
+        ds4 += w * sb.scalar
     ds4 /= h4
 
     # induced metric on the (theta, circle, circle) parametrization

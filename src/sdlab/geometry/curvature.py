@@ -4,8 +4,10 @@ Fourth-order central differences of the metric give Christoffel symbols and
 their derivatives; the Riemann tensor, frame components, quadratic
 invariants in both norm conventions, and the two characteristic densities
 are assembled from those.  The full stencil is 113 metric evaluations per
-point (1 center, 16 axis points, 96 mixed-pair points), evaluated in
-batches so quadrature sweeps stay vectorized end to end.
+point (1 center, 16 axis points, 96 mixed-pair points).  `curvature_batch`
+evaluates exactly the points it is given in one vectorized pass; callers
+with many points bound the batch themselves (the volume integrand,
+``integrals._columns``, feeds it a fixed-size chunk at a time).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -29,9 +31,8 @@ from ..errors import AccuracyError
 from .backends import GeometryBackend
 
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
-_W1 = (1.0, -8.0, 8.0, -1.0)  # /(12 h)
+_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_CHUNK = 4096
 
 
 def _build_stencil():
@@ -53,8 +54,7 @@ def _build_stencil():
 
     w1 = np.zeros((4, 113))
     for d in range(4):
-        for k, o in enumerate(_OFFS):
-            w1[d, 1 + 4 * d + k] = _W1[k] / 12.0
+        w1[d, 1 + 4 * d:5 + 4 * d] = _W1
 
     w2 = np.zeros((4, 4, 113))
     # diagonal second derivatives from the axis points and the center
@@ -68,7 +68,7 @@ def _build_stencil():
         base = 17 + 16 * p
         for ka in range(4):
             for kb in range(4):
-                w = (_W1[ka] / 12.0) * (_W1[kb] / 12.0)
+                w = _W1[ka] * _W1[kb]
                 w2[a, b, base + 4 * ka + kb] = w
                 w2[b, a, base + 4 * ka + kb] = w
     return offsets, w1, w2
@@ -112,12 +112,15 @@ class CurvatureSample:
 
 
 class CurvatureBatch:
-    """Raw assembled geometry for a batch of points (internal plumbing)."""
+    """Raw assembled geometry for a batch of points (internal plumbing).
+
+    Every derived invariant has its home here: ``inv_R_endo`` is
+    inv_R_full / 4 and ``inv_s2`` is scalar^2."""
 
     __slots__ = ("points", "h", "g", "ginv", "gamma", "riemann_low",
-                 "frame", "riemann_frame", "ricci_frame", "scalar",
-                 "inv_R_full", "inv_r", "gb_density", "pontryagin_density",
-                 "bianchi_residual")
+                 "riemann_frame", "ricci_frame", "scalar", "inv_R_full",
+                 "inv_R_endo", "inv_r", "inv_s2", "gb_density",
+                 "pontryagin_density", "bianchi_residual")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -138,24 +141,17 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
-                    h: np.ndarray | float | None = None,
-                    validate: bool = True) -> CurvatureBatch:
-    """Assemble curvature for (n, 4) points; h defaults to 1e-3 x local scale."""
+                    h: np.ndarray | float | None = None) -> CurvatureBatch:
+    """Assemble curvature for (n, 4) points in one batch; h defaults to
+    1e-3 x local scale.  Memory grows with n (113 metric evaluations and
+    several (4,4,4,4) tensors per point)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     if h is None:
         h_arr = 1e-3 * backend.fd_scale(pts)
     else:
         h_arr = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
-    if validate:
-        backend.check_points(pts, margin=2.5 * h_arr)
-
-    if n > _CHUNK:
-        parts = [curvature_batch(backend, pts[i:i + _CHUNK], h_arr[i:i + _CHUNK],
-                                 validate=False)
-                 for i in range(0, n, _CHUNK)]
-        return CurvatureBatch(**{name: np.concatenate([getattr(p, name) for p in parts])
-                                 for name in CurvatureBatch.__slots__})
+    backend.check_points(pts, margin=2.5 * h_arr)
 
     g0, d1, d2 = _metric_derivatives(backend, pts, h_arr)
     ginv = np.linalg.inv(g0)
@@ -193,25 +189,24 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
                             + np.einsum("nadbc->nabcd", r_fr)), axis=(1, 2, 3, 4))
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,
-                          riemann_low=r_low, frame=frame, riemann_frame=r_fr,
+                          riemann_low=r_low, riemann_frame=r_fr,
                           ricci_frame=ric, scalar=scal, inv_R_full=inv_R_full,
-                          inv_r=inv_r, gb_density=gbd, pontryagin_density=pon,
-                          bianchi_residual=bianchi)
+                          inv_R_endo=0.25 * inv_R_full, inv_r=inv_r,
+                          inv_s2=scal * scal, gb_density=gbd,
+                          pontryagin_density=pon, bianchi_residual=bianchi)
 
 
 def _sample_from_batch(batch: CurvatureBatch, i: int,
                        err: float | None = None) -> CurvatureSample:
-    full = float(batch.inv_R_full[i])
-    s = float(batch.scalar[i])
     return CurvatureSample(
         point=tuple(float(c) for c in batch.points[i]),
         riemann=batch.riemann_frame[i].copy(),
         ricci=batch.ricci_frame[i].copy(),
-        scalar=s,
-        inv_R_full=full,
-        inv_R_endo=full / 4.0,
+        scalar=float(batch.scalar[i]),
+        inv_R_full=float(batch.inv_R_full[i]),
+        inv_R_endo=float(batch.inv_R_endo[i]),
         inv_r=float(batch.inv_r[i]),
-        inv_s2=s * s,
+        inv_s2=float(batch.inv_s2[i]),
         gb_density=float(batch.gb_density[i]),
         pontryagin_density=float(batch.pontryagin_density[i]),
         bianchi_residual=float(batch.bianchi_residual[i]),

@@ -9,8 +9,11 @@ Gauss-Legendre on each segment's tensor mesh, refined once for the error
 estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
-Sums are numpy pairwise reductions in fixed node order, so values do
-not depend on evaluation chunking.
+The integrand, `_columns`, is where the integration path meets the
+curvature kernel: it evaluates `_CHUNK` nodes per `curvature_batch` call
+and keeps only the six invariant columns of each chunk, so peak memory
+does not grow with the mesh.  Sums are numpy pairwise reductions in
+fixed node order, so values do not depend on evaluation chunking.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .curvature import curvature_batch
 
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
          "gb_density", "pontryagin_density")
+_CHUNK = 4096  # nodes per curvature_batch call
 
 MAX_RESOLUTION = 64
 CUTOFF_SCALE_MIN = 10.0
@@ -53,10 +57,12 @@ class CurvatureIntegrals:
 
 
 def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
-    b = curvature_batch(backend, pts)
-    return np.stack([b.inv_R_full, 0.25 * b.inv_R_full, b.inv_r,
-                     b.scalar ** 2, b.gb_density, b.pontryagin_density],
-                    axis=1)
+    """The `_COLS` invariants at (n, 4) points, shape (n, 6)."""
+    out = np.empty((len(pts), len(_COLS)))
+    for i in range(0, len(pts), _CHUNK):
+        b = curvature_batch(backend, pts[i:i + _CHUNK])
+        out[i:i + _CHUNK] = np.stack([getattr(b, c) for c in _COLS], axis=1)
+    return out
 
 
 def _integrand(seg: Segment):

@@ -1,4 +1,4 @@
-"""Classical actions on the flux lattice and the brute-force factorization check.
+"""The brute-force flux-lattice sum and its factorization into theta series.
 
 The partition sum over integer fluxes splits into a product of one theta
 series per self-dual direction and one conjugate-reflected theta per
@@ -8,7 +8,6 @@ lattice sum so the factorization can be tested rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -18,25 +17,6 @@ from .modular_forms import _as_tau, theta
 
 # (2N+1)^(bplus+bminus) may not exceed this many lattice points.
 LATTICE_BOX_CAP = 20_000_000
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ActionValue:
-    value: complex
-
-
-def classical_action(p: LatticePoint, tau: complex) -> ActionValue:
-    """Euclidean action of one flux point; Re >= 0 whenever Im tau > 0."""
-    v = _as_tau(tau)
-    sp = sum(n * n for n in p.plus)
-    sm = sum(n * n for n in p.minus)
-    return ActionValue(value=-1j * math.pi * v * sp + 1j * math.pi * v.conjugate() * sm)
 
 
 def _coordinate_weights(sigma: complex, box: int) -> np.ndarray:

@@ -28,27 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, DomainError, ResourceError
+from .geometry.quadrature import panel_rule
 
 # Hard cap on theta series length; reaching it means Im(tau) is far too
 # small for the requested tolerance.
 THETA_TERM_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class ComplexCoupling:
-    """Point in the upper half-plane combining the two real couplings."""
-
-    value: complex
-
-    def __post_init__(self) -> None:
-        _as_tau(self.value)
-
-    @classmethod
-    def from_physical(cls, theta_angle: float, coupling_e: float) -> "ComplexCoupling":
-        if not coupling_e > 0:
-            raise DomainError("coupling-positive",
-                              f"coupling_e = {coupling_e} must be > 0")
-        return cls(complex(theta_angle / (2 * math.pi), 4 * math.pi / coupling_e**2))
 
 
 @dataclass(frozen=True)
@@ -58,9 +42,9 @@ class ThetaValue:
     terms_used: int
 
 
-def _as_tau(tau: complex | ComplexCoupling) -> complex:
+def _as_tau(tau: complex) -> complex:
     """The coupling as a complex number; Im(tau) must be positive."""
-    v = tau.value if isinstance(tau, ComplexCoupling) else complex(tau)
+    v = complex(tau)
     if not v.imag > 0:
         raise DomainError("tau-upper-half",
                           f"tau = {v} not in the upper half-plane")
@@ -76,7 +60,7 @@ def _tail_bound(t: float, n: int) -> float:
     return 2.0 * math.exp(-math.pi * t * n * n) / denom
 
 
-def theta(tau: complex | ComplexCoupling, tol: float = 1e-12) -> ThetaValue:
+def theta(tau: complex, tol: float = 1e-12) -> ThetaValue:
     """Evaluate the theta series with tail bound certified <= tol."""
     v = _as_tau(tau)
     if not tol > 0:
@@ -114,7 +98,7 @@ def principal_power(z: complex, w: complex) -> complex:
     return cmath.exp(complex(w) * cmath.log(z))
 
 
-def s_transform_residual(tau: complex | ComplexCoupling) -> float:
+def s_transform_residual(tau: complex) -> float:
     """|theta(-1/tau) - (tau/i)^{1/2} theta(tau)| at series tolerance 1e-13."""
     v = _as_tau(tau)
     lhs = theta(-1.0 / v, tol=1e-13).value
@@ -126,12 +110,8 @@ def _cot_line_integral(u: complex, shift: complex, half_width: float,
                        panel_width: float, order: int) -> complex:
     """Gauss-Legendre composite integral of exp(i pi u (c+shift)^2) cot(pi (c+shift)) / i."""
     n_panels = max(1, int(math.ceil(2.0 * half_width / panel_width)))
-    edges = np.linspace(-half_width, half_width, n_panels + 1)
-    x, wts = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * x[None, :]).ravel()
-    weights = (half * wts[None, :]).ravel()
+    nodes, weights = panel_rule(
+        np.linspace(-half_width, half_width, n_panels + 1), order)
     z = nodes + shift
     w_ = np.exp(1j * math.pi * u * z * z) * (np.cos(math.pi * z) / np.sin(math.pi * z))
     return complex(np.sum(weights * w_) / 1j)

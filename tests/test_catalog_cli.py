@@ -135,6 +135,16 @@ def test_manifest_unreadable(tmp_path):
      "geometry = hyperbolic\n", "geometry-unknown"),
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
      "geometry = analytic\ni_gb = 2\n", "manifest-value"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
+     "geometry = round-s4\nvol_flat_torus_factor = abc\n", "manifest-value"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\nmass = heavy\n", "manifest-value"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 0\n"
+     "geometry = round-s4\nradius = big\n", "manifest-value"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
+     "geometry = analytic\ni_r_full = 1\ni_r_endo = 1\ni_ricci = 0\n"
+     "i_s2 = 0\ni_gb = many\ni_p = 0\n", "manifest-value"),
 ])
 def test_manifest_rejections(tmp_path, body, slug):
     with pytest.raises(DescriptorError) as err:

@@ -11,12 +11,11 @@ on the exact metrics) before the engine existed:
 
 import math
 
-import numpy as np
 import pytest
 
-from sdlab.errors import ChartError, DomainError
+from sdlab.errors import ChartError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
-                            curvature_at, metric_at)
+                            curvature_at)
 
 
 def test_flat_torus_exactly_flat():
@@ -154,11 +153,3 @@ def test_excluded_points_rejected():
         curvature_at(nut, (0.0, 0.0, -2.0, 0.1))  # on the string ray
     with pytest.raises(ChartError):
         curvature_at(RoundS4(a=1.0), (0.0, 0.9, 2.3, 0.7))  # chart pole
-
-
-def test_metric_at_shapes():
-    g = metric_at(FlatTorus(), (0.1, 0.2, 0.3, 0.4))
-    assert g.shape == (4, 4)
-    assert np.allclose(g, np.eye(4))
-    with pytest.raises(DomainError):
-        metric_at(FlatTorus(), (0.1, 0.2, 0.3))

@@ -8,13 +8,17 @@ The single-center ALF space has I_gb = 1, I_p = -2/3; the two-center one
 doubles both.  The flat torus integrates identically to zero.
 """
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
+from sdlab.geometry import integrals
 from sdlab.geometry.backends import MultiTaubNut
+from sdlab.geometry.curvature import curvature_batch
 from sdlab.geometry.integrals import (
     CUTOFF_SCALE_MIN,
     MAX_RESOLUTION,
@@ -98,6 +102,20 @@ def test_two_center_doubles():
     assert ci.I_p == pytest.approx(-4.0 / 3.0, rel=0.01)
 
 
+@functools.lru_cache(maxsize=None)
+def two_center_i_gb(centers, signs=None):
+    nut = MultiTaubNut(0.5, centers, signs)
+    return integrate_invariants(nut, resolution=1).I_gb
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+@pytest.mark.parametrize("centers", [((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
+                                     ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))])
+def test_two_center_string_gauge_invariant(centers, signs):
+    # the Dirac strings are a gauge choice; no mesh may depend on it
+    assert two_center_i_gb(centers, signs) == two_center_i_gb(centers)
+
+
 def test_schwarzschild_targets(schw_integrals):
     ci = schw_integrals
     assert ci.I_gb == pytest.approx(2.0, rel=0.01)
@@ -150,3 +168,28 @@ def test_as_dict_round_trip():
     ci = integrate_invariants(backend("flat-torus"), resolution=2)
     d = ci.as_dict()
     assert CurvatureIntegrals(**d).as_dict() == d
+
+
+# ------------------------------------------------------------- chunked kernel
+
+
+def test_chunked_columns_match_one_batch():
+    b = backend("taub-nut-2")
+    pts = b.sample_points(5000)
+    whole = curvature_batch(b, pts)
+    expect = np.stack([getattr(whole, c) for c in integrals._COLS], axis=1)
+    assert np.array_equal(integrals._columns(b, pts), expect)
+
+
+def test_integrand_batches_are_bounded(monkeypatch):
+    sizes = []
+
+    def spy(backend, pts, h=None):
+        sizes.append(len(pts))
+        return curvature_batch(backend, pts, h)
+
+    monkeypatch.setattr(integrals, "curvature_batch", spy)
+    integrate_invariants(backend("taub-nut-2"), resolution=2)
+    # the refined outer mesh has more nodes than one chunk
+    assert sum(sizes) > integrals._CHUNK
+    assert max(sizes) == integrals._CHUNK == 4096

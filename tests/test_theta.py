@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlab.errors import BranchError, DomainError, ResourceError
-from sdlab.modular_forms import (ComplexCoupling, cot_contour_theta,
-                                 principal_power, s_transform_residual, theta)
+from sdlab.modular_forms import (cot_contour_theta, principal_power,
+                                 s_transform_residual, theta)
 
 mp.mp.dps = 40
 
@@ -61,13 +61,6 @@ def test_domain_rejections():
         theta(1j, tol=0.0)
     with pytest.raises(ResourceError):
         theta(complex(0.0, 1e-12))
-
-
-def test_physical_coupling_map():
-    c = ComplexCoupling.from_physical(theta_angle=math.pi, coupling_e=2.0)
-    assert c.value == complex(0.5, math.pi)
-    with pytest.raises(DomainError):
-        ComplexCoupling.from_physical(0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
