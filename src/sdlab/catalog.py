@@ -130,7 +130,10 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def _signs(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _floats(raw))
+    vals = _floats(raw)
+    if not all(v.is_integer() for v in vals):
+        raise ValueError("string signs must be whole numbers")
+    return tuple(int(v) for v in vals)
 
 
 # manifest key -> conversion of its raw string

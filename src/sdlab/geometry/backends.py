@@ -70,6 +70,8 @@ class GeometryBackend:
     id: str = ""
     # infinite volume truncated at a cutoff, with a truncation boundary
     alf = False
+    # chart coordinates the metric never reads; derivatives along them vanish
+    cyclic_axes: tuple[int, ...] = ()
 
     @property
     def params(self) -> dict:
@@ -112,6 +114,7 @@ class GeometryBackend:
 class FlatTorus(GeometryBackend):
     radii: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     id: str = field(default="flat-torus", init=False)
+    cyclic_axes = (0, 1, 2, 3)
 
     def __post_init__(self):
         if any(not r > 0 for r in self.radii):
@@ -230,6 +233,7 @@ class MultiTaubNut(GeometryBackend):
     string_signs: tuple[int, ...] | None = None
     id: str = field(default="multi-taub-nut", init=False)
     alf = True
+    cyclic_axes = (3,)
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -430,6 +434,7 @@ class MultiTaubNut(GeometryBackend):
 class Schwarzschild(GeometryBackend):
     mass: float = 1.0
     id: str = field(default="schwarzschild", init=False)
+    cyclic_axes = (3,)
     alf = True
 
     def __post_init__(self):

@@ -4,7 +4,14 @@ Fourth-order central differences of the metric give Christoffel symbols and
 their derivatives; the Riemann tensor, frame components, quadratic
 invariants in both norm conventions, and the two characteristic densities
 are assembled from those.  The full stencil is 113 metric evaluations per
-point (1 center, 16 axis points, 96 mixed-pair points).  `curvature_batch`
+point (1 center, 16 axis points, 96 mixed-pair points).  A backend lists
+in ``cyclic_axes`` the chart coordinates its metric never reads; the
+stencil rows offset along one of them repeat a row that is kept, every
+derivative along them is exactly zero, and they are skipped: 61 points
+when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts), 1
+on the flat torus.  First and second derivatives come from one (20, m) weight
+table applied as a single matmul, and the Christoffel and Riemann
+assembly is batched matmuls on reshaped views.  `curvature_batch`
 evaluates exactly the points it is given in one vectorized pass; callers
 with many points bound the batch themselves (the volume integrand,
 ``integrals._columns``, feeds it a fixed-size chunk at a time).
@@ -22,6 +29,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +44,8 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _build_stencil():
-    """Offset table (113, 4) and weight matrices for d1 (4,113) and d2 (4,4,113)."""
+    """Offset table (113, 4) and weight table (20, 113) per unit step: row k
+    < 4 gives d/dx_k, row 4 + 4k + l gives d2/dx_k dx_l."""
     offsets = [np.zeros(4)]
     for d in range(4):
         for o in _OFFS:
@@ -52,14 +61,12 @@ def _build_stencil():
                 offsets.append(v)
     offsets = np.array(offsets)
 
-    w1 = np.zeros((4, 113))
-    for d in range(4):
-        w1[d, 1 + 4 * d:5 + 4 * d] = _W1
-
-    w2 = np.zeros((4, 4, 113))
+    w = np.zeros((20, 113))
+    w2 = w[4:].reshape(4, 4, 113)
     # diagonal second derivatives from the axis points and the center
     diag = {-2.0: -1.0, -1.0: 16.0, 1.0: 16.0, 2.0: -1.0}
     for d in range(4):
+        w[d, 1 + 4 * d:5 + 4 * d] = _W1
         w2[d, d, 0] = -30.0 / 12.0
         for k, o in enumerate(_OFFS):
             w2[d, d, 1 + 4 * d + k] = diag[o] / 12.0
@@ -68,13 +75,24 @@ def _build_stencil():
         base = 17 + 16 * p
         for ka in range(4):
             for kb in range(4):
-                w = _W1[ka] * _W1[kb]
-                w2[a, b, base + 4 * ka + kb] = w
-                w2[b, a, base + 4 * ka + kb] = w
-    return offsets, w1, w2
+                wk = _W1[ka] * _W1[kb]
+                w2[a, b, base + 4 * ka + kb] = wk
+                w2[b, a, base + 4 * ka + kb] = wk
+    return offsets, w
 
 
-_OFFSETS, _D1W, _D2W = _build_stencil()
+_OFFSETS, _DW = _build_stencil()
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil(cyclic_axes: tuple[int, ...]):
+    """Offsets and weights of the stencil rows with zero offset along every
+    cyclic axis (61 of 113 for one axis).  A dropped row repeats the metric
+    of the kept row without its cyclic offsets and is weighted only in
+    derivatives along a cyclic axis, which vanish exactly."""
+    keep = ~np.any(_OFFSETS[:, list(cyclic_axes)] != 0.0, axis=1)
+    return _OFFSETS[keep], np.ascontiguousarray(_DW[:, keep])
+
 
 def _levi_civita4() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
@@ -129,22 +147,27 @@ class CurvatureBatch:
 
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):
     n = pts.shape[0]
-    stencil = pts[:, None, :] + h[:, None, None] * _OFFSETS[None, :, :]
-    g_all = backend.metric(stencil.reshape(n * 113, 4)).reshape(n, 113, 4, 4)
-    g0 = g_all[:, 0]
+    offsets, weights = _stencil(backend.cyclic_axes)
+    m = len(offsets)
+    stencil = pts[:, None, :] + h[:, None, None] * offsets[None, :, :]
+    g_rel = backend.metric(stencil.reshape(n * m, 4)).reshape(n, m, 16)
+    g0 = g_rel[:, 0].copy()
     # stencil weights sum to zero, so subtracting the centre value changes
     # nothing analytically but kills the O(|g|/h^2) rounding floor
-    g_rel = g_all - g0[:, None]
-    d1 = np.einsum("ks,nsij->nkij", _D1W, g_rel) / h[:, None, None, None]
-    d2 = np.einsum("kls,nsij->nklij", _D2W, g_rel) / (h * h)[:, None, None, None, None]
-    return g0, d1, d2
+    g_rel -= g0[:, None]
+    d = weights @ g_rel  # (n, 20, 16): d1 rows, then d2 rows
+    d1 = d[:, :4].reshape(n, 4, 4, 4) / h[:, None, None, None]
+    d2 = d[:, 4:].reshape(n, 4, 4, 4, 4) / (h * h)[:, None, None, None, None]
+    return g0.reshape(n, 4, 4), d1, d2
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
                     h: np.ndarray | float | None = None) -> CurvatureBatch:
     """Assemble curvature for (n, 4) points in one batch; h defaults to
-    1e-3 x local scale.  Memory grows with n (113 metric evaluations and
-    several (4,4,4,4) tensors per point)."""
+    1e-3 x local scale.  The metric is evaluated on the stencil rows with
+    zero offset along ``backend.cyclic_axes``: 113 per point in general,
+    61 when one coordinate is cyclic.  Memory grows with n (that many
+    metric evaluations and several (4,4,4,4) tensors per point)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     if h is None:
@@ -157,21 +180,28 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     ginv = np.linalg.inv(g0)
 
     # sum_term[n,s,i,j] = d_i g_sj + d_j g_si - d_s g_ij
-    sum_term = (np.einsum("nisj->nsij", d1) + np.einsum("njsi->nsij", d1)
-                - d1)
-    gamma = 0.5 * np.einsum("nls,nsij->nlij", ginv, sum_term)
+    d1_t = d1.transpose(0, 2, 1, 3)                     # [n,s,i,j] = d_i g_sj
+    sum_term = d1_t + d1_t.transpose(0, 1, 3, 2) - d1
+    gamma = 0.5 * (ginv @ sum_term.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
 
-    dginv = -np.einsum("nab,nkbc,ncd->nkad", ginv, d1, ginv)
-    dsum = np.einsum("nkisj->nksij", d2) + np.einsum("nkjsi->nksij", d2) - d2
-    dgamma = (0.5 * np.einsum("nkls,nsij->nklij", dginv, sum_term)
-              + 0.5 * np.einsum("nls,nksij->nklij", ginv, dsum))
+    # dginv[n,k] = -ginv d_k g ginv
+    dginv = -(ginv[:, None] @ d1 @ ginv[:, None])
+    d2_t = d2.transpose(0, 1, 3, 2, 4)             # [n,k,s,i,j] = d_k d_i g_sj
+    dsum = d2_t + d2_t.transpose(0, 1, 2, 4, 3) - d2
+    # dgamma[n,k,l,i,j] = d_k Gam^l_{ij}
+    dgamma = 0.5 * ((dginv.reshape(n, 16, 4) @ sum_term.reshape(n, 4, 16))
+                    .reshape(n, 4, 4, 4, 4)
+                    + (ginv[:, None] @ dsum.reshape(n, 4, 4, 16))
+                    .reshape(n, 4, 4, 4, 4))
 
     # R^l_{s i j} = d_i Gam^l_{j s} - d_j Gam^l_{i s}
     #              + Gam^l_{i a} Gam^a_{j s} - Gam^l_{j a} Gam^a_{i s}
-    r_up = (np.einsum("niljs->nlsij", dgamma) - np.einsum("njlis->nlsij", dgamma)
-            + np.einsum("nlia,najs->nlsij", gamma, gamma)
-            - np.einsum("nlja,nais->nlsij", gamma, gamma))
-    r_low = np.einsum("nkl,nlsij->nksij", g0, r_up)
+    # q[n,l,i,j,s] = d_i Gam^l_{j s} + Gam^l_{i a} Gam^a_{j s}
+    q = (dgamma.transpose(0, 2, 1, 3, 4)
+         + (gamma.reshape(n, 16, 4) @ gamma.reshape(n, 4, 16))
+         .reshape(n, 4, 4, 4, 4))
+    r_up = (q - q.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 4, 2, 3)
+    r_low = (g0 @ r_up.reshape(n, 4, 64)).reshape(n, 4, 4, 4, 4)
 
     chol = np.linalg.cholesky(g0)
     frame = np.linalg.inv(np.transpose(chol, (0, 2, 1)))  # columns = frame legs

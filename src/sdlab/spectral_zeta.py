@@ -15,7 +15,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import special as sc
 
 from .assembly import harmonic_count
 from .errors import DomainError, ResourceError
@@ -36,6 +35,7 @@ class SpectralZetaResult:
 
 def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
     """Upper incomplete gamma for small |a|, including a <= 0."""
+    from scipy import special as sc  # slow import; only the Epstein route needs it
     x = np.asarray(x, dtype=float)
     if a > 0:
         return sc.gammaincc(a, x) * sc.gamma(a)
@@ -72,6 +72,7 @@ def epstein_zeta(s: float, basis: np.ndarray) -> float:
     Valid for real s away from 0 and 2 (the explicit pole terms carry
     the continuation there).
     """
+    from scipy import special as sc
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (4, 4):
         raise DomainError("lattice-shape", "need a 4x4 generator matrix")

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdlab
 from sdlab import cache, jsonio
 from sdlab.assembly import weights_for
 from sdlab.catalog import (
@@ -145,6 +149,12 @@ def test_manifest_unreadable(tmp_path):
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
      "geometry = analytic\ni_r_full = 1\ni_r_endo = 1\ni_ricci = 0\n"
      "i_s2 = 0\ni_gb = many\ni_p = 0\n", "manifest-value"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\nstring_signs = 1.7\n", "manifest-value"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\nstring_signs = -0.5\n", "manifest-value"),
 ])
 def test_manifest_rejections(tmp_path, body, slug):
     with pytest.raises(DescriptorError) as err:
@@ -251,6 +261,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_skips_scipy():
+    # scipy.special is slow to import and only the Epstein route needs it
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    code = "import sys, sdlab.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_no_command(capsys):

@@ -11,11 +11,14 @@ on the exact metrics) before the engine existed:
 
 import math
 
+import numpy as np
 import pytest
 
+from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             curvature_at)
+from sdlab.geometry.curvature import curvature_batch
 
 
 def test_flat_torus_exactly_flat():
@@ -153,3 +156,63 @@ def test_excluded_points_rejected():
         curvature_at(nut, (0.0, 0.0, -2.0, 0.1))  # on the string ray
     with pytest.raises(ChartError):
         curvature_at(RoundS4(a=1.0), (0.0, 0.9, 2.3, 0.7))  # chart pole
+
+
+# ------------------------------------------------------ cyclic stencil axes
+
+def _backends():
+    out = {name: get_entry(name).backend for name in builtin_names()
+           if get_entry(name).backend is not None}
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        out[f"two-nut{signs}"] = MultiTaubNut(
+            mass=0.5, centers=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
+            string_signs=signs)
+    return out
+
+
+BACKENDS = _backends()
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+def test_metric_ignores_cyclic_axes(name):
+    backend = BACKENDS[name]
+    pts = backend.sample_points(16)
+    g = backend.metric(pts)
+    for axis in backend.cyclic_axes:
+        for shift in (1e-3, 0.37, -2.5, 11.0):
+            moved = pts.copy()
+            moved[:, axis] += shift
+            assert np.array_equal(backend.metric(moved), g), (axis, shift)
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+def test_cyclic_stencil_matches_full_stencil(name, monkeypatch):
+    backend = BACKENDS[name]
+    pts = backend.sample_points(24)
+    short = curvature_batch(backend, pts)
+    monkeypatch.setattr(type(backend), "cyclic_axes", ())
+    full = curvature_batch(backend, pts)
+    for f in ("g", "ginv", "gamma"):
+        assert np.array_equal(getattr(short, f), getattr(full, f)), f
+    for f in ("riemann_low", "riemann_frame"):
+        scale = np.max(np.abs(getattr(full, f)))
+        assert np.max(np.abs(getattr(short, f) - getattr(full, f))) \
+            <= 1e-10 * scale, f
+    scale = np.max(np.abs(full.inv_R_full))
+    for f in ("inv_R_full", "gb_density", "pontryagin_density"):
+        assert np.max(np.abs(getattr(short, f) - getattr(full, f))) \
+            <= 1e-10 * scale, f
+
+
+def test_one_cyclic_axis_needs_61_metric_points(monkeypatch):
+    backend = get_entry("taub-nut-2").backend
+    sizes = []
+    metric = MultiTaubNut.metric
+
+    def spy(self, x):
+        sizes.append(len(x))
+        return metric(self, x)
+
+    monkeypatch.setattr(MultiTaubNut, "metric", spy)
+    curvature_batch(backend, backend.sample_points(7))
+    assert sizes == [61 * 7]

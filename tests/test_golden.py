@@ -7,7 +7,9 @@ record the corpus again after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in CHANGES.md which outputs moved and why.
+which also prints each case whose stdout or exit code moved, with the
+largest |new - old| / max(1, |old|) over the numbers in its stdout, and
+say in CHANGES.md which outputs moved and why.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -81,6 +84,28 @@ def run(argv) -> dict:
     return {"argv": argv, "code": code, "stdout": out.getvalue()}
 
 
+# a number token that is not part of a name such as "v40_integral"
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def drift(old: dict, new: dict) -> list[str]:
+    """How one recorded case moved: its exit code, and the largest relative
+    change of the numbers in its stdout (or that more than numbers moved)."""
+    notes = []
+    if old["code"] != new["code"]:
+        notes.append(f"exit code {old['code']} -> {new['code']}")
+    if old["stdout"] != new["stdout"]:
+        if _NUMBER.sub("#", old["stdout"]) != _NUMBER.sub("#", new["stdout"]):
+            notes.append("stdout changed beyond its numbers")
+        else:
+            pairs = zip(_NUMBER.findall(old["stdout"]),
+                        _NUMBER.findall(new["stdout"]))
+            worst = max(abs(float(b) - float(a)) / max(1.0, abs(float(a)))
+                        for a, b in pairs)
+            notes.append(f"max |d|/max(1,|old|) = {worst:.2e}")
+    return notes
+
+
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
     mp = pytest.MonkeyPatch()
@@ -98,10 +123,29 @@ def test_corpus_covers_every_case(golden):
     assert list(golden) == list(CASES)
 
 
+def test_drift_names_what_moved():
+    old = {"code": 0, "stdout": '{"v40_integral": 2.0, "I_gb": -0.5}'}
+    assert drift(old, old) == []
+    assert drift(old, dict(old, code=1)) == ["exit code 0 -> 1"]
+    new = {"code": 0, "stdout": '{"v40_integral": 2.0, "I_gb": -0.25}'}
+    assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01"]
+    new = {"code": 0, "stdout": '{"v41_integral": 2.0, "I_gb": -0.5}'}
+    assert drift(old, new) == ["stdout changed beyond its numbers"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as cache:
         os.environ["SDLAB_CACHE_DIR"] = cache
         recorded = {case: run(argv) for case, argv in CASES.items()}
+    before = (json.loads(GOLDEN.read_text(encoding="ascii"))
+              if GOLDEN.exists() else {})
+    moved = 0
+    for case, new in recorded.items():
+        notes = drift(before[case], new) if case in before else ["new case"]
+        if notes:
+            moved += 1
+            print(f"{case}: {'; '.join(notes)}")
+    print(f"{moved} of {len(recorded)} cases moved")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n", encoding="ascii")
     sys.exit(0)
