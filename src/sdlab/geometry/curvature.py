@@ -8,10 +8,10 @@ point (1 center, 16 axis points, 96 mixed-pair points).  A backend lists
 in ``cyclic_axes`` the chart coordinates its metric never reads; the
 stencil rows offset along one of them repeat a row that is kept, every
 derivative along them is exactly zero, and they are skipped: 61 points
-when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts), 1
-on the flat torus.  First and second derivatives come from one (20, m) weight
-table applied as a single matmul, and the Christoffel and Riemann
-assembly is batched matmuls on reshaped views.  `curvature_batch`
+when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts),
+1 on the flat torus.  First and second derivatives come from one
+(20, m) weight table applied as a single matmul, and the Christoffel
+and Riemann assembly is batched matmuls on reshaped views.  `curvature_batch`
 evaluates exactly the points it is given in one vectorized pass; callers
 with many points bound the batch themselves (the volume integrand,
 ``integrals._columns``, feeds it a fixed-size chunk at a time).

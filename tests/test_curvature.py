@@ -161,8 +161,9 @@ def test_excluded_points_rejected():
 # ------------------------------------------------------ cyclic stencil axes
 
 def _backends():
-    out = {name: get_entry(name).backend for name in builtin_names()
-           if get_entry(name).backend is not None}
+    entries = {name: get_entry(name) for name in builtin_names()}
+    out = {name: e.backend for name, e in entries.items()
+           if e.backend is not None}
     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         out[f"two-nut{signs}"] = MultiTaubNut(
             mass=0.5, centers=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
