@@ -127,13 +127,13 @@ def boundary_report(backend: GeometryBackend, rho: float,
     s = main.scalar
 
     # normal derivative of the scalar curvature; a wide step and a small
-    # curvature step keep the difference quotient above the noise floor
+    # per-point curvature step keep the difference quotient above the
+    # noise floor
     h4 = 0.05 * rho
     ds4 = np.zeros(n)
     for w, off in zip(_W1, _OFFS):
         moved = pts + off * h4 * n_vec
-        sb = curvature_batch(backend, moved, h=5e-3 * float(
-            np.min(backend.fd_scale(moved))))
+        sb = curvature_batch(backend, moved, h=5e-3 * backend.fd_scale(moved))
         ds4 += w * sb.scalar
     ds4 /= h4
 

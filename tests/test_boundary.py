@@ -59,6 +59,16 @@ def test_scalar_flux_is_small(tn_reports):
         assert abs(rep.normal_s_flux) < 1e-3
 
 
+@pytest.mark.parametrize("resolution", [2, 4])
+def test_schwarzschild_scalar_flux_is_small(resolution):
+    # Ricci-flat as well; each point's curvature step follows its own
+    # chart scale, so rows near the poles do not coarsen the rest
+    b = get_entry("schwarzschild").backend
+    for rho in RADII:
+        rep = boundary_report(b, rho, resolution=resolution)
+        assert abs(rep.normal_s_flux) < 1e-3
+
+
 def test_schwarzschild_report():
     b = get_entry("schwarzschild").backend
     rep = boundary_report(b, 30.0, resolution=4)
