@@ -138,7 +138,7 @@ class CurvatureBatch:
     __slots__ = ("points", "h", "g", "ginv", "gamma", "riemann_low",
                  "riemann_frame", "ricci_frame", "scalar", "inv_R_full",
                  "inv_R_endo", "inv_r", "inv_s2", "gb_density",
-                 "pontryagin_density", "bianchi_residual")
+                 "pontryagin_density")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -215,19 +215,20 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     gbd = (inv_R_full - 4.0 * inv_r + scal * scal) / (32.0 * math.pi ** 2)
     pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr, _EPS4,
                     optimize=True) / (96.0 * math.pi ** 2)
-    bianchi = np.max(np.abs(r_fr + np.einsum("nacdb->nabcd", r_fr)
-                            + np.einsum("nadbc->nabcd", r_fr)), axis=(1, 2, 3, 4))
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,
                           riemann_low=r_low, riemann_frame=r_fr,
                           ricci_frame=ric, scalar=scal, inv_R_full=inv_R_full,
                           inv_R_endo=0.25 * inv_R_full, inv_r=inv_r,
                           inv_s2=scal * scal, gb_density=gbd,
-                          pontryagin_density=pon, bianchi_residual=bianchi)
+                          pontryagin_density=pon)
 
 
 def _sample_from_batch(batch: CurvatureBatch, i: int,
                        err: float | None = None) -> CurvatureSample:
+    r = batch.riemann_frame[i]
+    bianchi = np.max(np.abs(r + np.einsum("acdb->abcd", r)
+                            + np.einsum("adbc->abcd", r)))
     return CurvatureSample(
         point=tuple(float(c) for c in batch.points[i]),
         riemann=batch.riemann_frame[i].copy(),
@@ -239,7 +240,7 @@ def _sample_from_batch(batch: CurvatureBatch, i: int,
         inv_s2=float(batch.inv_s2[i]),
         gb_density=float(batch.gb_density[i]),
         pontryagin_density=float(batch.pontryagin_density[i]),
-        bianchi_residual=float(batch.bianchi_residual[i]),
+        bianchi_residual=float(bianchi),
         step=float(batch.h[i]),
         error_estimate=err,
     )
