@@ -64,6 +64,28 @@ def _shell_norms(basis: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _epstein_shells(basis: np.ndarray):
+    """Covolume and the pi |v|^2 shells of the lattice and its dual; they do
+    not depend on s, so one scan serves every evaluation."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape != (4, 4):
+        raise DomainError("lattice-shape", "need a 4x4 generator matrix")
+    det = float(np.linalg.det(basis))
+    if abs(det) < 1e-300:
+        raise DomainError("lattice-singular", "generator matrix not invertible")
+    dual = np.linalg.inv(basis).T
+    return abs(det), math.pi * _shell_norms(basis), math.pi * _shell_norms(dual)
+
+
+def _epstein_from_shells(s: float, covol: float, q1: np.ndarray,
+                         q2: np.ndarray) -> float:
+    from scipy import special as sc
+    i1 = float(np.sum(_gamma_upper(s, q1) * q1 ** (-s)))
+    i2 = float(np.sum(_gamma_upper(2.0 - s, q2) * q2 ** (s - 2.0)))
+    bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
+    return math.pi ** s / sc.gamma(s) * bracket
+
+
 def epstein_zeta(s: float, basis: np.ndarray) -> float:
     """Analytic continuation of sum |v|^(-2s) over the nonzero lattice.
 
@@ -72,32 +94,20 @@ def epstein_zeta(s: float, basis: np.ndarray) -> float:
     Valid for real s away from 0 and 2 (the explicit pole terms carry
     the continuation there).
     """
-    from scipy import special as sc
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape != (4, 4):
-        raise DomainError("lattice-shape", "need a 4x4 generator matrix")
-    det = float(np.linalg.det(basis))
-    if abs(det) < 1e-300:
-        raise DomainError("lattice-singular", "generator matrix not invertible")
-    covol = abs(det)
-    dual = np.linalg.inv(basis).T
-    q1 = math.pi * _shell_norms(basis)
-    q2 = math.pi * _shell_norms(dual)
-    i1 = float(np.sum(_gamma_upper(s, q1) * q1 ** (-s)))
-    i2 = float(np.sum(_gamma_upper(2.0 - s, q2) * q2 ** (s - 2.0)))
-    bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
-    return math.pi ** s / sc.gamma(s) * bracket
+    return _epstein_from_shells(s, *_epstein_shells(basis))
 
 
 def epstein_zeta_at_zero(basis: np.ndarray, delta: float = 1e-4):
     """Continuation value at s = 0 via symmetric sampling at s = +-delta.
 
     Returns (value, error_estimate); the estimate compares the delta and
-    2*delta averages of the even part.
+    2*delta averages of the even part.  The shells are scanned once.
     """
-    avg1 = 0.5 * (epstein_zeta(delta, basis) + epstein_zeta(-delta, basis))
-    avg2 = 0.5 * (epstein_zeta(2 * delta, basis)
-                  + epstein_zeta(-2 * delta, basis))
+    shells = _epstein_shells(basis)
+    z = [_epstein_from_shells(s, *shells)
+         for s in (delta, -delta, 2 * delta, -2 * delta)]
+    avg1 = 0.5 * (z[0] + z[1])
+    avg2 = 0.5 * (z[2] + z[3])
     return avg1, abs(avg1 - avg2) / 3.0 + 64.0 * math.exp(-_CUT)
 
 
