@@ -145,6 +145,13 @@ def harmonic_count(desc: ManifoldDescriptor, k: int) -> int:
     return check["derived_b1_D"]
 
 
+def euler_number(desc: ManifoldDescriptor) -> int:
+    """Topological Euler number 2 h0 - 2 h1 + b+ + b-, with h_k the
+    `harmonic_count` of k-forms."""
+    return (2 * harmonic_count(desc, 0) - 2 * harmonic_count(desc, 1)
+            + desc.bplus_l2 + desc.bminus_l2)
+
+
 def _require_integrals(desc: ManifoldDescriptor, curv):
     if curv is None:
         curv = desc.analytic_integrals
@@ -258,13 +265,12 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv=None,
     """
     curv = _require_integrals(desc, curv)
     try:
-        b0x, b1x = harmonic_count(desc, 0), harmonic_count(desc, 1)
+        chi_top = float(euler_number(desc))
     except DescriptorError as exc:
         raise ConsistencyError(
             "weights-not-local",
             f"{desc.name}: weights are not locally representable; "
             f"{exc}") from exc
-    chi_top = 2.0 * b0x - 2.0 * b1x + desc.bplus_l2 + desc.bminus_l2
     sigma_top = float(desc.bplus_l2 - desc.bminus_l2)
 
     if abs(chi_top - curv.I_gb) > _CONSISTENCY_TOL * max(1.0, abs(chi_top)):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, cache
 from .assembly import (anomaly_counterterms, assemble_partition,
-                       harmonic_count, imtau_exponent, neck_check,
+                       euler_number, imtau_exponent, neck_check,
                        pathological_partition, verify_modularity, weights_for)
 from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
                       get_entry, parse_manifest)
@@ -386,10 +386,8 @@ def cmd_verify_modularity(args):
 
 def cmd_verify_gauss_bonnet(args):
     entry = _entry(args)
-    d = entry.descriptor
     ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
-    chi = (2 * harmonic_count(d, 0) - 2 * harmonic_count(d, 1)
-           + d.bplus_l2 + d.bminus_l2)
+    chi = euler_number(entry.descriptor)
     diff = abs(chi - ci.I_gb)
     tol = 0.03 * max(1.0, abs(chi))
     ok = diff <= tol

@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import DomainError
 from .backends import GeometryBackend
 from .curvature import _OFFS, _W1, curvature_batch
+from .integrals import check_resolution
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,8 +86,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
         raise DomainError("rho-inside-core",
                           f"rho {rho} must exceed the compact core radius "
                           f"{core}")
-    if resolution < 1 or resolution > 64:
-        raise DomainError("resolution-cap", f"resolution {resolution!r}")
+    check_resolution(resolution)
 
     n_theta = 16 * resolution
     step = math.pi / n_theta

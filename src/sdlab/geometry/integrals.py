@@ -93,6 +93,16 @@ def _tail(window_f, cutoff: float):
     return tails, terrs, p_gb, len(r)
 
 
+def check_resolution(resolution) -> None:
+    """A resolution is a positive integer no larger than MAX_RESOLUTION."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise DomainError("resolution-positive", f"resolution {resolution!r}")
+    if resolution > MAX_RESOLUTION:
+        raise DomainError("resolution-cap",
+                          f"resolution {resolution} exceeds cap "
+                          f"{MAX_RESOLUTION}")
+
+
 def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
                          cutoff_rho: float | None = None) -> CurvatureIntegrals:
     """Integrate the six curvature invariants over the whole space.
@@ -101,12 +111,7 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
     need `cutoff_rho` at least 10x the geometry scale (defaulted to
     exactly that when omitted); compact backends ignore it.
     """
-    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
-        raise DomainError("resolution-positive", f"resolution {resolution!r}")
-    if resolution > MAX_RESOLUTION:
-        raise DomainError("resolution-cap",
-                          f"resolution {resolution} exceeds cap "
-                          f"{MAX_RESOLUTION}")
+    check_resolution(resolution)
     if not callable(getattr(backend, "reduction", None)):
         raise DomainError("backend-unknown", type(backend).__name__)
     if backend.alf:

@@ -96,8 +96,12 @@ def test_compact_backend_rejected():
     assert err.value.slug == "boundary-needs-alf"
 
 
-def test_resolution_bounds():
+@pytest.mark.parametrize("resolution, slug", [
+    (0, "resolution-positive"), (65, "resolution-cap"),
+    (2.5, "resolution-positive")])
+def test_resolution_bounds(resolution, slug):
+    # the same validator as integrate_invariants
     b = get_entry("taub-nut-1").backend
     with pytest.raises(DomainError) as err:
-        boundary_report(b, 20.0, resolution=0)
-    assert err.value.slug == "resolution-cap"
+        boundary_report(b, 20.0, resolution=resolution)
+    assert err.value.slug == slug
