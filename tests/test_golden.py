@@ -8,8 +8,9 @@ record the corpus again after an intended change of output, run
     PYTHONPATH=src python tests/test_golden.py
 
 which also prints each case whose stdout or exit code moved, with the
-largest |new - old| / max(1, |old|) over the numbers in its stdout, and
-say in CHANGES.md which outputs moved and why.
+largest |new - old| / max(1, |old|) over the numbers in its stdout and
+the JSON key path of that number, and say in CHANGES.md which outputs
+moved and why.
 """
 
 import contextlib
@@ -88,9 +89,26 @@ def run(argv) -> dict:
 _NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _moves(old, new, path=""):
+    """(relative change, key path) of each number in two JSON values that
+    differ only in their numbers."""
+    if isinstance(old, dict):
+        for key in old:
+            yield from _moves(old[key], new[key],
+                              f"{path}.{key}" if path else key)
+    elif isinstance(old, list):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _moves(a, b, f"{path}[{i}]")
+    else:
+        for a, b in zip(_NUMBER.findall(json.dumps(old)),
+                        _NUMBER.findall(json.dumps(new))):
+            yield abs(float(b) - float(a)) / max(1.0, abs(float(a))), path
+
+
 def drift(old: dict, new: dict) -> list[str]:
     """How one recorded case moved: its exit code, and the largest relative
-    change of the numbers in its stdout (or that more than numbers moved)."""
+    change of the numbers in its stdout with the key path where it happened
+    (or that more than numbers moved)."""
     notes = []
     if old["code"] != new["code"]:
         notes.append(f"exit code {old['code']} -> {new['code']}")
@@ -98,11 +116,9 @@ def drift(old: dict, new: dict) -> list[str]:
         if _NUMBER.sub("#", old["stdout"]) != _NUMBER.sub("#", new["stdout"]):
             notes.append("stdout changed beyond its numbers")
         else:
-            pairs = zip(_NUMBER.findall(old["stdout"]),
-                        _NUMBER.findall(new["stdout"]))
-            worst = max(abs(float(b) - float(a)) / max(1.0, abs(float(a)))
-                        for a, b in pairs)
-            notes.append(f"max |d|/max(1,|old|) = {worst:.2e}")
+            worst, where = max(_moves(json.loads(old["stdout"]),
+                                      json.loads(new["stdout"])))
+            notes.append(f"max |d|/max(1,|old|) = {worst:.2e} at {where}")
     return notes
 
 
@@ -128,9 +144,15 @@ def test_drift_names_what_moved():
     assert drift(old, old) == []
     assert drift(old, dict(old, code=1)) == ["exit code 0 -> 1"]
     new = {"code": 0, "stdout": '{"v40_integral": 2.0, "I_gb": -0.25}'}
-    assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01"]
+    assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
     new = {"code": 0, "stdout": '{"v41_integral": 2.0, "I_gb": -0.5}'}
     assert drift(old, new) == ["stdout changed beyond its numbers"]
+    nested = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
+                                   '{"a": 3.0}], "order": 0.69}}'}
+    moved = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
+                                  '{"a": 3.5}], "order": 0.66}}'}
+    assert drift(nested, moved) == [
+        "max |d|/max(1,|old|) = 1.67e-01 at results.rows[1].a"]
 
 
 if __name__ == "__main__":
