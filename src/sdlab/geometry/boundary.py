@@ -1,15 +1,27 @@
 """Truncation-boundary reports for the ALF backends.
 
-The boundary is the level set of the radial chart function (coordinate
-sphere around the NUT centroid, or r = rho for the black-hole chart).
+The boundary is a level set of the radial chart function F (coordinate
+sphere around the NUT centroid, or u^2 = r - 2m for the black-hole chart).
 Each ALF backend supplies its surface (``truncation_surface``) and the
-gradient of its level function (``level_gradient``).  All our ALF
-boundaries are surfaces of revolution, so every field lives on a 1D
-polar-angle grid; the two symmetry circles integrate out.
+chart gradient of F (``level_gradient``).  All our ALF boundaries are
+surfaces of revolution, so every field lives on a 1D polar-angle grid;
+the two symmetry circles integrate out.
 
 Conventions: e4 is the outward unit normal and the second fundamental
 form is Pi_ij = g(grad_{e_i} e_j, e4) on tangent frame indices, which
-makes a round sphere in flat space carry Pi = -(1/rho) * identity.
+makes a round sphere in flat space carry Pi = -(1/rho) * identity.  With
+e4 = dF / |dF|_g, grad e4 = (Hess F - Gam.dF) / |dF|_g plus a term along
+dF that the tangent legs annihilate, so
+Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F) / |dF|_g.
+
+g, Gam and Riemann come from one curvature batch on the surface; e1..e4
+are Gram-Schmidt on the chart tangents and e4, through the Cholesky rule
+of the kernel's own frame.  Off the surface, one `curvature._five_point`
+call each gives the chart Hessian of F (``level_gradient`` along the chart
+axes, step 1e-3 rho; no metric) and the normal derivative of the scalar
+curvature (one batch on 4n points along e4, step 0.05 rho, each point
+with curvature step 5e-3 x its own ``fd_scale``: a wide outer and a small
+inner step keep the quotient above the kernel's noise floor).
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ import numpy as np
 
 from ..errors import DomainError
 from .backends import GeometryBackend
-from .curvature import _OFFS, _W1, curvature_batch
+from .curvature import (_cholesky_legs, _five_point, _frame_components,
+                        curvature_batch)
 from .integrals import check_resolution
 
 
@@ -49,29 +62,21 @@ def _deriv_even(f: np.ndarray, step: float, parity: int) -> np.ndarray:
     return (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12.0 * step)
 
 
-def _unit_normal_covector(backend, pts):
-    """n_mu = dF / |dF|_g at arbitrary points near the boundary."""
-    g = backend.metric(pts)
-    ginv = np.linalg.inv(g)
+def _second_fundamental_form(backend, pts, jac, main, rho):
+    """Pi (n, 3, 3) at surface points with chart tangents `jac` and the
+    curvature batch `main` there, and the adapted legs (n, 4, 4): columns
+    e1..e3 tangent, e4 the outward unit normal."""
     df = backend.level_gradient(pts)
-    norm = np.sqrt(np.einsum("nab,na,nb->n", ginv, df, df))
-    return df / norm[:, None]
-
-
-def _gram_schmidt_frame(g, jac, normal_vec):
-    """Orthonormal tangent triple from the chart tangents, then e4."""
-    n = g.shape[0]
-    frame = np.zeros((n, 4, 4))     # frame[:, a, mu]
-    for a in range(3):
-        v = jac[:, :, a].copy()
-        for b in range(a):
-            proj = np.einsum("nm,nmk,nk->n", frame[:, b], g, v)
-            v -= proj[:, None] * frame[:, b]
-        # tangency to the level set is automatic for chart tangents
-        length = np.sqrt(np.einsum("nm,nmk,nk->n", v, g, v))
-        frame[:, a] = v / length[:, None]
-    frame[:, 3] = normal_vec
-    return frame
+    norm = np.sqrt(np.einsum("nab,na,nb->n", main.ginv, df, df))
+    normal = np.einsum("nab,nb->na", main.ginv, df) / norm[:, None]
+    vecs = np.concatenate([jac, normal[:, :, None]], axis=2)
+    legs = vecs @ _cholesky_legs(np.swapaxes(vecs, 1, 2) @ main.g @ vecs)
+    axes = np.broadcast_to(np.eye(4), (len(pts), 4, 4))
+    hess = _five_point(backend.level_gradient, pts, axes, 1e-3 * rho)
+    hess -= np.einsum("nlmk,nl->nmk", main.gamma, df)
+    t = legs[:, :, :3]
+    pi = -np.einsum("nmi,nkj,nmk->nij", t, t, hess / norm[:, None, None])
+    return 0.5 * (pi + np.swapaxes(pi, 1, 2)), legs
 
 
 def boundary_report(backend: GeometryBackend, rho: float,
@@ -92,53 +97,27 @@ def boundary_report(backend: GeometryBackend, rho: float,
     step = math.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * step
     pts, jac, circumference = backend.truncation_surface(rho, theta)
-    n = pts.shape[0]
 
     main = curvature_batch(backend, pts)
-    g = main.g
-    ginv = main.ginv
-    n_cov = _unit_normal_covector(backend, pts)
-    n_vec = np.einsum("nab,nb->na", ginv, n_cov)
-    frame = _gram_schmidt_frame(g, jac, n_vec)
-
-    # d(n_mu)/dx^nu by 4th-order differences of the analytic covector field
-    h_n = 1e-3 * rho
-    dn = np.zeros((n, 4, 4))
-    for axis in range(4):
-        for w, off in zip(_W1, _OFFS):
-            shifted = pts.copy()
-            shifted[:, axis] += off * h_n
-            dn[:, axis, :] += w * _unit_normal_covector(backend, shifted)
-    dn /= h_n
-    grad_n = dn - np.einsum("nlmk,nl->nmk", main.gamma, n_cov)
-    pi_full = -np.einsum("nim,njk,nmk->nij", frame[:, :3], frame[:, :3], grad_n)
-    pi = 0.5 * (pi_full + np.swapaxes(pi_full, 1, 2))
-
+    pi, legs = _second_fundamental_form(backend, pts, jac, main, rho)
     tr_pi = np.einsum("nii->n", pi)
     pi_pi = np.einsum("nij,nij->n", pi, pi)
     pi3 = np.einsum("nij,njk,nik->n", pi, pi, pi)
     pi_sup = float(np.max(np.abs(np.linalg.eigvalsh(pi))))
 
-    r_ad = np.einsum("nmqrs,nam,nbq,ncr,nds->nabcd", main.riemann_low,
-                     frame, frame, frame, frame, optimize=True)
+    r_ad = _frame_components(main.riemann_low, legs)
     r_i4i4 = np.einsum("naa->n", r_ad[:, :3, 3, :3, 3])
     r_i4j4_pi = np.einsum("nij,nij->n", r_ad[:, :3, 3, :3, 3], pi)
     r_ijkj_pi = np.einsum("nijkj,nik->n", r_ad[:, :3, :3, :3, :3], pi)
     s = main.scalar
 
-    # normal derivative of the scalar curvature; a wide step and a small
-    # per-point curvature step keep the difference quotient above the
-    # noise floor
-    h4 = 0.05 * rho
-    ds4 = np.zeros(n)
-    for w, off in zip(_W1, _OFFS):
-        moved = pts + off * h4 * n_vec
-        sb = curvature_batch(backend, moved, h=5e-3 * backend.fd_scale(moved))
-        ds4 += w * sb.scalar
-    ds4 /= h4
+    def scalar(x):
+        return curvature_batch(backend, x, h=5e-3 * backend.fd_scale(x)).scalar
+
+    ds4 = _five_point(scalar, pts, legs[:, None, :, 3], 0.05 * rho)[:, 0]
 
     # induced metric on the (theta, circle, circle) parametrization
-    h_ind = np.einsum("nma,nmk,nkb->nab", jac, g, jac)
+    h_ind = np.einsum("nma,nmk,nkb->nab", jac, main.g, jac)
     sqrt_h = np.sqrt(np.linalg.det(h_ind))
     h_up_tt = np.linalg.inv(h_ind)[:, 0, 0]
 

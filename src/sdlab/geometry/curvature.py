@@ -30,6 +30,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,18 +95,35 @@ def _stencil(cyclic_axes: tuple[int, ...]):
     return _OFFSETS[keep], np.ascontiguousarray(_DW[:, keep])
 
 
+def _five_point(f, pts: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order first derivative of f at (n, 4) points along (n, k, 4)
+    directions with step h (the `_W1` rule at `_OFFS`).  f maps (m, 4)
+    points to (m, ...) values and is called once, on all 4nk shifted
+    points; the result is (n, k, ...)."""
+    n, k = dirs.shape[:2]
+    offs = h * np.asarray(_OFFS)
+    moved = pts[:, None, None] + offs[:, None] * dirs[:, :, None]
+    vals = f(moved.reshape(-1, 4))
+    vals = vals.reshape(n, k, len(_OFFS), *vals.shape[1:])
+    return np.moveaxis(vals, 2, -1) @ _W1 / h
+
+
+def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
+    """(L^T)^-1 for the Cholesky factor L of each Gram matrix: it maps the
+    vectors behind the Gram matrix to their Gram-Schmidt legs, in order."""
+    return np.linalg.inv(np.swapaxes(np.linalg.cholesky(gram), 1, 2))
+
+
+def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """R_abcd of the lowered Riemann tensor on the columns of `legs`."""
+    return np.einsum("nia,njb,nkc,nld,nijkl->nabcd", legs, legs, legs, legs,
+                     r_low, optimize=True)
+
+
 def _levi_civita4() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-    for perm in permutations(range(4)):
-        sign = 1.0
-        p = list(perm)
-        for i in range(4):          # parity by selection sort
-            if p[i] != i:
-                j = p.index(i)
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        eps[perm] = sign
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])  # exactly +-1
     return eps
 
 
@@ -203,10 +221,7 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     r_up = (q - q.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 4, 2, 3)
     r_low = (g0 @ r_up.reshape(n, 4, 64)).reshape(n, 4, 4, 4, 4)
 
-    chol = np.linalg.cholesky(g0)
-    frame = np.linalg.inv(np.transpose(chol, (0, 2, 1)))  # columns = frame legs
-    r_fr = np.einsum("nia,njb,nkc,nld,nijkl->nabcd", frame, frame, frame, frame,
-                     r_low, optimize=True)
+    r_fr = _frame_components(r_low, _cholesky_legs(g0))
 
     ric = np.einsum("ncacb->nab", r_fr)
     scal = np.einsum("naa->n", ric)

@@ -15,7 +15,9 @@ import pytest
 
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
-from sdlab.geometry.boundary import TruncationReport, boundary_report
+from sdlab.geometry import boundary, curvature
+from sdlab.geometry.boundary import (TruncationReport, _second_fundamental_form,
+                                     boundary_report)
 
 RADII = (20.0, 40.0, 80.0)
 
@@ -75,6 +77,54 @@ def test_schwarzschild_report():
     assert 0.5 <= rep.pi_sup * 30.0 <= 1.5
     assert rep.boundary_area / 30.0**2 == pytest.approx(
         32.0 * math.pi**2, rel=0.10)
+
+
+@pytest.mark.parametrize("rho", [20.0, 30.0, 80.0])
+def test_schwarzschild_pi_eigenvalues_exact(rho):
+    # the sphere bends like -f/rho and the circle like -m/(rho^2 f), with
+    # f = sqrt(1 - 2m/rho); F = u^2 makes the chart Hessian exact
+    b = get_entry("schwarzschild").backend
+    m = b.mass
+    f = math.sqrt(1.0 - 2.0 * m / rho)
+    exact = np.sort([-f / rho, -f / rho, -m / (rho * rho * f)])
+    theta = (np.arange(32) + 0.5) * math.pi / 32
+    pts, jac, _ = b.truncation_surface(rho, theta)
+    pi, _ = _second_fundamental_form(b, pts, jac,
+                                     curvature.curvature_batch(b, pts), rho)
+    err = np.abs(np.linalg.eigvalsh(pi) - exact)
+    assert np.max(err) <= 1e-9 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("name", ["taub-nut-1", "schwarzschild"])
+def test_report_makes_two_kernel_calls(monkeypatch, name):
+    # one batch on the surface, one on the points moved along the normal;
+    # the metric is evaluated only by the kernel's stencil
+    b = get_entry(name).backend
+    batches, metric_calls, inside = [], [], []
+    batch, derivs = curvature.curvature_batch, curvature._metric_derivatives
+    metric = type(b).metric
+
+    def spy_batch(backend, pts, h=None):
+        batches.append(len(pts))
+        return batch(backend, pts, h)
+
+    def spy_derivs(*args):
+        inside.append(True)
+        try:
+            return derivs(*args)
+        finally:
+            inside.pop()
+
+    def spy_metric(self, x):
+        metric_calls.append(bool(inside))
+        return metric(self, x)
+
+    monkeypatch.setattr(boundary, "curvature_batch", spy_batch)
+    monkeypatch.setattr(curvature, "_metric_derivatives", spy_derivs)
+    monkeypatch.setattr(type(b), "metric", spy_metric)
+    boundary_report(b, 30.0, resolution=4)
+    assert batches == [64, 4 * 64]
+    assert metric_calls == [True, True]
 
 
 def test_as_dict_round_trip(tn_reports):
