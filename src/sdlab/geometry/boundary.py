@@ -1,27 +1,24 @@
 """Truncation-boundary reports for the ALF backends.
 
 The boundary is a level set of the radial chart function F (coordinate
-sphere around the NUT centroid, or u^2 = r - 2m for the black-hole chart).
-Each ALF backend supplies its surface (``truncation_surface``) and the
-chart gradient of F (``level_gradient``).  All our ALF boundaries are
-surfaces of revolution, so every field lives on a 1D polar-angle grid;
-the two symmetry circles integrate out.
+sphere around the NUT centroid, or u^2 = r - 2m for the black-hole chart);
+each ALF backend supplies the surface (``truncation_surface``) and dF
+(``level_gradient``).  All our ALF boundaries are surfaces of revolution,
+so every field lives on a 1D polar-angle grid; the two symmetry circles
+integrate out.
 
-Conventions: e4 is the outward unit normal and the second fundamental
-form is Pi_ij = g(grad_{e_i} e_j, e4) on tangent frame indices, which
-makes a round sphere in flat space carry Pi = -(1/rho) * identity.  With
-e4 = dF / |dF|_g, grad e4 = (Hess F - Gam.dF) / |dF|_g plus a term along
-dF that the tangent legs annihilate, so
-Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F) / |dF|_g.
-
-g, Gam and Riemann come from one curvature batch on the surface; e1..e4
-are Gram-Schmidt on the chart tangents and e4, through the Cholesky rule
-of the kernel's own frame.  Off the surface, one `curvature._five_point`
-call each gives the chart Hessian of F (``level_gradient`` along the chart
-axes, step 1e-3 rho; no metric) and the normal derivative of the scalar
-curvature (one batch on 4n points along e4, step 0.05 rho, each point
-with curvature step 5e-3 x its own ``fd_scale``: a wide outer and a small
-inner step keep the quotient above the kernel's noise floor).
+Conventions: e4 = dF/|dF|_g is the outward unit normal and Pi_ij =
+g(grad_{e_i} e_j, e4) on tangent frame indices, so a round sphere in flat
+space carries Pi = -(1/rho) * identity.  The part of grad e4 along dF drops
+out on tangent legs, hence Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F)
+/ |dF|_g.  g, Gam and Riemann come from one curvature batch on the surface;
+e1..e4 are Gram-Schmidt on the chart tangents and e4 by the kernel's
+Cholesky rule.  Off the surface, one `curvature._five_point` call each
+gives the chart Hessian of F (``level_gradient``, step 1e-3 rho, no
+metric) and the normal derivative of the scalar curvature (one batch on 4n
+points along e4, step 0.05 rho; each point's curvature step is 5e-3 x its
+own ``fd_scale``, a wide outer and small inner step that keep the quotient
+above the kernel's noise floor).
 """
 
 from __future__ import annotations

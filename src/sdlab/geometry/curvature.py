@@ -30,7 +30,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,8 +121,16 @@ def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
 
 def _levi_civita4() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])  # exactly +-1
+    from itertools import permutations
+    for perm in permutations(range(4)):
+        sign = 1.0
+        p = list(perm)
+        for i in range(4):          # parity by selection sort
+            if p[i] != i:
+                j = p.index(i)
+                p[i], p[j] = p[j], p[i]
+                sign = -sign
+        eps[perm] = sign
     return eps
 
 
