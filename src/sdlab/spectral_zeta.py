@@ -64,26 +64,27 @@ def _shell_norms(basis: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _epstein_shells(basis: np.ndarray):
-    """Covolume and the pi |v|^2 shells of the lattice and its dual; they do
-    not depend on s, so one scan serves every evaluation."""
+def _epstein(basis: np.ndarray):
+    """The Epstein zeta of one lattice as a function of s.  Validation,
+    inversion and both shell scans do not depend on s and run once."""
+    from scipy import special as sc
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (4, 4):
         raise DomainError("lattice-shape", "need a 4x4 generator matrix")
     det = float(np.linalg.det(basis))
     if abs(det) < 1e-300:
         raise DomainError("lattice-singular", "generator matrix not invertible")
+    covol = abs(det)
     dual = np.linalg.inv(basis).T
-    return abs(det), math.pi * _shell_norms(basis), math.pi * _shell_norms(dual)
+    q1 = math.pi * _shell_norms(basis)
+    q2 = math.pi * _shell_norms(dual)
 
-
-def _epstein_from_shells(s: float, covol: float, q1: np.ndarray,
-                         q2: np.ndarray) -> float:
-    from scipy import special as sc
-    i1 = float(np.sum(_gamma_upper(s, q1) * q1 ** (-s)))
-    i2 = float(np.sum(_gamma_upper(2.0 - s, q2) * q2 ** (s - 2.0)))
-    bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
-    return math.pi ** s / sc.gamma(s) * bracket
+    def zeta(s: float) -> float:
+        i1 = float(np.sum(_gamma_upper(s, q1) * q1 ** (-s)))
+        i2 = float(np.sum(_gamma_upper(2.0 - s, q2) * q2 ** (s - 2.0)))
+        bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
+        return math.pi ** s / sc.gamma(s) * bracket
+    return zeta
 
 
 def epstein_zeta(s: float, basis: np.ndarray) -> float:
@@ -94,20 +95,18 @@ def epstein_zeta(s: float, basis: np.ndarray) -> float:
     Valid for real s away from 0 and 2 (the explicit pole terms carry
     the continuation there).
     """
-    return _epstein_from_shells(s, *_epstein_shells(basis))
+    return _epstein(basis)(s)
 
 
 def epstein_zeta_at_zero(basis: np.ndarray, delta: float = 1e-4):
     """Continuation value at s = 0 via symmetric sampling at s = +-delta.
 
     Returns (value, error_estimate); the estimate compares the delta and
-    2*delta averages of the even part.  The shells are scanned once.
+    2*delta averages of the even part.  The lattice is scanned once.
     """
-    shells = _epstein_shells(basis)
-    z = [_epstein_from_shells(s, *shells)
-         for s in (delta, -delta, 2 * delta, -2 * delta)]
-    avg1 = 0.5 * (z[0] + z[1])
-    avg2 = 0.5 * (z[2] + z[3])
+    zeta = _epstein(basis)
+    avg1 = 0.5 * (zeta(delta) + zeta(-delta))
+    avg2 = 0.5 * (zeta(2 * delta) + zeta(-2 * delta))
     return avg1, abs(avg1 - avg2) / 3.0 + 64.0 * math.exp(-_CUT)
 
 
