@@ -108,10 +108,10 @@ def boundary_report(backend: GeometryBackend, rho: float,
     r_ijkj_pi = np.einsum("nijkj,nik->n", r_ad[:, :3, :3, :3, :3], pi)
     s = main.scalar
 
-    def scalar(x):
+    def scalar_at(x):
         return curvature_batch(backend, x, h=5e-3 * backend.fd_scale(x)).scalar
 
-    ds4 = _five_point(scalar, pts, legs[:, None, :, 3], 0.05 * rho)[:, 0]
+    ds4 = _five_point(scalar_at, pts, legs[:, None, :, 3], 0.05 * rho)[:, 0]
 
     # induced metric on the (theta, circle, circle) parametrization
     h_ind = np.einsum("nma,nmk,nkb->nab", jac, main.g, jac)

@@ -253,7 +253,7 @@ def _sample_from_batch(batch: CurvatureBatch, i: int,
                             + np.einsum("adbc->abcd", r)))
     return CurvatureSample(
         point=tuple(float(c) for c in batch.points[i]),
-        riemann=batch.riemann_frame[i].copy(),
+        riemann=r.copy(),
         ricci=batch.ricci_frame[i].copy(),
         scalar=float(batch.scalar[i]),
         inv_R_full=float(batch.inv_R_full[i]),
