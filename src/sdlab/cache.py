@@ -3,11 +3,13 @@
 Keys are SHA-256 digests of the canonical JSON of everything that can
 change the answer: backend identity and parameters, resolution, cutoff,
 and the code version.  A corrupt or unreadable cache file is never
-fatal; it warns, recomputes, and overwrites.
+fatal; it warns, recomputes, and overwrites.  Writers never share a
+temp file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pathlib
@@ -56,13 +58,18 @@ def load(key: str):
 
 
 def store(key: str, record: dict) -> None:
+    """Write through a temp file of this writer's own, renamed into place;
+    the temp file is removed if the write fails."""
     path = _path_for(key)
+    text = canonical_dumps(record)
+    tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(canonical_dumps(record), encoding="ascii")
+        tmp.write_text(text, encoding="ascii")
         tmp.replace(path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         warnings.warn(f"cache write failed: {exc}")
 
 

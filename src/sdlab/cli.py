@@ -1,17 +1,23 @@
 """Command-line interface.
 
 Every command prints a human-readable report by default and a canonical
-JSON envelope with --json (byte-identical for identical inputs).  Exit
-codes: 0 success, 1 domain/consistency failures, 2 exhausted resource
+JSON envelope with --json (byte-identical for identical inputs).  A
+handler returns only its own part, ``(inputs, results, extras)``, or for
+a ``verify`` check ``(inputs, ok, details, extras)``; extras may hold
+``convention``, ``error_estimate``, ``cache_key`` and ``csv_rows``.
+`main` builds the envelope, prints it and sets the exit code: 0 success,
+1 domain/consistency failures and failed checks, 2 exhausted resource
 budgets, 64 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import cmath
 import functools
+import math
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -41,20 +47,32 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- small parsers
 
+def finite_float(text: str) -> float:
+    """float(text); nan and inf are a ValueError, as a non-number is."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Accept a+bi literals (i or j suffix)."""
+    """Accept finite a+bi literals (i or j suffix)."""
     cleaned = text.strip().replace(" ", "").lower().replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
+        value = None
+    if value is None or not cmath.isfinite(value):
         raise UsageError("complex-literal",
-                         f"{text!r} is not a complex number like 0.3+0.7i")
+                         f"{text!r} is not a finite complex number like "
+                         f"0.3+0.7i")
+    return value
 
 
 def parse_floats(text: str, count: int | None = None,
                  label: str = "values") -> tuple[float, ...]:
     try:
-        vals = tuple(float(tok) for tok in text.replace(",", " ").split())
+        vals = tuple(map(finite_float, text.replace(",", " ").split()))
     except ValueError:
         raise UsageError("float-list", f"{label}: {text!r}")
     if count is not None and len(vals) != count:
@@ -92,19 +110,13 @@ def _print_human(data: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {_fmt(value)}")
 
 
-def _envelope(command: str, inputs: dict, results: dict,
-              convention: str | None = None,
-              error_estimate: float | None = None,
-              cache_key: str | None = None) -> dict:
-    env = {"command": command, "version": __version__, "inputs": inputs}
-    if convention is not None:
-        env["convention"] = convention
-    env["results"] = results
-    if error_estimate is not None:
-        env["error_estimate"] = error_estimate
-    if cache_key is not None:
-        env["cache_key"] = cache_key
-    return env
+def _envelope(command: str, inputs: dict, results: dict, extras: dict) -> dict:
+    """The --json envelope in key order, without absent or None extras."""
+    env = {"command": command, "version": __version__, "inputs": inputs,
+           "convention": extras.get("convention"), "results": results,
+           "error_estimate": extras.get("error_estimate"),
+           "cache_key": extras.get("cache_key")}
+    return {k: v for k, v in env.items() if v is not None}
 
 
 def _emit(args, env: dict, csv_rows: list[dict] | None = None) -> None:
@@ -130,178 +142,158 @@ def _entry(args) -> CatalogEntry:
     return get_entry(args.manifold, extra)
 
 
-_INTEGRAL_FIELDS = {f.name for f in dataclasses.fields(CurvatureIntegrals)}
+_INTEGRAL_TYPES = typing.get_type_hints(CurvatureIntegrals)
 
 
-def _integrals_for(entry: CatalogEntry, resolution: int,
-                   cutoff: float | None, use_cache: bool = True):
-    """(integrals, cache_key or None, hit) for a catalog entry; only
-    integrals computed from a chart are cached."""
-    compute = functools.partial(entry_integrals, entry, resolution, cutoff)
+def _holds_integrals(record) -> bool:
+    """Exactly the CurvatureIntegrals fields, each of its declared type (a
+    bool is not an int here) and finite where it is a float."""
+    return (isinstance(record, dict)
+            and record.keys() == _INTEGRAL_TYPES.keys()
+            and all(isinstance(v, _INTEGRAL_TYPES[k]) and type(v) is not bool
+                    and (not isinstance(v, float) or math.isfinite(v))
+                    for k, v in record.items()))
+
+
+def _integrals(args):
+    """(entry, integrals, cache_key or None, hit) for the command's
+    --manifold, --resolution and --cutoff.  Only integrals computed from a
+    chart are cached; --no-cache recomputes without reading the cache, and
+    a record that does not hold valid integrals warns and is recomputed."""
+    entry = _entry(args)
+    compute = functools.partial(entry_integrals, entry, args.resolution,
+                                args.cutoff)
     if entry.descriptor.analytic_integrals is not None:
-        return compute(), None, False
+        return entry, compute(), None, False
     backend = entry.backend
     payload = {"kind": "curvature-integrals", "backend": backend.id,
-               "params": backend.params, "resolution": resolution,
-               "cutoff": cutoff}
-    if not use_cache:
-        return compute(), cache.cache_key(payload), False
+               "params": backend.params, "resolution": args.resolution,
+               "cutoff": args.cutoff}
+    if getattr(args, "no_cache", False):
+        return entry, compute(), cache.cache_key(payload), False
     record, key, hit = cache.get_or_compute(payload,
                                             lambda: compute().as_dict())
-    if not (isinstance(record, dict) and record.keys() == _INTEGRAL_FIELDS):
+    if not _holds_integrals(record):
         warnings.warn(f"cache entry {key} does not hold curvature "
                       f"integrals, recomputing")
         record, hit = compute().as_dict(), False
         cache.store(key, record)
-    return CurvatureIntegrals(**record), key, hit
+    return entry, CurvatureIntegrals(**record), key, hit
 
 
-def _require_backend(entry: CatalogEntry):
+def _chart(args):
+    entry = _entry(args)
     if entry.backend is None:
         raise UsageError("no-chart",
                          f"{entry.name} is analytic; it has no coordinate chart")
-    return entry.backend
+    return entry, entry.backend
+
+
+def _scope(entry: CatalogEntry, args) -> dict:
+    return {"manifold": entry.name, "resolution": args.resolution,
+            "cutoff": args.cutoff}
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_theta(args):
-    tv = theta(parse_complex(args.tau), tol=args.tol)
-    env = _envelope("theta",
-                    {"tau": parse_complex(args.tau), "tol": args.tol},
-                    {"value": tv.value, "tail_bound": tv.tail_bound,
-                     "terms_used": tv.terms_used},
-                    error_estimate=tv.tail_bound)
-    return env, 0
+    tau = parse_complex(args.tau)
+    tv = theta(tau, tol=args.tol)
+    return ({"tau": tau, "tol": args.tol},
+            {"value": tv.value, "tail_bound": tv.tail_bound,
+             "terms_used": tv.terms_used},
+            {"error_estimate": tv.tail_bound})
 
 
 def cmd_lattice(args):
     tau = parse_complex(args.tau)
     brute = brute_force_partition(args.bplus, args.bminus, args.box, tau)
     prod = theta_product(args.bplus, args.bminus, tau)
-    diff = abs(brute - prod)
-    env = _envelope("lattice",
-                    {"bplus": args.bplus, "bminus": args.bminus,
-                     "box": args.box, "tau": tau},
-                    {"brute_force": brute, "theta_product": prod,
-                     "abs_difference": diff})
-    return env, 0
+    return ({"bplus": args.bplus, "bminus": args.bminus, "box": args.box,
+             "tau": tau},
+            {"brute_force": brute, "theta_product": prod,
+             "abs_difference": abs(brute - prod)}, {})
+
+
+_CURVATURE_FIELDS = ("scalar", "inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
+                     "gb_density", "pontryagin_density", "bianchi_residual",
+                     "step")
 
 
 def cmd_curvature(args):
-    entry = _entry(args)
-    backend = _require_backend(entry)
+    entry, backend = _chart(args)
     point = parse_floats(args.point, 4, "--point")
     s = curvature_at(backend, point)
-    results = {
-        "scalar": s.scalar, "inv_R_full": s.inv_R_full,
-        "inv_R_endo": s.inv_R_endo, "inv_r": s.inv_r, "inv_s2": s.inv_s2,
-        "gb_density": s.gb_density, "pontryagin_density": s.pontryagin_density,
-        "bianchi_residual": s.bianchi_residual, "step": s.step,
-    }
-    env = _envelope("curvature",
-                    {"manifold": entry.name, "point": list(point)}, results,
-                    error_estimate=s.error_estimate)
-    return env, 0
+    return ({"manifold": entry.name, "point": list(point)},
+            {f: getattr(s, f) for f in _CURVATURE_FIELDS}, {})
 
 
 def cmd_integrate(args):
-    entry = _entry(args)
-    ci, key, hit = _integrals_for(entry, args.resolution, args.cutoff,
-                                  use_cache=not args.no_cache)
-    results = ci.as_dict()
-    results["cache_hit"] = hit
-    env = _envelope("integrate",
-                    {"manifold": entry.name, "resolution": args.resolution,
-                     "cutoff": args.cutoff},
-                    results, error_estimate=ci.error_estimate, cache_key=key)
-    return env, 0
+    entry, ci, key, hit = _integrals(args)
+    return (_scope(entry, args), {**ci.as_dict(), "cache_hit": hit},
+            {"error_estimate": ci.error_estimate, "cache_key": key})
 
 
 def cmd_boundary(args):
-    entry = _entry(args)
-    backend = _require_backend(entry)
+    entry, backend = _chart(args)
     rhos = parse_floats(args.rho, None, "--rho")
     rows = [boundary_report(backend, rho, resolution=args.resolution).as_dict()
             for rho in rhos]
-    env = _envelope("boundary",
-                    {"manifold": entry.name, "rho": list(rhos),
-                     "resolution": args.resolution},
-                    {"reports": rows})
-    return env, 0, rows
+    return ({"manifold": entry.name, "rho": list(rhos),
+             "resolution": args.resolution},
+            {"reports": rows}, {"csv_rows": rows})
 
 
 def cmd_zeta(args):
     basis = np.array(parse_floats(args.lattice, 16, "--lattice"),
                      dtype=float).reshape(4, 4)
     res = torus_zeta_zero(basis, args.k)
-    env = _envelope("zeta",
-                    {"lattice": [list(row) for row in basis.tolist()],
-                     "k": args.k},
-                    res.as_dict(), error_estimate=res.truncation_error)
-    return env, 0
+    return ({"lattice": [list(row) for row in basis.tolist()], "k": args.k},
+            res.as_dict(), {"error_estimate": res.truncation_error})
 
 
 def cmd_weights(args):
-    entry = _entry(args)
+    entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
     w = weights_for(entry.descriptor, ci, conv)
-    exponent = imtau_exponent(entry.descriptor, ci, conv)
-    env = _envelope("weights",
-                    {"manifold": entry.name, "resolution": args.resolution,
-                     "cutoff": args.cutoff},
-                    {"alpha": w.alpha, "beta": w.beta,
-                     "sigma_phase": w.sigma_phase,
-                     "imtau_power_exponent": exponent},
-                    convention=conv, error_estimate=ci.error_estimate,
-                    cache_key=key)
-    return env, 0
+    return (_scope(entry, args),
+            {"alpha": w.alpha, "beta": w.beta, "sigma_phase": w.sigma_phase,
+             "imtau_power_exponent": imtau_exponent(entry.descriptor, ci,
+                                                    conv)},
+            {"convention": conv, "error_estimate": ci.error_estimate,
+             "cache_key": key})
 
 
 def cmd_partition(args):
-    entry = _entry(args)
-    conv = _convention(args)
     tau = parse_complex(args.tau)
-    ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
+    entry, ci, key, _ = _integrals(args)
+    conv = _convention(args)
     pe = assemble_partition(entry.descriptor, tau, conv, ci)
-    env = _envelope("partition",
-                    {"manifold": entry.name, "tau": tau,
-                     "resolution": args.resolution, "cutoff": args.cutoff},
-                    {"value": pe.value, "factors": pe.factors},
-                    convention=conv, error_estimate=ci.error_estimate,
-                    cache_key=key)
-    return env, 0
+    return ({"manifold": entry.name, "tau": tau,
+             "resolution": args.resolution, "cutoff": args.cutoff},
+            {"value": pe.value, "factors": pe.factors},
+            {"convention": conv, "error_estimate": ci.error_estimate,
+             "cache_key": key})
 
 
 def cmd_anomaly(args):
-    entry = _entry(args)
+    entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
     record = anomaly_counterterms(entry.descriptor, ci, conv)
     record.pop("convention")
-    env = _envelope("anomaly",
-                    {"manifold": entry.name, "resolution": args.resolution,
-                     "cutoff": args.cutoff},
-                    record, convention=conv,
-                    error_estimate=ci.error_estimate, cache_key=key)
-    return env, 0
+    return (_scope(entry, args), record,
+            {"convention": conv, "error_estimate": ci.error_estimate,
+             "cache_key": key})
 
 
 def cmd_pathology(args):
     tau = parse_complex(args.tau)
-    out = pathological_partition(tau)
-    env = _envelope("pathology", {"tau": tau},
-                    {"gaussian_factor": out["gaussian_factor"],
-                     "weight_report": out["weight_report"]})
-    return env, 0
+    return {"tau": tau}, pathological_partition(tau), {}
 
 
 def cmd_neck(args):
     entry = _entry(args)
-    res = neck_check(entry.descriptor)
-    env = _envelope("neck", {"manifold": entry.name}, res)
-    return env, 0
+    return {"manifold": entry.name}, neck_check(entry.descriptor), {}
 
 
 def cmd_catalog(args):
@@ -313,129 +305,89 @@ def cmd_catalog(args):
             rows.append({"name": name, "kind": d.kind, "b0": d.b0,
                          "b1": d.b1, "bplus_l2": d.bplus_l2,
                          "bminus_l2": d.bminus_l2, "geometry": d.geometry})
-        env = _envelope("catalog", {"action": "list"}, {"manifolds": rows})
-        return env, 0
+        return {"action": "list"}, {"manifolds": rows}, {}
     entry = get_entry(args.name, extra)
     d = entry.descriptor
     results = {
         "name": d.name, "kind": d.kind, "b0": d.b0, "b1": d.b1,
         "bplus_l2": d.bplus_l2, "bminus_l2": d.bminus_l2,
         "torsion_order": d.torsion_order, "geometry": d.geometry,
-        "vol_flat_torus_factor": d.vol_flat_torus_factor,
-    }
+        "vol_flat_torus_factor": d.vol_flat_torus_factor}
     if d.kind == "alf":
-        results["b0_D"] = d.b0_D
-        results["b1_D"] = d.b1_D
-        results["h1_neck_trivial"] = d.h1_neck_trivial
+        results.update(b0_D=d.b0_D, b1_D=d.b1_D,
+                       h1_neck_trivial=d.h1_neck_trivial)
     if entry.backend is not None:
         results["backend_params"] = entry.backend.params
     if d.analytic_integrals is not None:
         results["analytic_integrals"] = d.analytic_integrals.as_dict()
-    env = _envelope("catalog", {"action": "show", "name": args.name}, results)
-    return env, 0
+    return {"action": "show", "name": args.name}, results, {}
 
 
 # -------------------------------------------------------------------- verify
 
-def _verdict(name: str, ok: bool, details: dict) -> dict:
-    return {"check": name, "pass": bool(ok), **details}
-
-
 def cmd_verify_theta(args):
-    worst_s = 0.0
-    for tau in _DEFAULT_TAUS:
-        worst_s = max(worst_s, s_transform_residual(tau))
+    worst_s = max(s_transform_residual(tau) for tau in _DEFAULT_TAUS)
     contour = []
-    worst_c = 0.0
     for u in (1j, 2j, complex(0.5, 1.0)):
         ref = theta(u, tol=1e-10).value
         for eps in (0.1, 0.2, 0.3):
-            plus, minus = cot_contour_theta(u, eps, tol=1e-8)
-            err = abs(minus - ref)
-            worst_c = max(worst_c, err)
+            minus = cot_contour_theta(u, eps, tol=1e-8)[1]
             contour.append({"u": u, "eps": eps, "contour_minus": minus,
-                            "abs_error": err})
-    ok = worst_s <= 1e-9 and worst_c <= 1e-6
-    env = _envelope("verify",
-                    {"check": "theta"},
-                    _verdict("theta", ok,
-                             {"max_s_transform_residual": worst_s,
-                              "max_contour_error": worst_c,
-                              "contour": contour}))
-    return env, 0 if ok else 1
+                            "abs_error": abs(minus - ref)})
+    worst_c = max(c["abs_error"] for c in contour)
+    return ({}, worst_s <= 1e-9 and worst_c <= 1e-6,
+            {"max_s_transform_residual": worst_s,
+             "max_contour_error": worst_c, "contour": contour}, {})
 
 
 def cmd_verify_modularity(args):
-    entry = _entry(args)
-    conv = _convention(args)
     taus = ([parse_complex(t) for t in args.taus.split(",")]
             if args.taus else list(_DEFAULT_TAUS))
-    ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
+    entry, ci, key, _ = _integrals(args)
+    conv = _convention(args)
     residual = verify_modularity(entry.descriptor, taus, conv, ci)
     tol = args.tol if args.tol is not None else (
         1e-8 if entry.descriptor.kind == "compact" else 1e-6)
-    ok = residual <= tol
-    env = _envelope("verify",
-                    {"check": "modularity", "manifold": entry.name,
-                     "taus": taus, "tol": tol},
-                    _verdict("modularity", ok,
-                             {"max_relative_residual": residual}),
-                    convention=conv, cache_key=key)
-    return env, 0 if ok else 1
+    return ({"manifold": entry.name, "taus": taus, "tol": tol},
+            residual <= tol, {"max_relative_residual": residual},
+            {"convention": conv, "cache_key": key})
 
 
 def cmd_verify_gauss_bonnet(args):
-    entry = _entry(args)
-    ci, key, _ = _integrals_for(entry, args.resolution, args.cutoff)
+    entry, ci, key, _ = _integrals(args)
     chi = euler_number(entry.descriptor)
     diff = abs(chi - ci.I_gb)
     tol = 0.03 * max(1.0, abs(chi))
-    ok = diff <= tol
-    env = _envelope("verify",
-                    {"check": "gauss-bonnet", "manifold": entry.name,
-                     "resolution": args.resolution, "cutoff": args.cutoff},
-                    _verdict("gauss-bonnet", ok,
-                             {"euler_topological": float(chi),
-                              "euler_integral": ci.I_gb,
-                              "abs_difference": diff, "tolerance": tol}),
-                    error_estimate=ci.error_estimate, cache_key=key)
-    return env, 0 if ok else 1
+    return (_scope(entry, args), diff <= tol,
+            {"euler_topological": float(chi), "euler_integral": ci.I_gb,
+             "abs_difference": diff, "tolerance": tol},
+            {"error_estimate": ci.error_estimate, "cache_key": key})
 
 
 def cmd_verify_decay(args):
-    entry = _entry(args)
-    backend = _require_backend(entry)
+    entry, backend = _chart(args)
     rhos = parse_floats(args.rho, None, "--rho")
-    if len(rhos) < 3:
-        raise UsageError("rho-sequence", "need at least three radii")
-    for a, b in zip(rhos, rhos[1:]):
-        if abs(b - 2.0 * a) > 1e-9 * b:
-            raise UsageError("rho-sequence",
-                             f"radii must double: {a} -> {b}")
+    if len(rhos) < 3 or any(abs(b - 2.0 * a) > 1e-9 * b
+                            for a, b in zip(rhos, rhos[1:])):
+        raise UsageError("rho-sequence", f"need at least three radii, each "
+                         f"double the one before: {args.rho!r}")
     reports = [boundary_report(backend, r, resolution=args.resolution)
                for r in rhos]
-    ratios = [reports[i + 1].pi_sup / reports[i].pi_sup
-              for i in range(len(reports) - 1)]
+    ratios = [b.pi_sup / a.pi_sup for a, b in zip(reports, reports[1:])]
     ratios_ok = all(0.45 <= q <= 0.55 for q in ratios)
     v40 = [abs(r.v40_integral) for r in reports]
     v41 = [abs(r.v41_integral) for r in reports]
     decreasing = (all(a > b for a, b in zip(v40, v40[1:]))
                   and all(a > b for a, b in zip(v41, v41[1:])))
-    slope = np.polyfit(np.log(np.asarray(rhos, dtype=float)),
-                       np.log(np.asarray(v40)), 1)[0]
-    order = -float(slope)
-    order_ok = order >= 0.8
-    ok = ratios_ok and decreasing and order_ok
-    env = _envelope("verify",
-                    {"check": "decay", "manifold": entry.name,
-                     "rho": list(rhos), "resolution": args.resolution},
-                    _verdict("decay", ok,
-                             {"pi_sup_ratios": [float(q) for q in ratios],
-                              "ratios_in_window": ratios_ok,
-                              "v4_strictly_decreasing": decreasing,
-                              "fitted_decay_order": order,
-                              "reports": [r.as_dict() for r in reports]}))
-    return env, 0 if ok else 1
+    order = -float(np.polyfit(np.log(rhos), np.log(v40), 1)[0])
+    return ({"manifold": entry.name, "rho": list(rhos),
+             "resolution": args.resolution},
+            ratios_ok and decreasing and order >= 0.8,
+            {"pi_sup_ratios": [float(q) for q in ratios],
+             "ratios_in_window": ratios_ok,
+             "v4_strictly_decreasing": decreasing,
+             "fitted_decay_order": order,
+             "reports": [r.as_dict() for r in reports]}, {})
 
 
 # --------------------------------------------------------------------- main
@@ -445,7 +397,7 @@ def _add_manifold_opts(p):
     p.add_argument("--manifest", default=None,
                    help="INI manifest adding user manifolds")
     p.add_argument("--resolution", type=int, default=4)
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--cutoff", type=finite_float, default=None,
                    help="ALF truncation radius (default 10x geometry scale)")
 
 
@@ -474,7 +426,7 @@ def build_parser() -> _Parser:
 
     p = _command(sub, "theta", cmd_theta, "theta series with certified tail")
     p.add_argument("--tau", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=finite_float, default=1e-12)
 
     p = _command(sub, "lattice", cmd_lattice,
                  "brute-force flux sum vs theta product")
@@ -531,7 +483,7 @@ def build_parser() -> _Parser:
                  _add_manifold_opts, _add_convention)
     p.add_argument("--taus", default=None,
                    help="comma-separated coupling samples")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=finite_float, default=None)
     _command(vsub, "gauss-bonnet", cmd_verify_gauss_bonnet,
              "Euler number vs curvature integral", _add_manifold_opts)
     p = _command(vsub, "decay", cmd_verify_decay, "boundary-term falloff",
@@ -553,15 +505,20 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("sdlab: error: catalog show needs a name", file=sys.stderr)
         return 64
+    ok = True
     try:
-        out = handler(args)
+        if args.cmd == "verify":
+            inputs, ok, details, extras = handler(args)
+            inputs = {"check": args.verify_cmd, **inputs}
+            results = {"check": args.verify_cmd, "pass": bool(ok), **details}
+        else:
+            inputs, results, extras = handler(args)
+        _emit(args, _envelope(args.cmd, inputs, results, extras),
+              extras.get("csv_rows"))
     except SdlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    env, code = out[0], out[1]
-    csv_rows = out[2] if len(out) > 2 else None
-    _emit(args, env, csv_rows)
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

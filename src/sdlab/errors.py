@@ -29,13 +29,7 @@ class ChartError(DomainError):
 
 
 class AccuracyError(SdlabError):
-    """Requested tolerance is unreachable with the given step/resolution."""
-
-    def __init__(self, slug: str, message: str, estimate: float | None = None):
-        self.estimate = estimate
-        if estimate is not None:
-            message = f"{message} (error estimate {estimate:.3e})"
-        super().__init__(slug, message)
+    """A numerical model cannot reach a trustworthy value."""
 
 
 class DescriptorError(SdlabError):

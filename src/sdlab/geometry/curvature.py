@@ -35,12 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AccuracyError
 from .backends import GeometryBackend
 
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
 _W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the contraction orders einsum's own search picks for n = 1 to 4096 points;
+# fixed here so no call pays for the search
+_FRAME_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
+_PONTRYAGIN_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 def _build_stencil():
@@ -116,7 +119,7 @@ def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
 def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
     """R_abcd of the lowered Riemann tensor on the columns of `legs`."""
     return np.einsum("nia,njb,nkc,nld,nijkl->nabcd", legs, legs, legs, legs,
-                     r_low, optimize=True)
+                     r_low, optimize=_FRAME_PATH)
 
 
 def _levi_civita4() -> np.ndarray:
@@ -151,7 +154,6 @@ class CurvatureSample:
     pontryagin_density: float
     bianchi_residual: float
     step: float
-    error_estimate: float | None = None
 
 
 class CurvatureBatch:
@@ -236,7 +238,7 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     inv_r = np.einsum("nab,nab->n", ric, ric)
     gbd = (inv_R_full - 4.0 * inv_r + scal * scal) / (32.0 * math.pi ** 2)
     pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr, _EPS4,
-                    optimize=True) / (96.0 * math.pi ** 2)
+                    optimize=_PONTRYAGIN_PATH) / (96.0 * math.pi ** 2)
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,
                           riemann_low=r_low, riemann_frame=r_fr,
@@ -246,8 +248,7 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
                           pontryagin_density=pon)
 
 
-def _sample_from_batch(batch: CurvatureBatch, i: int,
-                       err: float | None = None) -> CurvatureSample:
+def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
     r = batch.riemann_frame[i]
     bianchi = np.max(np.abs(r + np.einsum("acdb->abcd", r)
                             + np.einsum("adbc->abcd", r)))
@@ -264,30 +265,11 @@ def _sample_from_batch(batch: CurvatureBatch, i: int,
         pontryagin_density=float(batch.pontryagin_density[i]),
         bianchi_residual=float(bianchi),
         step=float(batch.h[i]),
-        error_estimate=err,
     )
 
 
-def curvature_at(backend: GeometryBackend, x, h: float | None = None,
-                 tol: float | None = None) -> CurvatureSample:
-    """Curvature sample at one point.
-
-    With ``tol`` set, a Richardson pair (h, h/2) estimates the discretization
-    error of the headline invariant; if the estimate exceeds tol the call
-    fails rather than return silently degraded values.
-    """
+def curvature_at(backend: GeometryBackend, x,
+                 h: float | None = None) -> CurvatureSample:
+    """Curvature sample at one point (step h as in `curvature_batch`)."""
     pt = np.asarray(x, dtype=float).reshape(1, 4)
-    coarse = curvature_batch(backend, pt, h)
-    if tol is None:
-        return _sample_from_batch(coarse, 0)
-    fine = curvature_batch(backend, pt, coarse.h * 0.5)
-    # 4th-order scheme: err(h/2) ~ |f(h) - f(h/2)| / 15
-    diffs = [abs(float(coarse.inv_R_full[0] - fine.inv_R_full[0])),
-             abs(float(coarse.scalar[0] - fine.scalar[0])),
-             abs(float(coarse.gb_density[0] - fine.gb_density[0]))]
-    est = max(diffs) / 15.0
-    if est > tol:
-        raise AccuracyError("fd-step-too-large",
-                            f"step {float(coarse.h[0]):.3e} cannot reach tol {tol:.3e}",
-                            estimate=est)
-    return _sample_from_batch(fine, 0, err=est)
+    return _sample_from_batch(curvature_batch(backend, pt, h), 0)

@@ -19,7 +19,6 @@ fixed node order, so values do not depend on evaluation chunking.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -66,14 +65,14 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
 
 
 def _integrand(seg: Segment):
+    """Weighted `_COLS` at the segment's mesh nodes; `f.nodes` counts the
+    nodes evaluated so far."""
     def f(*coords):
         pts, w = seg.embed(*coords)
+        f.nodes += len(pts)
         return w[:, None] * _columns(seg.backend, pts)
+    f.nodes = 0
     return f
-
-
-def _node_counts(seg: Segment) -> list[int]:
-    return [seg.order * (len(e) - 1) for e in seg.edges]
 
 
 def _tail(window_f, cutoff: float):
@@ -90,7 +89,7 @@ def _tail(window_f, cutoff: float):
         terrs[j] = te
         if j == 4:
             p_gb = p
-    return tails, terrs, p_gb, len(r)
+    return tails, terrs, p_gb
 
 
 def check_resolution(resolution) -> None:
@@ -127,23 +126,17 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
         cutoff_rho = None
 
     segments, tail_at = backend.reduction(resolution, cutoff_rho)
-    vals, errs = np.sum([quad.integrate_refined(_integrand(seg), seg.edges,
-                                                seg.order)
-                         for seg in segments], axis=0)
-    nodes = 0
-    for seg in segments:
-        # coarse mesh plus the refined one (every axis split in two)
-        n = math.prod(_node_counts(seg))
-        nodes += n + n * 2 ** len(seg.edges) if seg.edges else n
+    fs = [_integrand(seg) for seg in segments]
+    vals, errs = np.sum([quad.integrate_refined(f, seg.edges, seg.order)
+                         for f, seg in zip(fs, segments)], axis=0)
     p_gb = None
     if tail_at is not None:
         seg = segments[-1]
-        tails, terrs, p_gb, ntail = _tail(
-            lambda r: quad.first_axis_profile(_integrand(seg), r, seg.edges,
+        tails, terrs, p_gb = _tail(
+            lambda r: quad.first_axis_profile(fs[-1], r, seg.edges,
                                               seg.order), tail_at)
         vals = vals + tails
         errs = errs + terrs
-        nodes += ntail * math.prod(_node_counts(seg)[1:])
 
     rel = errs / np.maximum(1.0, np.abs(vals))
     error_estimate = float(np.max(rel))
@@ -157,5 +150,5 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
         I_r=float(vals[2]), I_s2=float(vals[3]),
         I_gb=float(vals[4]), I_p=float(vals[5]),
         error_estimate=error_estimate, resolution=int(resolution),
-        cutoff_rho=cutoff_rho, node_count=int(nodes),
+        cutoff_rho=cutoff_rho, node_count=sum(f.nodes for f in fs),
         tail_exponent=p_gb)

@@ -80,6 +80,12 @@ def _decode_complex(d):
     return d
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite constant {name}")
+
+
 def canonical_loads(text: str):
-    """Inverse of canonical_dumps; {"re", "im"} pairs become complex."""
-    return json.loads(text, object_hook=_decode_complex)
+    """Inverse of canonical_dumps; {"re", "im"} pairs become complex, and
+    NaN/Infinity, which canonical_dumps never writes, are a ValueError."""
+    return json.loads(text, object_hook=_decode_complex,
+                      parse_constant=_reject_constant)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -205,6 +206,12 @@ def test_key_and_type_rejections():
     assert err.value.slug == "json-type"
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_loads_rejects_nonfinite_constants(constant):
+    with pytest.raises(ValueError):
+        jsonio.canonical_loads('{"x": %s}' % constant)
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)
 def test_float_round_trip_exact(x):
@@ -241,6 +248,27 @@ def test_cache_corruption_recovers(tmp_path, monkeypatch):
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         rec, _, hit = cache.get_or_compute(payload, lambda: {"v": 1.5})
     assert hit is False and rec == {"v": 1.5}
+
+
+def test_cache_store_leaves_foreign_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    key = cache.cache_key({"kind": "unit", "n": 9})
+    foreign = tmp_path / f"{key}.tmp"
+    foreign.write_bytes(b'{"half": ')          # another writer, mid-write
+    cache.store(key, {"v": 2.5})
+    assert foreign.read_bytes() == b'{"half": '
+    assert cache.load(key) == {"v": 2.5}
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == sorted([f"{key}.json", f"{key}.tmp"])
+
+
+def test_cache_store_failure_removes_its_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    key = cache.cache_key({"kind": "unit", "n": 10})
+    (tmp_path / f"{key}.json").mkdir()       # the rename onto it fails
+    with pytest.warns(UserWarning, match="cache write failed"):
+        cache.store(key, {"v": 2.5})
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
 
 def test_cache_key_tracks_payload():
@@ -285,6 +313,31 @@ def test_cli_theta_json(capsys):
     assert list(env)[:3] == ["command", "version", "inputs"]
     assert env["results"]["value"] == pytest.approx(
         math.pi ** 0.25 / math.gamma(0.75), abs=1e-13)
+
+
+@pytest.mark.parametrize("argv, slug", [
+    (["curvature", "--manifold", "taub-nut-1", "--point", "nan,1,1,1"],
+     "float-list"),
+    (["boundary", "--manifold", "taub-nut-1", "--rho", "inf"], "float-list"),
+    (["zeta", "--lattice", "nan,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1", "--k", "0"],
+     "float-list"),
+    (["theta", "--tau", "nan+1i"], "complex-literal"),
+    (["verify", "modularity", "--manifold", "flat-torus", "--tol", "nan"],
+     "argument --tol"),
+    (["integrate", "--manifold", "taub-nut-1", "--cutoff", "nan"],
+     "argument --cutoff"),
+    (["boundary", "--manifold", "taub-nut-1", "--rho", "", "--csv"],
+     "csv-unavailable"),
+], ids=["point-nan", "rho-inf", "lattice-nan", "tau-nan", "tol-nan",
+        "cutoff-nan", "csv-empty"])
+def test_cli_bad_input_is_a_usage_error(argv, slug, tmp_path):
+    env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
+                          env=env, timeout=120, capture_output=True,
+                          text=True)
+    assert proc.returncode == 64, proc.stderr
+    assert slug in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_bad_complex_literal(capsys):
@@ -341,19 +394,29 @@ def test_cli_integrate_cache_round_trip(capsys, tmp_path, monkeypatch):
     assert out1.replace('"cache_hit": false', '"cache_hit": true') == out2
 
 
+@pytest.mark.parametrize("bad", ["fields", "null", "string", "NaN",
+                                 "1e999"])
 def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, bad):
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
     argv = ["integrate", "--manifold", "round-s4", "--resolution", "1",
             "--json"]
     _, good, _ = run_cli(capsys, argv)
     path = tmp_path / f"{jsonio.canonical_loads(good)['cache_key']}.json"
-    path.write_text('{"I_gb": 1.0}', encoding="ascii")
-    with pytest.warns(UserWarning, match="does not hold curvature integrals"):
+    if bad == "fields":
+        text = '{"I_gb": 1.0}'
+    else:
+        value = '"big"' if bad == "string" else bad
+        text = re.sub(r'"I_R_endo": [^,]+', f'"I_R_endo": {value}',
+                      path.read_text(encoding="ascii"))
+    assert text != path.read_text(encoding="ascii")
+    path.write_text(text, encoding="ascii")
+    with pytest.warns(UserWarning, match="recomputing"):
         code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out == good
-    assert jsonio.canonical_loads(path.read_text(encoding="ascii"))["I_gb"] \
-        == jsonio.canonical_loads(good)["results"]["I_gb"]
+    results = jsonio.canonical_loads(good)["results"]
+    del results["cache_hit"]
+    assert jsonio.canonical_loads(path.read_text(encoding="ascii")) == results
 
 
 def test_cli_cutoff_too_small(capsys):

@@ -141,13 +141,6 @@ def test_bianchi_identity_holds():
         assert s.bianchi_residual < 1e-12 * max(1.0, s.inv_R_full)
 
 
-def test_tolerance_gate():
-    backend = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
-    s = curvature_at(backend, (1.0, 0.0, 0.0, 0.5), tol=1e-6)
-    assert s.error_estimate is not None
-    assert s.error_estimate < 1e-6
-
-
 def test_excluded_points_rejected():
     nut = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
     with pytest.raises(ChartError):
