@@ -207,7 +207,10 @@ def _analytic_from(section: str, vals: dict) -> CurvatureIntegrals | None:
 def parse_manifest(path: str) -> dict:
     """Load user manifolds from an INI manifest; returns name -> entry."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError("manifest-unreadable", f"{path}: {exc}") from None
     if not read:
         raise UsageError("manifest-unreadable", str(path))
     out: dict[str, CatalogEntry] = {}

@@ -20,9 +20,7 @@ import sys
 import typing
 import warnings
 
-import numpy as np
-
-from . import __version__, cache
+from . import __version__, _lazy, cache
 from .assembly import (anomaly_counterterms, assemble_partition,
                        euler_number, imtau_exponent, neck_check,
                        pathological_partition, verify_modularity, weights_for)
@@ -34,6 +32,8 @@ from .jsonio import canonical_dumps
 from .lattice_sum import brute_force_partition, theta_product
 from .modular_forms import cot_contour_theta, s_transform_residual, theta
 from .spectral_zeta import torus_zeta_zero
+
+np = _lazy("numpy")
 
 _DEFAULT_TAUS = (complex(0.3, 0.8), complex(-1.1, 0.4), complex(0.05, 2.2),
                  complex(0.77, 1.3), complex(-2.4, 0.15))

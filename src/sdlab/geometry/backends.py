@@ -41,10 +41,11 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .. import _lazy
 from ..errors import ChartError, DescriptorError, DomainError
 from . import quadrature as quad
+
+np = _lazy("numpy")
 
 
 @dataclass(frozen=True)

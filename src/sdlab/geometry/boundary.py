@@ -26,13 +26,14 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
+from .. import _lazy
 from ..errors import DomainError
 from .backends import GeometryBackend
 from .curvature import (_cholesky_legs, _five_point, _frame_components,
                         curvature_batch)
 from .integrals import check_resolution
+
+np = _lazy("numpy")
 
 
 @dataclasses.dataclass(frozen=True)

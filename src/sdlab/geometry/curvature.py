@@ -33,12 +33,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .. import _lazy
 from .backends import GeometryBackend
 
+np = _lazy("numpy")
+
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
-_W1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # d/dx at _OFFS, per unit step
+_W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the contraction orders einsum's own search picks for n = 1 to 4096 points;
 # fixed here so no call pays for the search
@@ -84,17 +85,15 @@ def _build_stencil():
     return offsets, w
 
 
-_OFFSETS, _DW = _build_stencil()
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil(cyclic_axes: tuple[int, ...]):
     """Offsets and weights of the stencil rows with zero offset along every
     cyclic axis (61 of 113 for one axis).  A dropped row repeats the metric
     of the kept row without its cyclic offsets and is weighted only in
     derivatives along a cyclic axis, which vanish exactly."""
-    keep = ~np.any(_OFFSETS[:, list(cyclic_axes)] != 0.0, axis=1)
-    return _OFFSETS[keep], np.ascontiguousarray(_DW[:, keep])
+    offsets, weights = _build_stencil()
+    keep = ~np.any(offsets[:, list(cyclic_axes)] != 0.0, axis=1)
+    return offsets[keep], np.ascontiguousarray(weights[:, keep])
 
 
 def _five_point(f, pts: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
@@ -122,6 +121,7 @@ def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
                      r_low, optimize=_FRAME_PATH)
 
 
+@functools.lru_cache(maxsize=None)
 def _levi_civita4() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
     from itertools import permutations
@@ -135,9 +135,6 @@ def _levi_civita4() -> np.ndarray:
                 sign = -sign
         eps[perm] = sign
     return eps
-
-
-_EPS4 = _levi_civita4()
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     inv_R_full = np.einsum("nabcd,nabcd->n", r_fr, r_fr)
     inv_r = np.einsum("nab,nab->n", ric, ric)
     gbd = (inv_R_full - 4.0 * inv_r + scal * scal) / (32.0 * math.pi ** 2)
-    pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr, _EPS4,
+    pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr, _levi_civita4(),
                     optimize=_PONTRYAGIN_PATH) / (96.0 * math.pi ** 2)
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
+from .. import _lazy
 from ..errors import AccuracyError, DomainError
+
+np = _lazy("numpy")
 
 
 @lru_cache(maxsize=None)

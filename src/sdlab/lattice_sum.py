@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-import numpy as np
-
+from . import _lazy
 from .errors import DomainError, ResourceError
 from .modular_forms import _as_tau, theta
+
+np = _lazy("numpy")
 
 # (2N+1)^(bplus+bminus) may not exceed this many lattice points.
 LATTICE_BOX_CAP = 20_000_000

@@ -25,10 +25,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _lazy
 from .errors import BranchError, DomainError, ResourceError
 from .geometry.quadrature import panel_rule
+
+np = _lazy("numpy")
 
 # Hard cap on theta series length; reaching it means Im(tau) is far too
 # small for the requested tolerance.

@@ -14,10 +14,11 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
+from . import _lazy
 from .assembly import harmonic_count
 from .errors import DomainError, ResourceError
+
+np = _lazy("numpy")
 
 LATTICE_CONDITION_CAP = 1.0e4
 _CUT = 40.0  # summation cutoff in pi*|v|^2; tail below exp(-40)

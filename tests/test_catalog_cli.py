@@ -328,9 +328,27 @@ def test_cli_theta_json(capsys):
      "argument --cutoff"),
     (["boundary", "--manifold", "taub-nut-1", "--rho", "", "--csv"],
      "csv-unavailable"),
+    # a bytes argument is written to a manifest file and replaced by its path
+    (["catalog", "list", "--manifest", b"root:x:0:0:root:/root:/bin/sh\n"],
+     "manifest-unreadable"),
+    (["catalog", "list", "--manifest", b"[x]\nkind = compact\nkind = ale\n"],
+     "manifest-unreadable"),
+    (["catalog", "list", "--manifest", b"[x]\nb0 = 1\n[x]\nb1 = 0\n"],
+     "manifest-unreadable"),
+    (["catalog", "list", "--manifest", b"\xff\xfe[x]\nkind = compact\n"],
+     "manifest-unreadable"),
+    (["catalog", "list", "--manifest", b"[x]\n  stray\nkind = compact\n"],
+     "manifest-unreadable"),
 ], ids=["point-nan", "rho-inf", "lattice-nan", "tau-nan", "tol-nan",
-        "cutoff-nan", "csv-empty"])
+        "cutoff-nan", "csv-empty", "manifest-no-section",
+        "manifest-duplicate-option", "manifest-duplicate-section",
+        "manifest-not-utf8", "manifest-stray-continuation"])
 def test_cli_bad_input_is_a_usage_error(argv, slug, tmp_path):
+    manifest = tmp_path / "manifest.ini"
+    for arg in argv:
+        if isinstance(arg, bytes):
+            manifest.write_bytes(arg)
+    argv = [str(manifest) if isinstance(a, bytes) else a for a in argv]
     env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
@@ -417,6 +435,24 @@ def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
     results = jsonio.canonical_loads(good)["results"]
     del results["cache_hit"]
     assert jsonio.canonical_loads(path.read_text(encoding="ascii")) == results
+
+
+@pytest.mark.parametrize("flags", [["--no-cache"], ["--no-cache", "--json"],
+                                   ["--json"]],
+                         ids=["text", "json", "json-cached"])
+def test_cli_nonfinite_integrals_do_not_converge(flags, tmp_path):
+    # the chart embedding overflows, so every integral and the estimate are NaN
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, SDLAB_CACHE_DIR=str(cache_dir),
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sdlab.cli", "integrate",
+                           "--manifold", "taub-nut-1", "--cutoff", "1e308",
+                           "--resolution", "1", *flags],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "quadrature-non-convergence" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
 
 def test_cli_cutoff_too_small(capsys):

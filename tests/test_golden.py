@@ -19,11 +19,13 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
 import pytest
 
+import sdlab
 from sdlab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_json.json"
@@ -137,6 +139,59 @@ def test_golden_output(golden, case):
 
 def test_corpus_covers_every_case(golden):
     assert list(golden) == list(CASES)
+
+
+# commands that run on the standard library alone once the cache is primed
+LIGHT = ("weights/round-s4", "integrate/round-s4", "partition/taub-nut-1",
+         "anomaly/taub-nut-1", "theta", "pathology", "neck/taub-nut-1",
+         "catalog-list", "catalog-show/taub-nut-2",
+         "verify-modularity/round-s4", "verify-gauss-bonnet/taub-nut-1")
+
+_CHILD = """
+import contextlib, io, json, sys
+from sdlab import cli
+
+def loaded():
+    return [m for m in ("numpy._core", "scipy") if m in sys.modules]
+
+rows = [[None, "", loaded()]]
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    rows.append([code, out.getvalue(), loaded()])
+print(json.dumps(rows))
+"""
+
+
+def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    for name in ("round-s4", "taub-nut-1"):
+        assert main(["integrate", "--manifold", name, "--resolution", "2",
+                     "--json"]) == 0
+    light = [[a for a in CASES[c] if a != "--no-cache"] for c in LIGHT]
+    heavy = CASES["curvature/round-s4"]
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                          input=json.dumps([*light, ["--version"], heavy]),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (_, _, at_import), *rows, version, curv = json.loads(proc.stdout)
+    assert at_import == []
+    for case, (code, out, loaded) in zip(LIGHT, rows):
+        want = golden[case]["stdout"]
+        if case.startswith("integrate/"):       # recorded with --no-cache
+            want = want.replace('"cache_hit": false', '"cache_hit": true')
+        assert (code, out, loaded) == (golden[case]["code"], want, []), case
+    assert version == [0, f"{sdlab.__version__}\n", []]
+    assert curv[:2] == [golden["curvature/round-s4"]["code"],
+                        golden["curvature/round-s4"]["stdout"]]
+    assert "numpy._core" in curv[2]
 
 
 def test_drift_names_what_moved():
