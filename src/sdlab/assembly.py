@@ -152,16 +152,6 @@ def euler_number(desc: ManifoldDescriptor) -> int:
             + desc.bplus_l2 + desc.bminus_l2)
 
 
-def _require_integrals(desc: ManifoldDescriptor, curv):
-    if curv is None:
-        curv = desc.analytic_integrals
-    if curv is None:
-        raise DescriptorError("integrals-missing",
-                              f"{desc.name}: no curvature integrals supplied "
-                              f"or stored")
-    return curv
-
-
 def _riemann_norm(curv, convention: str) -> tuple[float, float]:
     """(integrated Riemann-square norm, its divisor in the correction)."""
     # the two norms differ by 4 on any metric, the divisors by 2, so the
@@ -179,18 +169,16 @@ def _correction(curv, convention: str) -> float:
     return i_R / divisor - 87.0 / 2880.0 * curv.I_r + curv.I_s2 / 128.0
 
 
-def imtau_exponent(desc: ManifoldDescriptor, curv=None,
+def imtau_exponent(desc: ManifoldDescriptor, curv,
                    convention: str = "paper-endo") -> float:
     """Exponent of Im(tau)/8pi^2 in the one-loop partition value."""
-    curv = _require_integrals(desc, curv)
     b0, b1 = harmonic_count(desc, 0), harmonic_count(desc, 1)
     return 0.5 * (b1 - b0 + _correction(curv, convention) / math.pi ** 2)
 
 
-def weights_for(desc: ManifoldDescriptor, curv=None,
+def weights_for(desc: ManifoldDescriptor, curv,
                 convention: str = "paper-endo") -> ModularWeights:
     """Modular weights (alpha, beta) and the phase of the inversion law."""
-    curv = _require_integrals(desc, curv)
     base = 2.0 * harmonic_count(desc, 0) - 2.0 * harmonic_count(desc, 1)
     corr = 2.0 * _correction(curv, convention) / math.pi ** 2
     alpha = 0.25 * (base + 2.0 * desc.bplus_l2 - corr)
@@ -201,8 +189,8 @@ def weights_for(desc: ManifoldDescriptor, curv=None,
 
 
 def assemble_partition(desc: ManifoldDescriptor, tau,
-                       convention: str = "paper-endo",
-                       curv=None) -> PartitionEvaluation:
+                       convention: str = "paper-endo", *,
+                       curv) -> PartitionEvaluation:
     """One-loop partition value at coupling tau, factor by factor."""
     tau = _as_tau(tau)
     exponent = imtau_exponent(desc, curv, convention)
@@ -225,34 +213,34 @@ def assemble_partition(desc: ManifoldDescriptor, tau,
 
 
 def verify_modularity(desc: ManifoldDescriptor, tau_samples,
-                      convention: str = "paper-endo",
-                      curv=None) -> float:
+                      convention: str = "paper-endo", *, curv) -> float:
     """Largest relative residual of the inversion and shift laws.
 
     For each sample tau the inversion law compares Z(-1/tau) against
     (-i)^(sigma/2) tau^alpha conj(tau)^beta Z(tau) with the descriptor's
     weights; the shift law compares Z(tau + 2) against Z(tau).
     """
+    def z_at(t):
+        return assemble_partition(desc, t, convention, curv=curv).value
+
     w = weights_for(desc, curv, convention)
     phase = principal_power(complex(0.0, -1.0), w.sigma_phase)
     worst = 0.0
     for tau in tau_samples:
         tau = _as_tau(tau)
-        z = assemble_partition(desc, tau, convention, curv).value
-        z_inv = assemble_partition(desc, -1.0 / tau, convention, curv).value
+        z = z_at(tau)
         rhs = (phase * principal_power(tau, w.alpha)
                * principal_power(tau.conjugate(), w.beta) * z)
         scale = abs(z)
-        worst = max(worst, abs(z_inv - rhs) / scale)
-        z_shift = assemble_partition(desc, tau + 2.0, convention, curv).value
-        worst = max(worst, abs(z_shift - z) / scale)
+        worst = max(worst, abs(z_at(-1.0 / tau) - rhs) / scale)
+        worst = max(worst, abs(z_at(tau + 2.0) - z) / scale)
     return worst
 
 
 _CONSISTENCY_TOL = 0.05
 
 
-def anomaly_counterterms(desc: ManifoldDescriptor, curv=None,
+def anomaly_counterterms(desc: ManifoldDescriptor, curv,
                          convention: str = "paper-endo") -> dict:
     """Local-density coefficients that reproduce the modular weights.
 
@@ -263,7 +251,6 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv=None,
     non-derivable ALF case, or Betti data inconsistent with the
     integrals) raise a consistency error.
     """
-    curv = _require_integrals(desc, curv)
     try:
         chi_top = float(euler_number(desc))
     except DescriptorError as exc:

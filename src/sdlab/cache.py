@@ -2,8 +2,8 @@
 
 Keys are SHA-256 digests of the canonical JSON of everything that can
 change the answer: backend identity and parameters, resolution, cutoff,
-and the code version.  A corrupt or unreadable cache file is never
-fatal; it warns, recomputes, and overwrites.  Writers never share a
+and the code version.  Deciding whether a stored record can be served is
+the caller's part (`catalog.entry_integrals`).  Writers never share a
 temp file.
 """
 
@@ -41,20 +41,14 @@ def _path_for(key: str) -> pathlib.Path:
 
 
 def load(key: str):
-    """Stored record for ``key`` or None (missing and corrupt alike)."""
-    path = _path_for(key)
+    """The record stored under `key`, or None when there is none.  A file
+    that cannot be read raises OSError, one that is not canonical JSON
+    ValueError."""
     try:
-        text = path.read_text(encoding="ascii")
+        text = _path_for(key).read_text(encoding="ascii")
     except FileNotFoundError:
         return None
-    except OSError as exc:
-        warnings.warn(f"cache read failed, recomputing: {exc}")
-        return None
-    try:
-        return canonical_loads(text)
-    except ValueError:
-        warnings.warn(f"corrupt cache entry {path.name}, recomputing")
-        return None
+    return canonical_loads(text)
 
 
 def store(key: str, record: dict) -> None:
@@ -72,13 +66,3 @@ def store(key: str, record: dict) -> None:
             tmp.unlink(missing_ok=True)
         warnings.warn(f"cache write failed: {exc}")
 
-
-def get_or_compute(payload: dict, compute):
-    """Return (record, key, hit) where record = compute() on a miss."""
-    key = cache_key(payload)
-    record = load(key)
-    if record is not None:
-        return record, key, True
-    record = compute()
-    store(key, record)
-    return record, key, False

@@ -1,7 +1,8 @@
 """Built-in manifold catalog and user manifest loading.
 
 Each entry binds a topological descriptor to the metric backend that
-realizes it (or to stored analytic integrals when no chart is needed).
+realizes it (or to stored analytic integrals when no chart is needed);
+`entry_integrals` alone decides where an entry's integrals come from.
 User manifests are flat key-value INI sections, one manifold per
 section; built-in names cannot be overridden.
 """
@@ -11,12 +12,15 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import warnings
 
+from . import cache
 from .assembly import ManifoldDescriptor
 from .errors import DescriptorError, UsageError
 from .geometry import (CurvatureIntegrals, FlatTorus, GeometryBackend,
                        MultiTaubNut, RoundS4, Schwarzschild,
                        integrate_invariants)
+from .geometry.integrals import check_resolution, effective_cutoff
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,16 +101,39 @@ def get_entry(name: str, extra: dict | None = None) -> CatalogEntry:
 
 
 def entry_integrals(entry: CatalogEntry, resolution: int = 4,
-                    cutoff_rho: float | None = None) -> CurvatureIntegrals:
-    """Curvature integrals of an entry, analytic ones taking precedence."""
+                    cutoff_rho: float | None = None, no_cache: bool = False):
+    """(integrals, cache key or None, hit) of an entry.
+
+    Stored integrals come first.  Integrals over the entry's chart are
+    cached under the parameters the integration uses, so requests that
+    differ only in a defaulted or ignored cutoff share one record.  A
+    record that cannot be read or does not hold the integrals warns, is
+    recomputed and overwritten; `no_cache` neither reads nor writes.
+    """
     if entry.descriptor.analytic_integrals is not None:
-        return entry.descriptor.analytic_integrals
-    if entry.backend is None:
+        return entry.descriptor.analytic_integrals, None, False
+    backend = entry.backend
+    if backend is None:
         raise DescriptorError(
             "integrals-missing",
-            f"{entry.name}: neither analytic integrals nor a backend")
-    return integrate_invariants(entry.backend, resolution=resolution,
-                                cutoff_rho=cutoff_rho)
+            f"{entry.name}: neither stored integrals nor a backend")
+    check_resolution(resolution)
+    cutoff = effective_cutoff(backend, cutoff_rho)
+    key = cache.cache_key({
+        "kind": "curvature-integrals", "backend": backend.id,
+        "params": backend.params, "resolution": int(resolution),
+        "cutoff": cutoff})
+    if not no_cache:
+        try:
+            record = cache.load(key)
+            if record is not None:
+                return CurvatureIntegrals.from_record(record), key, True
+        except (OSError, ValueError) as exc:
+            warnings.warn(f"cache entry {key} unusable ({exc}), recomputing")
+    ci = integrate_invariants(backend, resolution, cutoff)
+    if not no_cache:
+        cache.store(key, ci.as_dict())
+    return ci, key, False
 
 
 # ---------------------------------------------------------------- manifests

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import math
 import sys
-import typing
-import warnings
 
-from . import __version__, _lazy, cache
+from . import __version__, _lazy
 from .assembly import (anomaly_counterterms, assemble_partition,
                        euler_number, imtau_exponent, neck_check,
                        pathological_partition, verify_modularity, weights_for)
 from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
                       get_entry, parse_manifest)
 from .errors import SdlabError, UsageError
-from .geometry import CurvatureIntegrals, boundary_report, curvature_at
+from .geometry import boundary_report, curvature_at
 from .jsonio import canonical_dumps
 from .lattice_sum import brute_force_partition, theta_product
 from .modular_forms import cot_contour_theta, s_transform_residual, theta
@@ -142,43 +139,12 @@ def _entry(args) -> CatalogEntry:
     return get_entry(args.manifold, extra)
 
 
-_INTEGRAL_TYPES = typing.get_type_hints(CurvatureIntegrals)
-
-
-def _holds_integrals(record) -> bool:
-    """Exactly the CurvatureIntegrals fields, each of its declared type (a
-    bool is not an int here) and finite where it is a float."""
-    return (isinstance(record, dict)
-            and record.keys() == _INTEGRAL_TYPES.keys()
-            and all(isinstance(v, _INTEGRAL_TYPES[k]) and type(v) is not bool
-                    and (not isinstance(v, float) or math.isfinite(v))
-                    for k, v in record.items()))
-
-
 def _integrals(args):
     """(entry, integrals, cache_key or None, hit) for the command's
-    --manifold, --resolution and --cutoff.  Only integrals computed from a
-    chart are cached; --no-cache recomputes without reading the cache, and
-    a record that does not hold valid integrals warns and is recomputed."""
+    --manifold, --resolution, --cutoff and --no-cache."""
     entry = _entry(args)
-    compute = functools.partial(entry_integrals, entry, args.resolution,
-                                args.cutoff)
-    if entry.descriptor.analytic_integrals is not None:
-        return entry, compute(), None, False
-    backend = entry.backend
-    payload = {"kind": "curvature-integrals", "backend": backend.id,
-               "params": backend.params, "resolution": args.resolution,
-               "cutoff": args.cutoff}
-    if getattr(args, "no_cache", False):
-        return entry, compute(), cache.cache_key(payload), False
-    record, key, hit = cache.get_or_compute(payload,
-                                            lambda: compute().as_dict())
-    if not _holds_integrals(record):
-        warnings.warn(f"cache entry {key} does not hold curvature "
-                      f"integrals, recomputing")
-        record, hit = compute().as_dict(), False
-        cache.store(key, record)
-    return entry, CurvatureIntegrals(**record), key, hit
+    return (entry, *entry_integrals(entry, args.resolution, args.cutoff,
+                                    getattr(args, "no_cache", False)))
 
 
 def _chart(args):
@@ -268,7 +234,7 @@ def cmd_partition(args):
     tau = parse_complex(args.tau)
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    pe = assemble_partition(entry.descriptor, tau, conv, ci)
+    pe = assemble_partition(entry.descriptor, tau, conv, curv=ci)
     return ({"manifold": entry.name, "tau": tau,
              "resolution": args.resolution, "cutoff": args.cutoff},
             {"value": pe.value, "factors": pe.factors},
@@ -345,7 +311,7 @@ def cmd_verify_modularity(args):
             if args.taus else list(_DEFAULT_TAUS))
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    residual = verify_modularity(entry.descriptor, taus, conv, ci)
+    residual = verify_modularity(entry.descriptor, taus, conv, curv=ci)
     tol = args.tol if args.tol is not None else (
         1e-8 if entry.descriptor.kind == "compact" else 1e-6)
     return ({"manifold": entry.name, "taus": taus, "tol": tol},

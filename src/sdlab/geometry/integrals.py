@@ -19,6 +19,8 @@ fixed node order, so values do not depend on evaluation chunking.
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing
 
 from .. import _lazy
 from ..errors import DomainError, ResourceError
@@ -54,6 +56,19 @@ class CurvatureIntegrals:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    @classmethod
+    def from_record(cls, record) -> CurvatureIntegrals:
+        """Inverse of `as_dict`.  A record without exactly these fields,
+        each of its declared type (a bool is not an int here) and finite
+        where it is a float, is a ValueError."""
+        types = typing.get_type_hints(cls)
+        if not (isinstance(record, dict) and record.keys() == types.keys()
+                and all(isinstance(v, types[k]) and type(v) is not bool
+                        and (not isinstance(v, float) or math.isfinite(v))
+                        for k, v in record.items())):
+            raise ValueError("does not hold curvature integrals")
+        return cls(**record)
 
 
 def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
@@ -103,29 +118,34 @@ def check_resolution(resolution) -> None:
                           f"{MAX_RESOLUTION}")
 
 
+def effective_cutoff(backend: GeometryBackend,
+                     cutoff_rho: float | None) -> float | None:
+    """The truncation radius an integral over `backend` uses: None on a
+    compact backend; on an ALF backend `cutoff_rho`, at least
+    CUTOFF_SCALE_MIN times the geometry scale and exactly that when it is
+    omitted."""
+    if not backend.alf:
+        return None
+    scale = backend.geometry_scale()
+    if cutoff_rho is None:
+        return CUTOFF_SCALE_MIN * scale
+    if cutoff_rho < CUTOFF_SCALE_MIN * scale - 1e-9:
+        raise DomainError("cutoff-too-small", f"cutoff {cutoff_rho} below "
+                          f"{CUTOFF_SCALE_MIN}x geometry scale {scale}")
+    return float(cutoff_rho)
+
+
 def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
                          cutoff_rho: float | None = None) -> CurvatureIntegrals:
     """Integrate the six curvature invariants over the whole space.
 
-    `resolution` scales the panel count of every mesh.  ALF backends
-    need `cutoff_rho` at least 10x the geometry scale (defaulted to
-    exactly that when omitted); compact backends ignore it.
+    `resolution` scales the panel count of every mesh; ALF volumes are
+    truncated at the `effective_cutoff` of `cutoff_rho`.
     """
     check_resolution(resolution)
     if not callable(getattr(backend, "reduction", None)):
         raise DomainError("backend-unknown", type(backend).__name__)
-    if backend.alf:
-        min_cut = CUTOFF_SCALE_MIN * backend.geometry_scale()
-        if cutoff_rho is None:
-            cutoff_rho = min_cut
-        if cutoff_rho < min_cut - 1e-9:
-            raise DomainError(
-                "cutoff-too-small",
-                f"cutoff {cutoff_rho} below {CUTOFF_SCALE_MIN}x geometry "
-                f"scale {backend.geometry_scale()}")
-    else:
-        cutoff_rho = None
-
+    cutoff_rho = effective_cutoff(backend, cutoff_rho)
     segments, tail_at = backend.reduction(resolution, cutoff_rho)
     fs = [_integrand(seg) for seg in segments]
     vals, errs = np.sum([quad.integrate_refined(f, seg.edges, seg.order)

@@ -49,6 +49,7 @@ S4 = ci(I_R_full=64 * PI2, I_R_endo=16 * PI2, I_r=96 * PI2,
         I_s2=384 * PI2, I_gb=2.0)
 TN1 = ci(I_R_full=32 * PI2, I_R_endo=8 * PI2, I_gb=1.0, I_p=-2.0 / 3.0)
 TN2 = ci(I_R_full=64 * PI2, I_R_endo=16 * PI2, I_gb=2.0, I_p=-4.0 / 3.0)
+K3 = get_entry("k3-analytic").descriptor.analytic_integrals
 
 
 def desc(name):
@@ -89,12 +90,6 @@ def test_alf_descriptor_rejections(kw, slug):
     assert err.value.slug == slug
 
 
-def test_integrals_required():
-    with pytest.raises(DescriptorError) as err:
-        weights_for(desc("flat-torus"))
-    assert err.value.slug == "integrals-missing"
-
-
 # --------------------------------------------------------------- the weights
 
 
@@ -116,11 +111,11 @@ def test_sphere_weights_both_conventions(convention, frac):
 
 
 def test_k3_weights_from_stored_integrals():
-    w = weights_for(desc("k3-analytic"))
+    w = weights_for(desc("k3-analytic"), K3)
     assert w.alpha == pytest.approx(1.2, abs=1e-12)
     assert w.beta == pytest.approx(9.2, abs=1e-12)
     assert w.sigma_phase == -8.0
-    assert imtau_exponent(desc("k3-analytic")) == pytest.approx(
+    assert imtau_exponent(desc("k3-analytic"), K3) == pytest.approx(
         0.3, abs=1e-12)
 
 
@@ -163,7 +158,7 @@ def test_engine_integrals_near_exact(tn1_integrals):
 
 
 def test_weight_identities_all_entries():
-    cases = [("flat-torus", ZERO), ("round-s4", S4), ("k3-analytic", None),
+    cases = [("flat-torus", ZERO), ("round-s4", S4), ("k3-analytic", K3),
              ("taub-nut-1", TN1), ("taub-nut-2", TN2)]
     for name, curv in cases:
         d = desc(name)
@@ -190,7 +185,7 @@ def test_unknown_convention_rejected():
 
 
 def test_weights_as_dict():
-    d = weights_for(desc("k3-analytic")).as_dict()
+    d = weights_for(desc("k3-analytic"), K3).as_dict()
     assert set(d) == {"alpha", "beta", "sigma_phase", "convention"}
 
 
@@ -213,7 +208,7 @@ def test_torus_partition_at_i():
 def test_factor_product_reproduces_value():
     from sdlab.modular_forms import principal_power
 
-    for name, curv in [("k3-analytic", None), ("taub-nut-1", TN1)]:
+    for name, curv in [("k3-analytic", K3), ("taub-nut-1", TN1)]:
         for tau in TAUS:
             ev = assemble_partition(desc(name), tau, curv=curv)
             f = ev.factors
@@ -232,12 +227,12 @@ def test_alf_partition_has_trivial_plus_factor():
 
 def test_partition_requires_upper_half_plane():
     with pytest.raises(DomainError) as err:
-        assemble_partition(desc("k3-analytic"), 0.3 - 0.8j)
+        assemble_partition(desc("k3-analytic"), 0.3 - 0.8j, curv=K3)
     assert err.value.slug == "tau-upper-half"
 
 
 def test_partition_as_dict():
-    d = assemble_partition(desc("k3-analytic"), 1j).as_dict()
+    d = assemble_partition(desc("k3-analytic"), 1j, curv=K3).as_dict()
     assert set(d) == {"value", "factors"}
 
 
@@ -249,12 +244,12 @@ def test_modularity_torus_exact():
 
 
 def test_modularity_k3():
-    assert verify_modularity(desc("k3-analytic"), TAUS) < 1e-8
+    assert verify_modularity(desc("k3-analytic"), TAUS, curv=K3) < 1e-8
 
 
 @pytest.mark.parametrize("convention", ["paper-endo", "gilkey-full"])
 def test_modularity_single_center_exact_integrals(convention):
-    res = verify_modularity(desc("taub-nut-1"), TAUS, convention, TN1)
+    res = verify_modularity(desc("taub-nut-1"), TAUS, convention, curv=TN1)
     assert res < 1e-12
 
 
@@ -307,7 +302,7 @@ def test_anomaly_single_center_engine(tn1_integrals):
 
 
 def test_anomaly_k3():
-    rep = anomaly_counterterms(desc("k3-analytic"))
+    rep = anomaly_counterterms(desc("k3-analytic"), K3)
     assert rep["c_gb"] == 0.25
     assert rep["c_p"] == 0.25
     assert rep["sigma_discrepancy_flag"] is False

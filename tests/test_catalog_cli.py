@@ -42,13 +42,17 @@ def test_unknown_entry_lists_known_names():
 def test_analytic_integrals_take_precedence():
     entry = get_entry("k3-analytic")
     assert entry.backend is None
-    ci = entry_integrals(entry, resolution=64)
+    ci, key, hit = entry_integrals(entry, resolution=64)
     assert ci is entry.descriptor.analytic_integrals
+    assert key is None and hit is False
 
 
-def test_backend_entry_integrates():
-    ci = entry_integrals(get_entry("flat-torus"), resolution=2)
-    assert ci.I_gb == 0.0 and ci.node_count == 1
+def test_backend_entry_integrates(tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    entry = get_entry("flat-torus")
+    ci, key, hit = entry_integrals(entry, resolution=2)
+    assert ci.I_gb == 0.0 and ci.node_count == 1 and hit is False
+    assert entry_integrals(entry, resolution=2) == (ci, key, True)
 
 
 # ----------------------------------------------------------------- manifests
@@ -96,7 +100,7 @@ def test_manifest_good_entries(tmp_path):
     assert set(entries) == {"my-k3", "off-axis-pair"}
     k3 = entries["my-k3"]
     assert k3.backend is None
-    w = weights_for(k3.descriptor)
+    w = weights_for(k3.descriptor, k3.descriptor.analytic_integrals)
     assert w.alpha == pytest.approx(1.2, abs=1e-12)
     assert w.beta == pytest.approx(9.2, abs=1e-12)
     pair = entries["off-axis-pair"]
@@ -221,33 +225,6 @@ def test_float_round_trip_exact(x):
 
 
 # --------------------------------------------------------------------- cache
-
-
-def test_cache_miss_then_hit(tmp_path, monkeypatch):
-    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"answer": 42.0, "z": 1 + 2j}
-
-    payload = {"kind": "unit", "n": 7}
-    rec1, key1, hit1 = cache.get_or_compute(payload, compute)
-    rec2, key2, hit2 = cache.get_or_compute(payload, compute)
-    assert (hit1, hit2) == (False, True)
-    assert key1 == key2 and rec1 == rec2
-    assert len(calls) == 1
-    assert (tmp_path / f"{key1}.json").exists()
-
-
-def test_cache_corruption_recovers(tmp_path, monkeypatch):
-    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
-    payload = {"kind": "unit", "n": 8}
-    _, key, _ = cache.get_or_compute(payload, lambda: {"v": 1.5})
-    (tmp_path / f"{key}.json").write_text("{ not json", encoding="ascii")
-    with pytest.warns(UserWarning, match="corrupt cache entry"):
-        rec, _, hit = cache.get_or_compute(payload, lambda: {"v": 1.5})
-    assert hit is False and rec == {"v": 1.5}
 
 
 def test_cache_store_leaves_foreign_temp_file(tmp_path, monkeypatch):
@@ -413,7 +390,7 @@ def test_cli_integrate_cache_round_trip(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", ["fields", "null", "string", "NaN",
-                                 "1e999"])
+                                 "1e999", "not-json"])
 def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
                                                       monkeypatch, bad):
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
@@ -423,6 +400,8 @@ def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
     path = tmp_path / f"{jsonio.canonical_loads(good)['cache_key']}.json"
     if bad == "fields":
         text = '{"I_gb": 1.0}'
+    elif bad == "not-json":
+        text = "{ not json"
     else:
         value = '"big"' if bad == "string" else bad
         text = re.sub(r'"I_R_endo": [^,]+', f'"I_R_endo": {value}',
