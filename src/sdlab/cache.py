@@ -1,24 +1,28 @@
 """Content-addressed cache for expensive quadrature results.
 
-Keys are SHA-256 digests of the canonical JSON of everything that can
-change the answer: backend identity and parameters, resolution, cutoff,
-and the code version.  Deciding whether a stored record can be served is
-the caller's part (`catalog.entry_integrals`).  Writers never share a
-temp file.
+Keys are SHA-256 digests of the canonical JSON of the parameters a
+result was computed from: backend identity and parameters, resolution
+and the effective cutoff.  Each record also carries `code_stamp()`, a
+digest of the source of the numerics modules, and one written by other
+code is never served.  Deciding what to do with a record that cannot be
+served is the caller's part (`catalog.entry_integrals`).  Writers never
+share a temp file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import pathlib
 import warnings
 
-from . import __version__
 from .jsonio import canonical_dumps, canonical_loads
 
 _ENV_VAR = "SDLAB_CACHE_DIR"
+# modules under geometry/ whose source decides a stored integral
+_STAMPED = ("backends", "curvature", "quadrature", "integrals")
 
 
 def cache_dir() -> pathlib.Path:
@@ -30,10 +34,19 @@ def cache_dir() -> pathlib.Path:
     return pathlib.Path(base) / "sdlab"
 
 
+@functools.cache
+def code_stamp() -> str:
+    """SHA-256 of the source of the `_STAMPED` modules, read once per
+    process."""
+    geometry = pathlib.Path(__file__).parent / "geometry"
+    digest = hashlib.sha256()
+    for name in _STAMPED:
+        digest.update((geometry / f"{name}.py").read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(payload: dict) -> str:
-    body = dict(payload)
-    body["code_version"] = __version__
-    return hashlib.sha256(canonical_dumps(body).encode("ascii")).hexdigest()
+    return hashlib.sha256(canonical_dumps(payload).encode("ascii")).hexdigest()
 
 
 def _path_for(key: str) -> pathlib.Path:
@@ -41,21 +54,26 @@ def _path_for(key: str) -> pathlib.Path:
 
 
 def load(key: str):
-    """The record stored under `key`, or None when there is none.  A file
-    that cannot be read raises OSError, one that is not canonical JSON
-    ValueError."""
+    """The record stored under `key`, without its stamp, or None when
+    there is none.  A file that cannot be read raises OSError; one that
+    is not canonical JSON or lacks the stamp of this code, ValueError."""
     try:
         text = _path_for(key).read_text(encoding="ascii")
     except FileNotFoundError:
         return None
-    return canonical_loads(text)
+    record = canonical_loads(text)
+    if not (isinstance(record, dict)
+            and record.pop("code", None) == code_stamp()):
+        raise ValueError("lacks the stamp of this code")
+    return record
 
 
 def store(key: str, record: dict) -> None:
-    """Write through a temp file of this writer's own, renamed into place;
-    the temp file is removed if the write fails."""
+    """Write `record` with the code stamp through a temp file of this
+    writer's own, renamed into place; the temp file is removed if the
+    write fails."""
     path = _path_for(key)
-    text = canonical_dumps(record)
+    text = canonical_dumps({**record, "code": code_stamp()})
     tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlab
-from sdlab import cache, jsonio
+from sdlab import cache, catalog, jsonio
 from sdlab.assembly import weights_for
 from sdlab.catalog import (
     builtin_names,
@@ -399,7 +399,7 @@ def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
     _, good, _ = run_cli(capsys, argv)
     path = tmp_path / f"{jsonio.canonical_loads(good)['cache_key']}.json"
     if bad == "fields":
-        text = '{"I_gb": 1.0}'
+        text = json.dumps({"I_gb": 1.0, "code": cache.code_stamp()})
     elif bad == "not-json":
         text = "{ not json"
     else:
@@ -413,7 +413,51 @@ def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
     assert code == 0 and out == good
     results = jsonio.canonical_loads(good)["results"]
     del results["cache_hit"]
-    assert jsonio.canonical_loads(path.read_text(encoding="ascii")) == results
+    assert cache.load(path.stem) == results
+
+
+def test_cli_integrate_stale_code_recomputed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    argv = ["integrate", "--manifold", "round-s4", "--resolution", "1",
+            "--json"]
+    _, first, _ = run_cli(capsys, argv)
+    monkeypatch.setattr(cache, "code_stamp", lambda: "0" * 64)
+    with pytest.warns(UserWarning, match="lacks the stamp of this code"):
+        code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == first
+    path = tmp_path / f"{jsonio.canonical_loads(out)['cache_key']}.json"
+    assert json.loads(path.read_text(encoding="ascii"))["code"] == "0" * 64
+
+
+def test_cutoff_of_a_compact_entry_shares_its_record(capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    calls = []
+    integrate = catalog.integrate_invariants
+    monkeypatch.setattr(catalog, "integrate_invariants",
+                        lambda *a: calls.append(a) or integrate(*a))
+    keys = set()
+    for cutoff in ([], ["--cutoff", "3"], ["--cutoff", "300"]):
+        code, out, _ = run_cli(capsys, ["weights", "--manifold", "round-s4",
+                                        "--resolution", "1", "--json",
+                                        *cutoff])
+        assert code == 0
+        keys.add(jsonio.canonical_loads(out)["cache_key"])
+    assert len(calls) == 1 and len(keys) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [f"{keys.pop()}.json"]
+
+
+def test_default_and_explicit_alf_cutoff_share_a_record(capsys, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    argv = ["integrate", "--manifold", "taub-nut-1", "--resolution", "2",
+            "--json"]
+    hits = []
+    for extra in ([], ["--cutoff", "5"]):
+        code, out, _ = run_cli(capsys, argv + extra)
+        assert code == 0
+        hits.append(jsonio.canonical_loads(out)["results"]["cache_hit"])
+    assert hits == [False, True]
 
 
 @pytest.mark.parametrize("flags", [["--no-cache"], ["--no-cache", "--json"],
