@@ -36,6 +36,7 @@ _CHUNK = 4096  # nodes per curvature_batch call
 
 MAX_RESOLUTION = 64
 CUTOFF_SCALE_MIN = 10.0
+CUTOFF_SCALE_MAX = 1000.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,9 +122,9 @@ def check_resolution(resolution) -> None:
 def effective_cutoff(backend: GeometryBackend,
                      cutoff_rho: float | None) -> float | None:
     """The truncation radius an integral over `backend` uses: None on a
-    compact backend; on an ALF backend `cutoff_rho`, at least
-    CUTOFF_SCALE_MIN times the geometry scale and exactly that when it is
-    omitted."""
+    compact backend; on an ALF backend `cutoff_rho`, from CUTOFF_SCALE_MIN
+    to CUTOFF_SCALE_MAX times the geometry scale, and the lower bound
+    when it is omitted."""
     if not backend.alf:
         return None
     scale = backend.geometry_scale()
@@ -132,6 +133,9 @@ def effective_cutoff(backend: GeometryBackend,
     if cutoff_rho < CUTOFF_SCALE_MIN * scale - 1e-9:
         raise DomainError("cutoff-too-small", f"cutoff {cutoff_rho} below "
                           f"{CUTOFF_SCALE_MIN}x geometry scale {scale}")
+    if cutoff_rho > CUTOFF_SCALE_MAX * scale:
+        raise DomainError("cutoff-too-large", f"cutoff {cutoff_rho} above "
+                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     return float(cutoff_rho)
 
 

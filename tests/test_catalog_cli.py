@@ -460,6 +460,21 @@ def test_default_and_explicit_alf_cutoff_share_a_record(capsys, tmp_path,
     assert hits == [False, True]
 
 
+HEAVY_NUT = """
+[heavy-nut]
+kind = alf
+b0 = 1
+b1 = 0
+bplus_l2 = 0
+bminus_l2 = 1
+b0_d = derive
+b1_d = derive
+h1_neck_trivial = yes
+geometry = multi-taub-nut
+mass = 1e300
+"""
+
+
 @pytest.mark.parametrize("flags", [["--no-cache"], ["--no-cache", "--json"],
                                    ["--json"]],
                          ids=["text", "json", "json-cached"])
@@ -469,13 +484,22 @@ def test_cli_nonfinite_integrals_do_not_converge(flags, tmp_path):
     env = dict(os.environ, SDLAB_CACHE_DIR=str(cache_dir),
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "sdlab.cli", "integrate",
-                           "--manifold", "taub-nut-1", "--cutoff", "1e308",
+                           "--manifold", "heavy-nut", "--manifest",
+                           write_manifest(tmp_path, HEAVY_NUT),
                            "--resolution", "1", *flags],
                           env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "quadrature-non-convergence" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+def test_cli_cutoff_too_large(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    code, _, err = run_cli(capsys, ["weights", "--manifold", "taub-nut-1",
+                                    "--cutoff", "1e100"])
+    assert code == 1 and "cutoff-too-large" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_cutoff_too_small(capsys):
