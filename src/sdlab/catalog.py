@@ -152,8 +152,16 @@ def _dirichlet(raw: str) -> int | str:
     return "derive" if raw == "derive" else int(raw)
 
 
+def finite_float(text: str) -> float:
+    """float(text); nan and inf are a ValueError, as a non-number is."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(map(finite_float, raw.replace(",", " ").split()))
 
 
 def _signs(raw: str) -> tuple[int, ...]:
@@ -168,13 +176,14 @@ _DESC_KEYS = {
     "kind": str.strip, "b0": int, "b1": int, "bplus_l2": int,
     "bminus_l2": int, "torsion_order": int, "b0_d": _dirichlet,
     "b1_d": _dirichlet, "h1_neck_trivial": _bool, "geometry": str.strip,
-    "vol_flat_torus_factor": float,
+    "vol_flat_torus_factor": finite_float,
 }
-_BACKEND_KEYS = {"mass": float, "centers": _floats, "string_signs": _signs,
-                 "radius": float, "radii": _floats}
+_BACKEND_KEYS = {"mass": finite_float, "centers": _floats,
+                 "string_signs": _signs, "radius": finite_float,
+                 "radii": _floats}
 _ANALYTIC_KEYS = ("i_r_full", "i_r_endo", "i_ricci", "i_s2", "i_gb", "i_p")
 _KEY_TYPES = {**_DESC_KEYS, **_BACKEND_KEYS,
-              **dict.fromkeys(_ANALYTIC_KEYS, float)}
+              **dict.fromkeys(_ANALYTIC_KEYS, finite_float)}
 # manifest keys whose descriptor field is spelled differently
 _FIELDS = {"b0_d": "b0_D", "b1_d": "b1_D"}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import sys
 
 from . import __version__, _lazy
@@ -22,7 +21,7 @@ from .assembly import (anomaly_counterterms, assemble_partition,
                        euler_number, imtau_exponent, neck_check,
                        pathological_partition, verify_modularity, weights_for)
 from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
-                      get_entry, parse_manifest)
+                      finite_float, get_entry, parse_manifest)
 from .errors import SdlabError, UsageError
 from .geometry import boundary_report, curvature_at
 from .jsonio import canonical_dumps
@@ -43,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ------------------------------------------------------------- small parsers
-
-def finite_float(text: str) -> float:
-    """float(text); nan and inf are a ValueError, as a non-number is."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
 
 def parse_complex(text: str) -> complex:
     """Accept finite a+bi literals (i or j suffix)."""

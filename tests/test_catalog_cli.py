@@ -160,6 +160,20 @@ def test_manifest_unreadable(tmp_path):
     ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
      "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
      "geometry = multi-taub-nut\nstring_signs = -0.5\n", "manifest-value"),
+    # non-finite numbers in every kind of float key
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
+     "geometry = round-s4\nvol_flat_torus_factor = inf\n", "manifest-value"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
+     "geometry = analytic\ni_r_full = 1\ni_r_endo = nan\ni_ricci = 0\n"
+     "i_s2 = 0\ni_gb = 2\ni_p = 0\n", "manifest-value"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\ncenters = 0 0 nan\n", "manifest-value"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\nmass = inf\n", "manifest-value"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 4\nbplus_l2 = 3\nbminus_l2 = 3\n"
+     "geometry = flat-torus\nradii = 1 1 1 inf\n", "manifest-value"),
 ])
 def test_manifest_rejections(tmp_path, body, slug):
     with pytest.raises(DescriptorError) as err:
@@ -434,8 +448,12 @@ def test_cutoff_of_a_compact_entry_shares_its_record(capsys, tmp_path,
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
     calls = []
     integrate = catalog.integrate_invariants
-    monkeypatch.setattr(catalog, "integrate_invariants",
-                        lambda *a: calls.append(a) or integrate(*a))
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "integrate_invariants", counted)
     keys = set()
     for cutoff in ([], ["--cutoff", "3"], ["--cutoff", "300"]):
         code, out, _ = run_cli(capsys, ["weights", "--manifold", "round-s4",
