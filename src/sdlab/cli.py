@@ -349,13 +349,23 @@ def cmd_verify_decay(args):
 
 # --------------------------------------------------------------------- main
 
-def _add_manifold_opts(p):
+def _add_manifold(p):
     p.add_argument("--manifold", required=True, help="catalog entry name")
     p.add_argument("--manifest", default=None,
                    help="INI manifest adding user manifolds")
+
+
+def _add_resolution(p):
     p.add_argument("--resolution", type=int, default=4)
+
+
+def _add_integral_opts(p):
+    """The options of a command that reads curvature integrals."""
+    _add_manifold(p)
+    _add_resolution(p)
     p.add_argument("--cutoff", type=finite_float, default=None,
-                   help="ALF truncation radius (default 10x geometry scale)")
+                   help="ALF truncation radius, 10x to 1000x the geometry "
+                        "scale (default 10x)")
 
 
 def _add_convention(p):
@@ -393,15 +403,15 @@ def build_parser() -> _Parser:
     p.add_argument("--box", type=int, default=30)
 
     p = _command(sub, "curvature", cmd_curvature,
-                 "pointwise curvature invariants", _add_manifold_opts)
+                 "pointwise curvature invariants", _add_manifold)
     p.add_argument("--point", required=True, help="x1,x2,x3,x4")
 
     p = _command(sub, "integrate", cmd_integrate, "volume curvature integrals",
-                 _add_manifold_opts)
+                 _add_integral_opts)
     p.add_argument("--no-cache", action="store_true")
 
     p = _command(sub, "boundary", cmd_boundary, "truncation-boundary reports",
-                 _add_manifold_opts)
+                 _add_manifold, _add_resolution)
     p.add_argument("--rho", required=True, help="comma-separated radii")
     p.add_argument("--csv", action="store_true")
 
@@ -411,21 +421,20 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, choices=range(0, 5))
 
     _command(sub, "weights", cmd_weights, "modular weights (alpha, beta)",
-             _add_manifold_opts, _add_convention)
+             _add_integral_opts, _add_convention)
     p = _command(sub, "partition", cmd_partition,
                  "partition value at a coupling",
-                 _add_manifold_opts, _add_convention)
+                 _add_integral_opts, _add_convention)
     p.add_argument("--tau", required=True)
     _command(sub, "anomaly", cmd_anomaly, "local counterterm coefficients",
-             _add_manifold_opts, _add_convention)
+             _add_integral_opts, _add_convention)
 
     p = _command(sub, "pathology", cmd_pathology,
                  "leftover Gaussian factor without the holonomy constraint")
     p.add_argument("--tau", required=True)
 
-    p = _command(sub, "neck", cmd_neck, "1-form Dirichlet derivability check")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--manifest", default=None)
+    _command(sub, "neck", cmd_neck, "1-form Dirichlet derivability check",
+             _add_manifold)
 
     p = _command(sub, "catalog", cmd_catalog, "list or show catalog entries")
     p.add_argument("action", choices=("list", "show"))
@@ -437,14 +446,14 @@ def build_parser() -> _Parser:
     _command(vsub, "theta", cmd_verify_theta, "inversion law and contour route")
     p = _command(vsub, "modularity", cmd_verify_modularity,
                  "partition transformation law",
-                 _add_manifold_opts, _add_convention)
+                 _add_integral_opts, _add_convention)
     p.add_argument("--taus", default=None,
                    help="comma-separated coupling samples")
     p.add_argument("--tol", type=finite_float, default=None)
     _command(vsub, "gauss-bonnet", cmd_verify_gauss_bonnet,
-             "Euler number vs curvature integral", _add_manifold_opts)
+             "Euler number vs curvature integral", _add_integral_opts)
     p = _command(vsub, "decay", cmd_verify_decay, "boundary-term falloff",
-                 _add_manifold_opts)
+                 _add_manifold, _add_resolution)
     p.add_argument("--rho", required=True,
                    help="comma-separated doubling radii, at least three")
     return parser

@@ -330,10 +330,18 @@ def test_cli_theta_json(capsys):
      "manifest-unreadable"),
     (["catalog", "list", "--manifest", b"[x]\n  stray\nkind = compact\n"],
      "manifest-unreadable"),
+    # options that a command would not read
+    (["curvature", "--manifold", "taub-nut-1", "--point", "1,1,1,1",
+      "--resolution", "2"], "unrecognized arguments: --resolution"),
+    (["boundary", "--manifold", "taub-nut-1", "--rho", "20", "--cutoff", "5"],
+     "unrecognized arguments: --cutoff"),
+    (["verify", "decay", "--manifold", "taub-nut-1", "--rho", "20,40,80",
+      "--cutoff", "5"], "unrecognized arguments: --cutoff"),
 ], ids=["point-nan", "rho-inf", "lattice-nan", "tau-nan", "tol-nan",
         "cutoff-nan", "csv-empty", "manifest-no-section",
         "manifest-duplicate-option", "manifest-duplicate-section",
-        "manifest-not-utf8", "manifest-stray-continuation"])
+        "manifest-not-utf8", "manifest-stray-continuation",
+        "curvature-resolution", "boundary-cutoff", "decay-cutoff"])
 def test_cli_bad_input_is_a_usage_error(argv, slug, tmp_path):
     manifest = tmp_path / "manifest.ini"
     for arg in argv:

@@ -56,7 +56,7 @@ def _cases() -> dict:
         on = ["--manifold", name]
         res = on + ["--resolution", "2"]
         cases.update({
-            f"curvature/{name}": ["curvature", *res, "--point", POINTS[name]],
+            f"curvature/{name}": ["curvature", *on, "--point", POINTS[name]],
             # --no-cache keeps cache_hit independent of the case order
             f"integrate/{name}": ["integrate", *res, "--no-cache"],
             f"boundary/{name}": ["boundary", *res, "--rho", "20,30"],
