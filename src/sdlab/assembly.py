@@ -220,20 +220,18 @@ def verify_modularity(desc: ManifoldDescriptor, tau_samples,
     (-i)^(sigma/2) tau^alpha conj(tau)^beta Z(tau) with the descriptor's
     weights; the shift law compares Z(tau + 2) against Z(tau).
     """
-    def z_at(t):
-        return assemble_partition(desc, t, convention, curv=curv).value
-
     w = weights_for(desc, curv, convention)
     phase = principal_power(complex(0.0, -1.0), w.sigma_phase)
     worst = 0.0
     for tau in tau_samples:
         tau = _as_tau(tau)
-        z = z_at(tau)
+        z, z_inv, z_shift = (
+            assemble_partition(desc, t, convention, curv=curv).value
+            for t in (tau, -1.0 / tau, tau + 2.0))
         rhs = (phase * principal_power(tau, w.alpha)
                * principal_power(tau.conjugate(), w.beta) * z)
         scale = abs(z)
-        worst = max(worst, abs(z_at(-1.0 / tau) - rhs) / scale)
-        worst = max(worst, abs(z_at(tau + 2.0) - z) / scale)
+        worst = max(worst, abs(z_inv - rhs) / scale, abs(z_shift - z) / scale)
     return worst
 
 

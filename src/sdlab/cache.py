@@ -1,12 +1,9 @@
 """Content-addressed cache for expensive quadrature results.
 
 Keys are SHA-256 digests of the canonical JSON of the parameters a
-result was computed from: backend identity and parameters, resolution
-and the effective cutoff.  Each record also carries `code_stamp()`, a
-digest of the source of the numerics modules, and one written by other
-code is never served.  Deciding what to do with a record that cannot be
-served is the caller's part (`catalog.entry_integrals`).  Writers never
-share a temp file.
+result was computed from.  Each record carries `code_stamp()`, a digest
+of the numerics source, and a record from other code is never served.
+Writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ def cache_dir() -> pathlib.Path:
 
 @functools.cache
 def code_stamp() -> str:
-    """SHA-256 of the source of the `_STAMPED` modules, read once per
-    process."""
+    """SHA-256 of the `_STAMPED` sources, read once per process."""
     geometry = pathlib.Path(__file__).parent / "geometry"
     digest = hashlib.sha256()
     for name in _STAMPED:
@@ -54,9 +50,8 @@ def _path_for(key: str) -> pathlib.Path:
 
 
 def load(key: str):
-    """The record stored under `key`, without its stamp, or None when
-    there is none.  A file that cannot be read raises OSError; one that
-    is not canonical JSON or lacks the stamp of this code, ValueError."""
+    """The record under `key` without its stamp, None if there is none;
+    OSError if unreadable, ValueError if not this code's canonical JSON."""
     try:
         text = _path_for(key).read_text(encoding="ascii")
     except FileNotFoundError:
@@ -69,9 +64,8 @@ def load(key: str):
 
 
 def store(key: str, record: dict) -> None:
-    """Write `record` with the code stamp through a temp file of this
-    writer's own, renamed into place; the temp file is removed if the
-    write fails."""
+    """Write `record` and the code stamp through a temp file of this
+    writer's own, renamed into place; a failed write removes it."""
     path = _path_for(key)
     text = canonical_dumps({**record, "code": code_stamp()})
     tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")

@@ -20,7 +20,7 @@ from .errors import DescriptorError, UsageError
 from .geometry import (CurvatureIntegrals, FlatTorus, GeometryBackend,
                        MultiTaubNut, RoundS4, Schwarzschild,
                        integrate_invariants)
-from .geometry.integrals import check_resolution, effective_cutoff
+from .geometry.integrals import effective_cutoff
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,14 +102,10 @@ def get_entry(name: str, extra: dict | None = None) -> CatalogEntry:
 
 def entry_integrals(entry: CatalogEntry, resolution: int = 4,
                     cutoff_rho: float | None = None, no_cache: bool = False):
-    """(integrals, cache key or None, hit) of an entry.
-
-    Stored integrals come first.  Integrals over the entry's chart are
-    cached under the parameters the integration uses, so requests that
-    differ only in a defaulted or ignored cutoff share one record.  A
-    record that cannot be read or does not hold the integrals warns, is
-    recomputed and overwritten; `no_cache` neither reads nor writes.
-    """
+    """(integrals, cache key or None, hit): stored integrals when the
+    entry has them, else integrals over its chart, cached under the
+    parameters the integration uses.  An unusable record warns and is
+    recomputed and overwritten; `no_cache` neither reads nor writes."""
     if entry.descriptor.analytic_integrals is not None:
         return entry.descriptor.analytic_integrals, None, False
     backend = entry.backend
@@ -117,11 +113,10 @@ def entry_integrals(entry: CatalogEntry, resolution: int = 4,
         raise DescriptorError(
             "integrals-missing",
             f"{entry.name}: neither stored integrals nor a backend")
-    check_resolution(resolution)
     cutoff = effective_cutoff(backend, cutoff_rho)
     key = cache.cache_key({
         "kind": "curvature-integrals", "backend": backend.id,
-        "params": backend.params, "resolution": int(resolution),
+        "params": backend.params, "resolution": resolution,
         "cutoff": cutoff})
     if not no_cache:
         try:

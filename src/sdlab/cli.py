@@ -360,7 +360,6 @@ def _add_resolution(p):
 
 
 def _add_integral_opts(p):
-    """The options of a command that reads curvature integrals."""
     _add_manifold(p)
     _add_resolution(p)
     p.add_argument("--cutoff", type=finite_float, default=None,

@@ -121,10 +121,9 @@ def check_resolution(resolution) -> None:
 
 def effective_cutoff(backend: GeometryBackend,
                      cutoff_rho: float | None) -> float | None:
-    """The truncation radius an integral over `backend` uses: None on a
-    compact backend; on an ALF backend `cutoff_rho`, from CUTOFF_SCALE_MIN
-    to CUTOFF_SCALE_MAX times the geometry scale, and the lower bound
-    when it is omitted."""
+    """The truncation radius an integral over `backend` uses: None if it
+    is compact, else `cutoff_rho` within [CUTOFF_SCALE_MIN,
+    CUTOFF_SCALE_MAX] x the geometry scale, the lower bound if omitted."""
     if not backend.alf:
         return None
     scale = backend.geometry_scale()
