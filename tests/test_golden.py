@@ -8,9 +8,9 @@ record the corpus again after an intended change of output, run
     PYTHONPATH=src python tests/test_golden.py
 
 which also prints each case whose stdout or exit code moved, with the
-largest |new - old| / max(1, |old|) over the numbers in its stdout and
-the JSON key path of that number, and say in CHANGES.md which outputs
-moved and why.
+JSON key path of each changed string and the largest
+|new - old| / max(1, |old|) over the numbers in its stdout with the key
+path of that number, and say in CHANGES.md which outputs moved and why.
 """
 
 import contextlib
@@ -18,7 +18,6 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import tempfile
@@ -87,40 +86,45 @@ def run(argv) -> dict:
     return {"argv": argv, "code": code, "stdout": out.getvalue()}
 
 
-# a number token that is not part of a name such as "v40_integral"
-_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def _moves(old, new, path=""):
-    """(relative change, key path) of each number in two JSON values that
-    differ only in their numbers."""
-    if isinstance(old, dict):
-        for key in old:
-            yield from _moves(old[key], new[key],
-                              f"{path}.{key}" if path else key)
-    elif isinstance(old, list):
-        for i, (a, b) in enumerate(zip(old, new)):
-            yield from _moves(a, b, f"{path}[{i}]")
+def _leaves(value, path=""):
+    """(key path, scalar) of each leaf of a JSON value, in order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
     else:
-        for a, b in zip(_NUMBER.findall(json.dumps(old)),
-                        _NUMBER.findall(json.dumps(new))):
-            yield abs(float(b) - float(a)) / max(1.0, abs(float(a))), path
+        yield path, value
 
 
 def drift(old: dict, new: dict) -> list[str]:
-    """How one recorded case moved: its exit code, and the largest relative
-    change of the numbers in its stdout with the key path where it happened
-    (or that more than numbers moved)."""
+    """How one recorded case moved: its exit code, the key path of each
+    changed value that is not a number, and the largest relative change
+    of the numbers in its stdout with the key path where it happened (or
+    that the stdout changed shape)."""
     notes = []
     if old["code"] != new["code"]:
         notes.append(f"exit code {old['code']} -> {new['code']}")
-    if old["stdout"] != new["stdout"]:
-        if _NUMBER.sub("#", old["stdout"]) != _NUMBER.sub("#", new["stdout"]):
-            notes.append("stdout changed beyond its numbers")
+    if old["stdout"] == new["stdout"]:
+        return notes
+    try:
+        a, b = ([*_leaves(json.loads(case["stdout"]))] for case in (old, new))
+    except ValueError:
+        a = b = []
+    if not a or [path for path, _ in a] != [path for path, _ in b]:
+        return notes + ["stdout changed beyond its numbers"]
+    moves = []
+    for (path, x), (_, y) in zip(a, b):
+        if x == y:
+            continue
+        if type(x) in (int, float) and type(y) in (int, float):
+            moves.append((abs(y - x) / max(1.0, abs(x)), path))
         else:
-            worst, where = max(_moves(json.loads(old["stdout"]),
-                                      json.loads(new["stdout"])))
-            notes.append(f"max |d|/max(1,|old|) = {worst:.2e} at {where}")
+            notes.append(f"{path} changed")
+    if moves:
+        worst, where = max(moves)
+        notes.append(f"max |d|/max(1,|old|) = {worst:.2e} at {where}")
     return notes
 
 
@@ -202,6 +206,12 @@ def test_drift_names_what_moved():
     assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
     new = {"code": 0, "stdout": '{"v41_integral": 2.0, "I_gb": -0.5}'}
     assert drift(old, new) == ["stdout changed beyond its numbers"]
+    keyed = {"code": 0, "stdout": '{"cache_key": "9a0f", "I_gb": -0.5}'}
+    rekeyed = {"code": 0, "stdout": '{"cache_key": "17be", "I_gb": -0.25}'}
+    assert drift(keyed, rekeyed) == [
+        "cache_key changed", "max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
+    assert drift(keyed, dict(rekeyed, stdout=keyed["stdout"].replace(
+        "9a0f", "17be"))) == ["cache_key changed"]
     nested = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
                                    '{"a": 3.0}], "order": 0.69}}'}
     moved = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
