@@ -131,8 +131,7 @@ def _entry(args) -> CatalogEntry:
 
 
 def _integrals(args):
-    """(entry, integrals, cache_key or None, hit) for the command's
-    --manifold, --resolution, --cutoff and --no-cache."""
+    """(entry, integrals, cache_key or None, hit) for the command's args."""
     entry = _entry(args)
     return (entry, *entry_integrals(entry, args.resolution, args.cutoff,
                                     getattr(args, "no_cache", False)))

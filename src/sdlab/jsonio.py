@@ -45,14 +45,12 @@ def _encode(obj, out: list) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):
         out.append("{")
-        first = True
-        for key, value in obj.items():
+        for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise DomainError("json-key-type",
                                   f"mapping keys must be strings, got {key!r}")
-            if not first:
+            if i:
                 out.append(", ")
-            first = False
             out.append(json.dumps(key, ensure_ascii=True))
             out.append(": ")
             _encode(value, out)
@@ -76,7 +74,10 @@ def canonical_dumps(obj) -> str:
 
 def _decode_complex(d):
     if set(d) == {"re", "im"}:
-        return complex(d["re"], d["im"])
+        try:
+            return complex(d["re"], d["im"])
+        except TypeError:
+            raise ValueError(f"not a complex number: {d!r}") from None
     return d
 
 
@@ -85,7 +86,7 @@ def _reject_constant(name: str):
 
 
 def canonical_loads(text: str):
-    """Inverse of canonical_dumps; {"re", "im"} pairs become complex, and
-    NaN/Infinity, which canonical_dumps never writes, are a ValueError."""
+    """Inverse of canonical_dumps; {"re", "im"} pairs of numbers become
+    complex.  Other such pairs and NaN/Infinity are a ValueError."""
     return json.loads(text, object_hook=_decode_complex,
                       parse_constant=_reject_constant)

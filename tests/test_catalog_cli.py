@@ -412,7 +412,8 @@ def test_cli_integrate_cache_round_trip(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", ["fields", "null", "string", "NaN",
-                                 "1e999", "not-json"])
+                                 "1e999", "not-json",
+                                 '{"re": "big", "im": 0.0}'])
 def test_cli_integrate_wrong_schema_record_recomputed(capsys, tmp_path,
                                                       monkeypatch, bad):
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
