@@ -45,15 +45,11 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode("ascii")).hexdigest()
 
 
-def _path_for(key: str) -> pathlib.Path:
-    return cache_dir() / f"{key}.json"
-
-
 def load(key: str):
     """The record under `key` without its stamp, None if there is none;
     OSError if unreadable, ValueError if not this code's canonical JSON."""
     try:
-        text = _path_for(key).read_text(encoding="ascii")
+        text = (cache_dir() / f"{key}.json").read_text(encoding="ascii")
     except FileNotFoundError:
         return None
     record = canonical_loads(text)
@@ -66,7 +62,7 @@ def load(key: str):
 def store(key: str, record: dict) -> None:
     """Write `record` and the code stamp through a temp file of this
     writer's own, renamed into place; a failed write removes it."""
-    path = _path_for(key)
+    path = cache_dir() / f"{key}.json"
     text = canonical_dumps({**record, "code": code_stamp()})
     tmp = path.with_name(f"{key}.{os.urandom(8).hex()}.tmp")
     try:

@@ -20,7 +20,7 @@ from .errors import DescriptorError, UsageError
 from .geometry import (CurvatureIntegrals, FlatTorus, GeometryBackend,
                        MultiTaubNut, RoundS4, Schwarzschild,
                        integrate_invariants)
-from .geometry.integrals import effective_cutoff
+from .geometry.integrals import check_resolution, effective_cutoff
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,10 +113,11 @@ def entry_integrals(entry: CatalogEntry, resolution: int = 4,
         raise DescriptorError(
             "integrals-missing",
             f"{entry.name}: neither stored integrals nor a backend")
+    check_resolution(resolution)
     cutoff = effective_cutoff(backend, cutoff_rho)
     key = cache.cache_key({
         "kind": "curvature-integrals", "backend": backend.id,
-        "params": backend.params, "resolution": resolution,
+        "params": backend.params, "resolution": int(resolution),
         "cutoff": cutoff})
     if not no_cache:
         try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 
 from .. import _lazy
@@ -111,7 +112,7 @@ def _tail(window_f, cutoff: float):
 
 def check_resolution(resolution) -> None:
     """A resolution is a positive integer no larger than MAX_RESOLUTION."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
+    if not isinstance(resolution, numbers.Integral) or resolution < 1:
         raise DomainError("resolution-positive", f"resolution {resolution!r}")
     if resolution > MAX_RESOLUTION:
         raise DomainError("resolution-cap",

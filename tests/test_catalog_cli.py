@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,8 @@ def test_backend_entry_integrates(tmp_path, monkeypatch):
     entry = get_entry("flat-torus")
     ci, key, hit = entry_integrals(entry, resolution=2)
     assert ci.I_gb == 0.0 and ci.node_count == 1 and hit is False
-    assert entry_integrals(entry, resolution=2) == (ci, key, True)
+    # a numpy integer is the same resolution, under the same key
+    assert entry_integrals(entry, resolution=np.int64(2)) == (ci, key, True)
 
 
 # ----------------------------------------------------------------- manifests
