@@ -17,6 +17,7 @@ import sdlab
 from sdlab import cache, catalog, jsonio
 from sdlab.assembly import weights_for
 from sdlab.catalog import (
+    CatalogEntry,
     builtin_names,
     entry_integrals,
     get_entry,
@@ -46,6 +47,13 @@ def test_analytic_integrals_take_precedence():
     ci, key, hit = entry_integrals(entry, resolution=64)
     assert ci is entry.descriptor.analytic_integrals
     assert key is None and hit is False
+
+
+def test_entry_without_integrals_or_chart():
+    bare = CatalogEntry(get_entry("flat-torus").descriptor, backend=None)
+    with pytest.raises(DescriptorError) as err:
+        entry_integrals(bare)
+    assert err.value.slug == "integrals-missing"
 
 
 def test_backend_entry_integrates(tmp_path, monkeypatch):
