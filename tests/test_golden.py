@@ -116,7 +116,7 @@ def drift(old: dict, new: dict) -> list[str]:
         return notes + ["stdout changed beyond its numbers"]
     moves = []
     for (path, x), (_, y) in zip(a, b):
-        if x == y:
+        if x == y and type(x) is type(y):
             continue
         if type(x) in (int, float) and type(y) in (int, float):
             moves.append((abs(y - x) / max(1.0, abs(x)), path))
