@@ -38,8 +38,6 @@ class ManifoldDescriptor:
     b0_D: int | str | None = None        # int or "derive"; ALF only
     b1_D: int | str | None = None
     h1_neck_trivial: bool | None = None  # ALF only
-    geometry: str = "analytic"
-    analytic_integrals: object | None = None
     vol_flat_torus_factor: float = 1.0
 
     def __post_init__(self):

@@ -1,16 +1,18 @@
 """Built-in manifold catalog and user manifest loading.
 
 Each entry binds a topological descriptor to the metric backend that
-realizes it (or to stored analytic integrals when no chart is needed);
+realizes it, or to stored exact integrals when no chart is needed;
 `entry_integrals` alone decides where an entry's integrals come from.
 User manifests are flat key-value INI sections, one manifold per
-section; built-in names cannot be overridden.
+section; built-in names cannot be overridden.  `_GEOMETRIES` is the one
+table from a section's `geometry` to what builds it and the keys it reads.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -22,25 +24,25 @@ from .geometry import (CurvatureIntegrals, FlatTorus, GeometryBackend,
                        integrate_invariants)
 from .geometry.integrals import check_resolution, effective_cutoff
 
+# integrals known in closed form: nothing is integrated or estimated
+_exact_integrals = functools.partial(
+    CurvatureIntegrals, error_estimate=0.0, resolution=0, cutoff_rho=None,
+    node_count=0)
+
 
 @dataclasses.dataclass(frozen=True)
 class CatalogEntry:
     descriptor: ManifoldDescriptor
-    backend: GeometryBackend | None  # None when purely analytic
+    backend: GeometryBackend | None = None
+    integrals: CurvatureIntegrals | None = None  # stored, exact
 
     @property
     def name(self) -> str:
         return self.descriptor.name
 
-
-def _k3_integrals() -> CurvatureIntegrals:
-    # hyperkahler K3: scalar and trace-free Ricci vanish, the curvature
-    # norm is pinned by the Euler and signature integrals
-    endo = 192.0 * math.pi ** 2
-    return CurvatureIntegrals(
-        I_R_full=4.0 * endo, I_R_endo=endo, I_r=0.0, I_s2=0.0,
-        I_gb=24.0, I_p=-16.0, error_estimate=0.0,
-        resolution=0, cutoff_rho=None, node_count=0)
+    @property
+    def geometry(self) -> str:
+        return "analytic" if self.backend is None else self.backend.id
 
 
 def _builtins() -> dict:
@@ -48,37 +50,40 @@ def _builtins() -> dict:
         CatalogEntry(
             ManifoldDescriptor(
                 name="flat-torus", kind="compact", b0=1, b1=4,
-                bplus_l2=3, bminus_l2=3, geometry="flat-torus"),
+                bplus_l2=3, bminus_l2=3),
             FlatTorus()),
         CatalogEntry(
             ManifoldDescriptor(
                 name="round-s4", kind="compact", b0=1, b1=0,
-                bplus_l2=0, bminus_l2=0, geometry="round-s4"),
+                bplus_l2=0, bminus_l2=0),
             RoundS4(a=1.0)),
         CatalogEntry(
             ManifoldDescriptor(
                 name="k3-analytic", kind="compact", b0=1, b1=0,
-                bplus_l2=3, bminus_l2=19, geometry="analytic",
-                analytic_integrals=_k3_integrals()),
-            None),
+                bplus_l2=3, bminus_l2=19),
+            # hyperkahler K3: scalar and trace-free Ricci vanish, the
+            # curvature norm is pinned by the Euler and signature integrals
+            integrals=_exact_integrals(
+                I_R_full=768.0 * math.pi ** 2, I_R_endo=192.0 * math.pi ** 2,
+                I_r=0.0, I_s2=0.0, I_gb=24.0, I_p=-16.0)),
         CatalogEntry(
             ManifoldDescriptor(
                 name="taub-nut-1", kind="alf", b0=1, b1=0,
                 bplus_l2=0, bminus_l2=1, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=True, geometry="multi-taub-nut"),
+                h1_neck_trivial=True),
             MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))),
         CatalogEntry(
             ManifoldDescriptor(
                 name="taub-nut-2", kind="alf", b0=1, b1=0,
                 bplus_l2=0, bminus_l2=2, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=True, geometry="multi-taub-nut"),
+                h1_neck_trivial=True),
             MultiTaubNut(mass=0.5,
                          centers=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))),
         CatalogEntry(
             ManifoldDescriptor(
                 name="schwarzschild", kind="alf", b0=1, b1=0,
                 bplus_l2=1, bminus_l2=1, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=False, geometry="schwarzschild"),
+                h1_neck_trivial=False),
             Schwarzschild(mass=1.0)),
     ]
     return {e.name: e for e in entries}
@@ -106,8 +111,8 @@ def entry_integrals(entry: CatalogEntry, resolution: int = 4,
     entry has them, else integrals over its chart, cached under the
     parameters the integration uses.  An unusable record warns and is
     recomputed and overwritten; `no_cache` neither reads nor writes."""
-    if entry.descriptor.analytic_integrals is not None:
-        return entry.descriptor.analytic_integrals, None, False
+    if entry.integrals is not None:
+        return entry.integrals, None, False
     backend = entry.backend
     if backend is None:
         raise DescriptorError(
@@ -156,84 +161,62 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(map(finite_float, raw.replace(",", " ").split()))
+def finite_floats(text: str) -> tuple[float, ...]:
+    """`finite_float` of each comma- or blank-separated token of text."""
+    return tuple(map(finite_float, text.replace(",", " ").split()))
+
+
+def _triples(raw: str) -> tuple[tuple[float, ...], ...]:
+    flat = finite_floats(raw)
+    return tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
 
 
 def _signs(raw: str) -> tuple[int, ...]:
-    vals = _floats(raw)
+    vals = finite_floats(raw)
     if not all(v.is_integer() for v in vals):
         raise ValueError("string signs must be whole numbers")
     return tuple(int(v) for v in vals)
 
 
-# manifest key -> conversion of its raw string
+# manifest key -> (descriptor field, conversion of its raw string)
 _DESC_KEYS = {
-    "kind": str.strip, "b0": int, "b1": int, "bplus_l2": int,
-    "bminus_l2": int, "torsion_order": int, "b0_d": _dirichlet,
-    "b1_d": _dirichlet, "h1_neck_trivial": _bool, "geometry": str.strip,
-    "vol_flat_torus_factor": finite_float,
+    "kind": ("kind", str.strip), "b0": ("b0", int), "b1": ("b1", int),
+    "bplus_l2": ("bplus_l2", int), "bminus_l2": ("bminus_l2", int),
+    "torsion_order": ("torsion_order", int), "b0_d": ("b0_D", _dirichlet),
+    "b1_d": ("b1_D", _dirichlet), "h1_neck_trivial": ("h1_neck_trivial", _bool),
+    "vol_flat_torus_factor": ("vol_flat_torus_factor", finite_float),
 }
-_BACKEND_KEYS = {"mass": finite_float, "centers": _floats,
-                 "string_signs": _signs, "radius": finite_float,
-                 "radii": _floats}
-_ANALYTIC_KEYS = ("i_r_full", "i_r_endo", "i_ricci", "i_s2", "i_gb", "i_p")
-_KEY_TYPES = {**_DESC_KEYS, **_BACKEND_KEYS,
-              **dict.fromkeys(_ANALYTIC_KEYS, finite_float)}
-# manifest keys whose descriptor field is spelled differently
-_FIELDS = {"b0_d": "b0_D", "b1_d": "b1_D"}
+# geometry -> (what builds it, {manifest key: (argument, conversion)}); a
+# section passes only the keys it gives, so every default is the builder's
+_GEOMETRIES = {
+    FlatTorus.id: (FlatTorus, {"radii": ("radii", finite_floats)}),
+    RoundS4.id: (RoundS4, {"radius": ("a", finite_float)}),
+    MultiTaubNut.id: (MultiTaubNut, {
+        "mass": ("mass", finite_float), "centers": ("centers", _triples),
+        "string_signs": ("string_signs", _signs)}),
+    Schwarzschild.id: (Schwarzschild, {"mass": ("mass", finite_float)}),
+    "analytic": (_exact_integrals, {
+        key: (arg, finite_float) for key, arg in (
+            ("i_r_full", "I_R_full"), ("i_r_endo", "I_R_endo"),
+            ("i_ricci", "I_r"), ("i_s2", "I_s2"), ("i_gb", "I_gb"),
+            ("i_p", "I_p"))}),
+}
 
 
-def _convert(section: str, key: str, raw: str):
-    """`raw` through the conversion of `key`; a malformed value is a
-    `manifest-value` error, never a bare ValueError."""
-    try:
-        return _KEY_TYPES[key](raw)
-    except (ValueError, OverflowError) as exc:
-        raise DescriptorError("manifest-value",
-                              f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
-def _backend_from(section: str, geometry: str, vals: dict):
-    if geometry == "analytic":
-        return None
-    if geometry == "flat-torus":
-        radii = vals.get("radii", (1.0, 1.0, 1.0, 1.0))
-        if len(radii) != 4:
-            raise DescriptorError("manifest-value",
-                                  f"[{section}] radii needs 4 entries")
-        return FlatTorus(radii=radii)
-    if geometry == "round-s4":
-        return RoundS4(a=vals.get("radius", 1.0))
-    if geometry == "multi-taub-nut":
-        flat = vals.get("centers", (0.0, 0.0, 0.0))
-        if len(flat) % 3:
-            raise DescriptorError(
-                "manifest-value",
-                f"[{section}] centers needs 3 floats per center")
-        centers = tuple(tuple(flat[i:i + 3]) for i in range(0, len(flat), 3))
-        return MultiTaubNut(mass=vals.get("mass", 0.5), centers=centers,
-                            string_signs=vals.get("string_signs"))
-    if geometry == "schwarzschild":
-        return Schwarzschild(mass=vals.get("mass", 1.0))
-    raise DescriptorError("geometry-unknown",
-                          f"[{section}] geometry = {geometry!r}")
-
-
-def _analytic_from(section: str, vals: dict) -> CurvatureIntegrals | None:
-    present = [k for k in _ANALYTIC_KEYS if k in vals]
-    if not present:
-        return None
-    if len(present) != len(_ANALYTIC_KEYS):
-        missing = sorted(set(_ANALYTIC_KEYS) - set(present))
-        raise DescriptorError(
-            "manifest-value",
-            f"[{section}] analytic integrals incomplete, missing {missing}")
-    return CurvatureIntegrals(
-        I_R_full=vals["i_r_full"], I_R_endo=vals["i_r_endo"],
-        I_r=vals["i_ricci"], I_s2=vals["i_s2"], I_gb=vals["i_gb"],
-        I_p=vals["i_p"], error_estimate=0.0, resolution=0,
-        cutoff_rho=None, node_count=0)
+def _arguments(section: str, keys: dict, opts: dict) -> dict:
+    """The `keys` that `opts` gives, as arguments through their
+    conversions; a malformed value is a `manifest-value` error, never a
+    bare ValueError."""
+    out = {}
+    for key, (arg, convert) in keys.items():
+        if key in opts:
+            try:
+                out[arg] = convert(opts[key])
+            except (ValueError, OverflowError) as exc:
+                raise DescriptorError(
+                    "manifest-value",
+                    f"[{section}] {key} = {opts[key]!r}: {exc}") from None
+    return out
 
 
 def parse_manifest(path: str) -> dict:
@@ -252,27 +235,30 @@ def parse_manifest(path: str) -> dict:
                 "manifest-shadows-builtin",
                 f"[{section}] collides with a built-in entry")
         opts = dict(parser[section])
-        unknown = set(opts) - set(_KEY_TYPES)
+        geometry = opts.pop("geometry", "analytic")
+        if geometry not in _GEOMETRIES:
+            raise DescriptorError("geometry-unknown",
+                                  f"[{section}] geometry = {geometry!r}")
+        build, keys = _GEOMETRIES[geometry]
+        unknown = set(opts) - set(_DESC_KEYS) - set(keys)
         if unknown:
             raise DescriptorError(
                 "manifest-key-unknown",
-                f"[{section}] unknown keys {sorted(unknown)}")
-        vals = {key: _convert(section, key, raw) for key, raw in opts.items()}
-        kw = {"name": section}
-        kw.update((_FIELDS.get(key, key), v) for key, v in vals.items()
-                  if key in _DESC_KEYS)
-        analytic = _analytic_from(section, vals)
-        if analytic is not None:
-            kw["analytic_integrals"] = analytic
+                f"[{section}] {geometry} reads no {sorted(unknown)}")
+        desc_kw = _arguments(section, _DESC_KEYS, opts)
+        kw = _arguments(section, keys, opts)
         for key in ("b0", "b1", "bplus_l2", "bminus_l2", "kind"):
-            if key not in kw:
+            if key not in opts:
                 raise DescriptorError("manifest-key-missing",
                                       f"[{section}] needs {key}")
-        desc = ManifoldDescriptor(**kw)
-        backend = _backend_from(section, desc.geometry, vals)
-        if backend is None and analytic is None:
+        desc = ManifoldDescriptor(name=section, **desc_kw)
+        if geometry != "analytic":
+            out[section] = CatalogEntry(desc, backend=build(**kw))
+        elif len(kw) < len(keys):
             raise DescriptorError(
-                "manifest-incomplete",
-                f"[{section}] analytic geometry needs the i_* integral keys")
-        out[section] = CatalogEntry(descriptor=desc, backend=backend)
+                "manifest-value" if kw else "manifest-incomplete",
+                f"[{section}] analytic geometry needs the six i_* integral "
+                f"keys, missing {sorted(set(keys) - set(opts))}")
+        else:
+            out[section] = CatalogEntry(desc, integrals=build(**kw))
     return out

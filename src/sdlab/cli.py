@@ -257,25 +257,26 @@ def cmd_catalog(args):
     if args.action == "list":
         rows = []
         for name in list(builtin_names()) + sorted(extra):
-            d = (extra.get(name) or BUILTINS[name]).descriptor
-            rows.append({"name": name, "kind": d.kind, "b0": d.b0,
-                         "b1": d.b1, "bplus_l2": d.bplus_l2,
-                         "bminus_l2": d.bminus_l2, "geometry": d.geometry})
+            entry = extra.get(name) or BUILTINS[name]
+            d = entry.descriptor
+            rows.append({"name": name, "kind": d.kind, "b0": d.b0, "b1": d.b1,
+                         "bplus_l2": d.bplus_l2, "bminus_l2": d.bminus_l2,
+                         "geometry": entry.geometry})
         return {"action": "list"}, {"manifolds": rows}, {}
     entry = get_entry(args.name, extra)
     d = entry.descriptor
     results = {
         "name": d.name, "kind": d.kind, "b0": d.b0, "b1": d.b1,
         "bplus_l2": d.bplus_l2, "bminus_l2": d.bminus_l2,
-        "torsion_order": d.torsion_order, "geometry": d.geometry,
+        "torsion_order": d.torsion_order, "geometry": entry.geometry,
         "vol_flat_torus_factor": d.vol_flat_torus_factor}
     if d.kind == "alf":
         results.update(b0_D=d.b0_D, b1_D=d.b1_D,
                        h1_neck_trivial=d.h1_neck_trivial)
     if entry.backend is not None:
         results["backend_params"] = entry.backend.params
-    if d.analytic_integrals is not None:
-        results["analytic_integrals"] = d.analytic_integrals.as_dict()
+    if entry.integrals is not None:
+        results["analytic_integrals"] = entry.integrals.as_dict()
     return {"action": "show", "name": args.name}, results, {}
 
 

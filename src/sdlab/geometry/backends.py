@@ -118,6 +118,9 @@ class FlatTorus(GeometryBackend):
     cyclic_axes = (0, 1, 2, 3)
 
     def __post_init__(self):
+        if len(self.radii) != 4:
+            raise DescriptorError("radii-shape",
+                                  f"need 4 torus radii, got {self.radii}")
         if any(not r > 0 for r in self.radii):
             raise DescriptorError("radii-positive", f"torus radii {self.radii}")
 
@@ -241,6 +244,9 @@ class MultiTaubNut(GeometryBackend):
             raise DescriptorError("mass-positive", f"NUT mass {self.mass}")
         if not self.centers:
             raise DescriptorError("centers-nonempty", "need at least one center")
+        if any(len(c) != 3 for c in self.centers):
+            raise DescriptorError("centers-shape", f"need 3 coordinates "
+                                  f"per center, got {self.centers}")
         if self.string_signs is None:
             object.__setattr__(self, "string_signs", (1,) * len(self.centers))
         if len(self.string_signs) != len(self.centers):

@@ -49,7 +49,7 @@ S4 = ci(I_R_full=64 * PI2, I_R_endo=16 * PI2, I_r=96 * PI2,
         I_s2=384 * PI2, I_gb=2.0)
 TN1 = ci(I_R_full=32 * PI2, I_R_endo=8 * PI2, I_gb=1.0, I_p=-2.0 / 3.0)
 TN2 = ci(I_R_full=64 * PI2, I_R_endo=16 * PI2, I_gb=2.0, I_p=-4.0 / 3.0)
-K3 = get_entry("k3-analytic").descriptor.analytic_integrals
+K3 = get_entry("k3-analytic").integrals
 
 
 def desc(name):

@@ -1,6 +1,7 @@
 """Catalog entries, manifest parsing, canonical JSON, cache, CLI surface."""
 
 import json
+import inspect
 import math
 import os
 import pathlib
@@ -25,6 +26,7 @@ from sdlab.catalog import (
 )
 from sdlab.cli import main, parse_complex
 from sdlab.errors import DescriptorError, DomainError, UsageError
+from sdlab.geometry import GeometryBackend
 
 # ------------------------------------------------------------------- catalog
 
@@ -45,7 +47,7 @@ def test_analytic_integrals_take_precedence():
     entry = get_entry("k3-analytic")
     assert entry.backend is None
     ci, key, hit = entry_integrals(entry, resolution=64)
-    assert ci is entry.descriptor.analytic_integrals
+    assert ci is entry.integrals
     assert key is None and hit is False
 
 
@@ -110,7 +112,7 @@ def test_manifest_good_entries(tmp_path):
     assert set(entries) == {"my-k3", "off-axis-pair"}
     k3 = entries["my-k3"]
     assert k3.backend is None
-    w = weights_for(k3.descriptor, k3.descriptor.analytic_integrals)
+    w = weights_for(k3.descriptor, k3.integrals)
     assert w.alpha == pytest.approx(1.2, abs=1e-12)
     assert w.beta == pytest.approx(9.2, abs=1e-12)
     pair = entries["off-axis-pair"]
@@ -118,6 +120,31 @@ def test_manifest_good_entries(tmp_path):
     assert pair.backend.centers == ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
     assert pair.descriptor.b1_D == "derive"
     assert pair.descriptor.h1_neck_trivial is True
+
+
+def test_every_backend_is_in_the_geometry_table():
+    backends = {cls.id: cls for cls in GeometryBackend.__subclasses__()}
+    assert set(catalog._GEOMETRIES) == {*backends, "analytic"}
+    for geometry, (build, keys) in catalog._GEOMETRIES.items():
+        assert build is backends.get(geometry, catalog._exact_integrals)
+        params = inspect.signature(build).parameters
+        assert {arg for arg, _ in keys.values()} <= set(params), geometry
+
+
+def test_manifest_defaults_are_the_constructors(tmp_path):
+    # a section passes only the keys it gives
+    heads = {False: "kind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 0\n"
+                    "bminus_l2 = 0\n",
+             True: "kind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\n"
+                   "bminus_l2 = 1\nb0_d = derive\nb1_d = derive\n"
+                   "h1_neck_trivial = yes\n"}
+    classes = GeometryBackend.__subclasses__()
+    body = "".join(f"[{c.id}-x]\n{heads[c.alf]}geometry = {c.id}\n"
+                   for c in classes)
+    entries = parse_manifest(write_manifest(tmp_path, body))
+    for cls in classes:
+        entry = entries[f"{cls.id}-x"]
+        assert entry.backend == cls() and entry.geometry == cls.id
 
 
 def test_manifest_feeds_get_entry(tmp_path):
@@ -184,6 +211,21 @@ def test_manifest_unreadable(tmp_path):
      "geometry = multi-taub-nut\nmass = inf\n", "manifest-value"),
     ("[x]\nkind = compact\nb0 = 1\nb1 = 4\nbplus_l2 = 3\nbminus_l2 = 3\n"
      "geometry = flat-torus\nradii = 1 1 1 inf\n", "manifest-value"),
+    # a key that only another geometry reads
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\nradius = 2\n", "manifest-key-unknown"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 4\nbplus_l2 = 3\nbminus_l2 = 3\n"
+     "geometry = flat-torus\nmass = 2\n", "manifest-key-unknown"),
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 0\n"
+     "geometry = round-s4\ni_r_full = 1\ni_r_endo = 1\ni_ricci = 0\n"
+     "i_s2 = 0\ni_gb = 2\ni_p = 0\n", "manifest-key-unknown"),
+    # shapes the backend constructors check
+    ("[x]\nkind = compact\nb0 = 1\nb1 = 4\nbplus_l2 = 3\nbminus_l2 = 3\n"
+     "geometry = flat-torus\nradii = 1 1 1\n", "radii-shape"),
+    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
+     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
+     "geometry = multi-taub-nut\ncenters = 0 0\n", "centers-shape"),
 ])
 def test_manifest_rejections(tmp_path, body, slug):
     with pytest.raises(DescriptorError) as err:
