@@ -48,6 +48,16 @@ from . import quadrature as quad
 np = _lazy("numpy")
 
 
+def _check_lengths(lengths, coords=()) -> None:
+    """Each length in [1e-30, 1e30] and each coordinate within 1e30, else
+    `length-range`: the invariants scale as L^-4 and the volumes as L^4."""
+    bad = [v for v in lengths if not 1e-30 <= v <= 1e30]
+    bad += [c for c in coords if not abs(c) <= 1e30]
+    if bad:
+        raise DescriptorError("length-range", f"{bad[0]!r} outside "
+                              "[1e-30, 1e30] (coordinates: |x| <= 1e30)")
+
+
 @dataclass(frozen=True)
 class Segment:
     """One piece of a symmetry-reduced volume integral.
@@ -123,6 +133,7 @@ class FlatTorus(GeometryBackend):
                                   f"need 4 torus radii, got {self.radii}")
         if any(not r > 0 for r in self.radii):
             raise DescriptorError("radii-positive", f"torus radii {self.radii}")
+        _check_lengths(self.radii)
 
     @property
     def params(self) -> dict:
@@ -169,6 +180,7 @@ class RoundS4(GeometryBackend):
     def __post_init__(self):
         if not self.a > 0:
             raise DescriptorError("radius-positive", f"sphere radius {self.a}")
+        _check_lengths((self.a,))
 
     @property
     def params(self) -> dict:
@@ -247,6 +259,7 @@ class MultiTaubNut(GeometryBackend):
         if any(len(c) != 3 for c in self.centers):
             raise DescriptorError("centers-shape", f"need 3 coordinates "
                                   f"per center, got {self.centers}")
+        _check_lengths((self.mass,), [x for c in self.centers for x in c])
         if self.string_signs is None:
             object.__setattr__(self, "string_signs", (1,) * len(self.centers))
         if len(self.string_signs) != len(self.centers):
@@ -447,6 +460,7 @@ class Schwarzschild(GeometryBackend):
     def __post_init__(self):
         if not self.mass > 0:
             raise DescriptorError("mass-positive", f"mass {self.mass}")
+        _check_lengths((self.mass,))
 
     @property
     def params(self) -> dict:

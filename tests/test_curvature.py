@@ -15,10 +15,32 @@ import numpy as np
 import pytest
 
 from sdlab.catalog import builtin_names, get_entry
-from sdlab.errors import ChartError
+from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             curvature_at)
 from sdlab.geometry.curvature import curvature_batch
+
+
+# slug -> a constructor call that breaks the rule it names
+CONSTRUCTOR_RULES = {
+    "mass-positive": (MultiTaubNut, {"mass": 0.0}),
+    "radius-positive": (RoundS4, {"a": -1.0}),
+    "radii-positive": (FlatTorus, {"radii": (1.0, 1.0, 1.0, math.nan)}),
+    "radii-shape": (FlatTorus, {"radii": (1.0, 1.0, 1.0)}),
+    "centers-nonempty": (MultiTaubNut, {"centers": ()}),
+    "centers-shape": (MultiTaubNut, {"centers": ((0.0, 0.0),)}),
+    "string-signs-shape": (MultiTaubNut, {"string_signs": (1, 1)}),
+    "string-signs-values": (MultiTaubNut, {"string_signs": (0,)}),
+    "length-range": (Schwarzschild, {"mass": 1e31}),
+}
+
+
+@pytest.mark.parametrize("slug", CONSTRUCTOR_RULES)
+def test_constructor_rules(slug):
+    cls, kwargs = CONSTRUCTOR_RULES[slug]
+    with pytest.raises(DescriptorError) as err:
+        cls(**kwargs)
+    assert err.value.slug == slug
 
 
 def test_flat_torus_exactly_flat():
