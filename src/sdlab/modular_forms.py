@@ -125,9 +125,7 @@ def cot_contour_theta(u: complex, eps: float,
     The truncation half-width follows the Gaussian decay of the integrand;
     the quadrature is refined once and must stabilize within tol.
     """
-    u = complex(u)
-    if not u.imag > 0:
-        raise DomainError("im-u-positive", f"u = {u} not in the upper half-plane")
+    u = _as_tau(u)
     if not 0 < eps < 0.5:
         raise DomainError("eps-range",
                           f"eps = {eps} outside (0, 1/2); cot poles sit at integers")

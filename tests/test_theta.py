@@ -123,5 +123,6 @@ def test_contour_domain_checks():
         cot_contour_theta(1j, 0.0)
     with pytest.raises(DomainError):
         cot_contour_theta(1j, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         cot_contour_theta(complex(1.0, -0.2), 0.2)
+    assert err.value.slug == "tau-upper-half"
