@@ -21,7 +21,7 @@ from .assembly import (anomaly_counterterms, assemble_partition,
                        euler_number, imtau_exponent, neck_check,
                        pathological_partition, verify_modularity, weights_for)
 from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
-                      finite_float, get_entry, parse_manifest)
+                      finite_float, finite_floats, get_entry, parse_manifest)
 from .errors import SdlabError, UsageError
 from .geometry import boundary_report, curvature_at
 from .jsonio import canonical_dumps
@@ -60,7 +60,7 @@ def parse_complex(text: str) -> complex:
 def parse_floats(text: str, count: int | None = None,
                  label: str = "values") -> tuple[float, ...]:
     try:
-        vals = tuple(map(finite_float, text.replace(",", " ").split()))
+        vals = finite_floats(text)
     except ValueError:
         raise UsageError("float-list", f"{label}: {text!r}")
     if count is not None and len(vals) != count:
