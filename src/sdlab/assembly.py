@@ -92,17 +92,11 @@ class ModularWeights:
     sigma_phase: float  # half the signature-like integer in the phase
     convention: str
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class PartitionEvaluation:
     value: complex
     factors: dict
-
-    def as_dict(self) -> dict:
-        return {"value": self.value, "factors": dict(self.factors)}
 
 
 def neck_check(desc: ManifoldDescriptor) -> dict:

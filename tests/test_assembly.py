@@ -184,11 +184,6 @@ def test_unknown_convention_rejected():
     assert err.value.slug == "convention-unknown"
 
 
-def test_weights_as_dict():
-    d = weights_for(desc("k3-analytic"), K3).as_dict()
-    assert set(d) == {"alpha", "beta", "sigma_phase", "convention"}
-
-
 # ---------------------------------------------------------- partition values
 
 
@@ -229,11 +224,6 @@ def test_partition_requires_upper_half_plane():
     with pytest.raises(DomainError) as err:
         assemble_partition(desc("k3-analytic"), 0.3 - 0.8j, curv=K3)
     assert err.value.slug == "tau-upper-half"
-
-
-def test_partition_as_dict():
-    d = assemble_partition(desc("k3-analytic"), 1j, curv=K3).as_dict()
-    assert set(d) == {"value", "factors"}
 
 
 # ------------------------------------------------------------ modular law
