@@ -149,8 +149,7 @@ def _bool(raw: str) -> bool:
 
 
 def _dirichlet(raw: str) -> int | str:
-    raw = raw.strip()
-    return "derive" if raw == "derive" else int(raw)
+    return "derive" if raw.strip() == "derive" else int(raw)
 
 
 def finite_float(text: str) -> float:
@@ -178,14 +177,13 @@ def _signs(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in vals)
 
 
-# manifest key -> (descriptor field, conversion of its raw string)
-_DESC_KEYS = {
-    "kind": ("kind", str.strip), "b0": ("b0", int), "b1": ("b1", int),
-    "bplus_l2": ("bplus_l2", int), "bminus_l2": ("bminus_l2", int),
-    "torsion_order": ("torsion_order", int), "b0_d": ("b0_D", _dirichlet),
-    "b1_d": ("b1_D", _dirichlet), "h1_neck_trivial": ("h1_neck_trivial", _bool),
-    "vol_flat_torus_factor": ("vol_flat_torus_factor", finite_float),
-}
+# manifest key (the field name, lowercased as configparser reads keys) ->
+# (descriptor field, conversion of its raw string)
+_DESC_KEYS = {field.lower(): (field, convert) for field, convert in (
+    ("kind", str.strip), ("b0", int), ("b1", int), ("bplus_l2", int),
+    ("bminus_l2", int), ("torsion_order", int), ("b0_D", _dirichlet),
+    ("b1_D", _dirichlet), ("h1_neck_trivial", _bool),
+    ("vol_flat_torus_factor", finite_float))}
 # geometry -> (what builds it, {manifest key: (argument, conversion)}); a
 # section passes only the keys it gives, so every default is the builder's
 _GEOMETRIES = {
@@ -196,17 +194,15 @@ _GEOMETRIES = {
         "string_signs": ("string_signs", _signs)}),
     Schwarzschild.id: (Schwarzschild, {"mass": ("mass", finite_float)}),
     "analytic": (_exact_integrals, {
-        key: (arg, finite_float) for key, arg in (
-            ("i_r_full", "I_R_full"), ("i_r_endo", "I_R_endo"),
-            ("i_ricci", "I_r"), ("i_s2", "I_s2"), ("i_gb", "I_gb"),
-            ("i_p", "I_p"))}),
+        key: (arg, finite_float) for key, arg in zip(
+            ("i_r_full", "i_r_endo", "i_ricci", "i_s2", "i_gb", "i_p"),
+            ("I_R_full", "I_R_endo", "I_r", "I_s2", "I_gb", "I_p"))}),
 }
 
 
 def _arguments(section: str, keys: dict, opts: dict) -> dict:
-    """The `keys` that `opts` gives, as arguments through their
-    conversions; a malformed value is a `manifest-value` error, never a
-    bare ValueError."""
+    """The `keys` that `opts` gives, as arguments through their conversions;
+    a malformed value is a `manifest-value` error, never a ValueError."""
     out = {}
     for key, (arg, convert) in keys.items():
         if key in opts:

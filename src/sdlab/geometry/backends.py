@@ -51,11 +51,10 @@ np = _lazy("numpy")
 def _check_lengths(lengths, coords=()) -> None:
     """Each length in [1e-30, 1e30] and each coordinate within 1e30, else
     `length-range`: the invariants scale as L^-4 and the volumes as L^4."""
-    bad = [v for v in lengths if not 1e-30 <= v <= 1e30]
-    bad += [c for c in coords if not abs(c) <= 1e30]
-    if bad:
-        raise DescriptorError("length-range", f"{bad[0]!r} outside "
-                              "[1e-30, 1e30] (coordinates: |x| <= 1e30)")
+    if not (all(1e-30 <= v <= 1e30 for v in lengths)
+            and all(abs(c) <= 1e30 for c in coords)):
+        raise DescriptorError("length-range", f"lengths {tuple(lengths)} "
+                              f"and coordinates {tuple(coords)}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class FlatTorus(GeometryBackend):
 
     def __post_init__(self):
         if len(self.radii) != 4:
-            raise DescriptorError("radii-shape",
-                                  f"need 4 torus radii, got {self.radii}")
+            raise DescriptorError("radii-shape", f"need 4 radii: {self.radii}")
         if any(not r > 0 for r in self.radii):
             raise DescriptorError("radii-positive", f"torus radii {self.radii}")
         _check_lengths(self.radii)
@@ -257,8 +255,7 @@ class MultiTaubNut(GeometryBackend):
         if not self.centers:
             raise DescriptorError("centers-nonempty", "need at least one center")
         if any(len(c) != 3 for c in self.centers):
-            raise DescriptorError("centers-shape", f"need 3 coordinates "
-                                  f"per center, got {self.centers}")
+            raise DescriptorError("centers-shape", "need 3 coordinates per center")
         _check_lengths((self.mass,), [x for c in self.centers for x in c])
         if self.string_signs is None:
             object.__setattr__(self, "string_signs", (1,) * len(self.centers))
