@@ -53,8 +53,9 @@ def _check_lengths(lengths, coords=()) -> None:
     `length-range`: the invariants scale as L^-4 and the volumes as L^4."""
     if not (all(1e-30 <= v <= 1e30 for v in lengths)
             and all(abs(c) <= 1e30 for c in coords)):
-        raise DescriptorError("length-range", f"lengths {tuple(lengths)} "
-                              f"and coordinates {tuple(coords)}")
+        raise DescriptorError(
+            "length-range", f"lengths {tuple(lengths)} must lie in [1e-30, "
+            f"1e30] and coordinates {tuple(coords)} within 1e30")
 
 
 @dataclass(frozen=True)
