@@ -334,8 +334,10 @@ class MultiTaubNut(GeometryBackend):
                              f"point within {worst:.3e} of a center or Dirac string")
 
     def geometry_scale(self) -> float:
-        reach = max((math.hypot(cx, cy, cz) for (cx, cy, cz) in self.centers),
-                    default=0.0)
+        # the spread of the centres about their centroid, the point the
+        # truncation surface is centred on, so translation changes nothing
+        c = [sum(x) / len(self.centers) for x in zip(*self.centers)]
+        reach = max(math.dist(p, c) for p in self.centers)
         return self.mass + reach
 
     def sample_points(self, count: int) -> np.ndarray:

@@ -12,9 +12,12 @@ when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts),
 1 on the flat torus.  First and second derivatives come from one
 (20, m) weight table applied as a single matmul, and the Christoffel
 and Riemann assembly is batched matmuls on reshaped views.  `curvature_batch`
-evaluates exactly the points it is given in one vectorized pass; callers
-with many points bound the batch themselves (the volume integrand,
-``integrals._columns``, feeds it a fixed-size chunk at a time).
+evaluates exactly the points it is given in one vectorized pass, and its
+working arrays grow with the batch (about 25 KiB per Taub-NUT point), so
+callers with many points bound the batch themselves: the volume
+integrand, ``integrals._columns``, feeds it 256 points at a time, a size
+whose arrays stay near one core's L2 cache (``integrals`` gives the scan
+that chose it).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -41,7 +44,9 @@ np = _lazy("numpy")
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
 _W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# the contraction orders einsum's own search picks for n = 1 to 4096 points;
+# the contraction orders einsum's own search picks for every batch of n = 1
+# to 4096 points, the range callers use (the boundary's five-point flux
+# batch is the largest, the volume integrand's chunk is integrals._CHUNK);
 # fixed here so no call pays for the search
 _FRAME_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
 _PONTRYAGIN_PATH = ["einsum_path", (0, 1), (0, 1)]

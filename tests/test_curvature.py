@@ -18,6 +18,7 @@ from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             curvature_at)
+from sdlab.geometry import curvature, integrals
 from sdlab.geometry.curvature import curvature_batch
 
 
@@ -232,3 +233,20 @@ def test_one_cyclic_axis_needs_61_metric_points(monkeypatch):
     monkeypatch.setattr(MultiTaubNut, "metric", spy)
     curvature_batch(backend, backend.sample_points(7))
     assert sizes == [61 * 7]
+
+
+# ------------------------------------------------------- fixed einsum paths
+
+
+@pytest.mark.parametrize("n", [1, integrals._CHUNK])
+def test_fixed_einsum_paths_are_the_searched_ones(n):
+    # the paths are fixed to skip the search on every call; they must be
+    # the ones the search picks at every batch size the callers use
+    legs = np.ones((n, 4, 4))
+    r = np.ones((n, 4, 4, 4, 4))
+    frame = np.einsum_path("nia,njb,nkc,nld,nijkl->nabcd",
+                           legs, legs, legs, legs, r, optimize=True)[0]
+    pontryagin = np.einsum_path("nabcd,nabef,cdef->n", r, r,
+                                curvature._levi_civita4(), optimize=True)[0]
+    assert frame == curvature._FRAME_PATH
+    assert pontryagin == curvature._PONTRYAGIN_PATH

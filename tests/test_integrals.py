@@ -10,6 +10,7 @@ doubles both.  The flat torus integrates identically to zero.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ def test_two_center_string_gauge_invariant(centers, signs):
     assert two_center_i_gb(centers, signs) == two_center_i_gb(centers)
 
 
+@pytest.mark.parametrize("centers, shift", [
+    (((0.0, 0.0, 0.0),), (1e4, 0.0, 0.0)),
+    (((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)), (1e3, 0.0, 0.0))])
+def test_translated_centers_integrate_alike(centers, shift):
+    # moving every centre by one vector changes no invariant, so neither
+    # the geometry scale nor the default cutoff may move
+    here = MultiTaubNut(0.5, centers)
+    there = MultiTaubNut(0.5, tuple(tuple(x + d for x, d in zip(c, shift))
+                                    for c in centers))
+    assert there.geometry_scale() == here.geometry_scale()
+    a = integrate_invariants(here, resolution=2)
+    b = integrate_invariants(there, resolution=2)
+    assert b.cutoff_rho == a.cutoff_rho
+    assert b.I_gb == pytest.approx(a.I_gb, abs=1e-9)
+
+
 def test_schwarzschild_targets(schw_integrals):
     ci = schw_integrals
     assert ci.I_gb == pytest.approx(2.0, rel=0.01)
@@ -192,4 +209,30 @@ def test_integrand_batches_are_bounded(monkeypatch):
     integrate_invariants(backend("taub-nut-2"), resolution=2)
     # the refined outer mesh has more nodes than one chunk
     assert sum(sizes) > integrals._CHUNK
-    assert max(sizes) == integrals._CHUNK == 4096
+    assert max(sizes) == integrals._CHUNK == 256
+
+
+def test_chunk_size_does_not_change_integrals(monkeypatch):
+    # every node is computed on its own and sums run in node order, so
+    # any chunk, one that divides no mesh (1000) included, gives equal
+    # values
+    results = []
+    for chunk in (integrals._CHUNK, 4096, 1000):
+        monkeypatch.setattr(integrals, "_CHUNK", chunk)
+        results.append(integrate_invariants(backend("taub-nut-2"),
+                                            resolution=2).as_dict())
+    assert results[0] == results[1] == results[2]
+
+
+def test_integral_peak_memory_is_bounded():
+    # a chunk's working set, not the mesh, sets the peak: about 8.8 MiB
+    # at 256 nodes a chunk, against 104 MiB at 4096
+    b = backend("taub-nut-2")
+    integrate_invariants(b, resolution=1)     # lazy imports and tables
+    tracemalloc.start()
+    try:
+        integrate_invariants(b, resolution=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
