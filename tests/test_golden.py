@@ -8,9 +8,10 @@ record the corpus again after an intended change of output, run
     PYTHONPATH=src python tests/test_golden.py
 
 which also prints each case whose stdout or exit code moved, with the
-JSON key path of each changed string and the largest
-|new - old| / max(1, |old|) over the numbers in its stdout with the key
-path of that number, and say in CHANGES.md which outputs moved and why.
+JSON key path of each removed, added or changed non-number value and the
+largest |new - old| / max(1, |old|) over the numbers both stdouts share
+with the key path of that number, and say in CHANGES.md which outputs
+moved and why.
 """
 
 import contextlib
@@ -100,22 +101,24 @@ def _leaves(value, path=""):
 
 def drift(old: dict, new: dict) -> list[str]:
     """How one recorded case moved: its exit code, the key path of each
-    changed value that is not a number, and the largest relative change
-    of the numbers in its stdout with the key path where it happened (or
-    that the stdout changed shape)."""
+    removed, added or changed value that is not a number, and the largest
+    relative change of the numbers at the key paths both stdouts share,
+    with the path where it happened (or that a stdout is not JSON)."""
     notes = []
     if old["code"] != new["code"]:
         notes.append(f"exit code {old['code']} -> {new['code']}")
     if old["stdout"] == new["stdout"]:
         return notes
     try:
-        a, b = ([*_leaves(json.loads(case["stdout"]))] for case in (old, new))
+        a, b = (dict(_leaves(json.loads(case["stdout"])))
+                for case in (old, new))
     except ValueError:
-        a = b = []
-    if not a or [path for path, _ in a] != [path for path, _ in b]:
-        return notes + ["stdout changed beyond its numbers"]
+        return notes + ["stdout is not JSON"]
+    notes += [f"{path} removed" for path in a if path not in b]
+    notes += [f"{path} added" for path in b if path not in a]
     moves = []
-    for (path, x), (_, y) in zip(a, b):
+    for path, x in a.items():
+        y = b.get(path, x)
         if x == y and type(x) is type(y):
             continue
         if type(x) in (int, float) and type(y) in (int, float):
@@ -205,7 +208,16 @@ def test_drift_names_what_moved():
     new = {"code": 0, "stdout": '{"v40_integral": 2.0, "I_gb": -0.25}'}
     assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
     new = {"code": 0, "stdout": '{"v41_integral": 2.0, "I_gb": -0.5}'}
-    assert drift(old, new) == ["stdout changed beyond its numbers"]
+    assert drift(old, new) == ["v40_integral removed", "v41_integral added"]
+    assert drift(old, dict(old, stdout="Traceback")) == [
+        "stdout is not JSON"]
+    reports = {"code": 0, "stdout": '{"reports": [{"v40": 1.0, "flux": 0.0}'
+                                    ', {"v40": 0.5, "flux": 0.0}]}'}
+    shrunk = {"code": 0, "stdout": '{"reports": [{"v40": 1.5}, '
+                                   '{"v40": 0.5}]}'}
+    assert drift(reports, shrunk) == [
+        "reports[0].flux removed", "reports[1].flux removed",
+        "max |d|/max(1,|old|) = 5.00e-01 at reports[0].v40"]
     keyed = {"code": 0, "stdout": '{"cache_key": "9a0f", "I_gb": -0.5}'}
     rekeyed = {"code": 0, "stdout": '{"cache_key": "17be", "I_gb": -0.25}'}
     assert drift(keyed, rekeyed) == [
