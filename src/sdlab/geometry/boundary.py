@@ -11,14 +11,16 @@ Conventions: e4 = dF/|dF|_g is the outward unit normal and Pi_ij =
 g(grad_{e_i} e_j, e4) on tangent frame indices, so a round sphere in flat
 space carries Pi = -(1/rho) * identity.  The part of grad e4 along dF drops
 out on tangent legs, hence Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F)
-/ |dF|_g.  g, Gam and Riemann come from one curvature batch on the surface;
-e1..e4 are Gram-Schmidt on the chart tangents and e4 by the kernel's
-Cholesky rule.  Off the surface, one `curvature._five_point` call each
-gives the chart Hessian of F (``level_gradient``, step 1e-3 rho, no
-metric) and the normal derivative of the scalar curvature (one batch on 4n
-points along e4, step 0.05 rho; each point's curvature step is 5e-3 x its
-own ``fd_scale``, a wide outer and small inner step that keep the quotient
-above the kernel's noise floor).
+/ |dF|_g.  g, Gam and Riemann come from the one curvature batch, on the
+surface; e1..e4 are Gram-Schmidt on the chart tangents and e4 by the
+kernel's Cholesky rule; the chart Hessian of F is `curvature._five_point`
+on ``level_gradient`` (step 1e-3 rho, no metric).
+
+Every ALF backend is Ricci-flat (Gibbons-Hawking metrics are hyperkaehler,
+Euclidean Schwarzschild is a vacuum solution; acceptance criterion 04
+checks each), so the heat densities take that form: s = 0, sum_i R_i4i4 =
+Ric_44 = 0 and sum_j R_ijkj = -R_i4k4 on tangent legs.  No normal
+derivative of s is taken, and v41 = 4 v40 term by term.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class TruncationReport:
     v40_integral: float
     v41_integral: float
     boundary_area: float
-    normal_s_flux: float
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -79,8 +80,9 @@ def _second_fundamental_form(backend, pts, jac, main, rho):
 
 def boundary_report(backend: GeometryBackend, rho: float,
                     resolution: int = 8) -> TruncationReport:
-    """Second fundamental form and heat-coefficient boundary integrals
-    on the truncation sphere of chart radius rho."""
+    """Second fundamental form and heat-coefficient boundary integrals on
+    the truncation sphere of chart radius rho, from one curvature batch on
+    the surface; the metric must be Ricci-flat (see the module docstring)."""
     if not getattr(backend, "alf", False):
         raise DomainError("boundary-needs-alf",
                           f"no truncation boundary for {type(backend).__name__}")
@@ -104,15 +106,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
     pi_sup = float(np.max(np.abs(np.linalg.eigvalsh(pi))))
 
     r_ad = _frame_components(main.riemann_low, legs)
-    r_i4i4 = np.einsum("naa->n", r_ad[:, :3, 3, :3, 3])
     r_i4j4_pi = np.einsum("nij,nij->n", r_ad[:, :3, 3, :3, 3], pi)
-    r_ijkj_pi = np.einsum("nijkj,nik->n", r_ad[:, :3, :3, :3, :3], pi)
-    s = main.scalar
-
-    def scalar_at(x):
-        return curvature_batch(backend, x, h=5e-3 * backend.fd_scale(x)).scalar
-
-    ds4 = _five_point(scalar_at, pts, legs[:, None, :, 3], 0.05 * rho)[:, 0]
 
     # induced metric on the (theta, circle, circle) parametrization
     h_ind = np.einsum("nma,nmk,nkb->nab", jac, main.g, jac)
@@ -124,21 +118,12 @@ def boundary_report(backend: GeometryBackend, rho: float,
     flux = sqrt_h * h_up_tt * dtr
     lap_tr = _deriv_even(flux, step, parity=-1) / sqrt_h
 
-    v40 = (-138.0 * ds4 + 140.0 * s * tr_pi + 4.0 * r_i4i4 * tr_pi
-           - 12.0 * r_i4j4_pi + 4.0 * r_ijkj_pi + 24.0 * lap_tr
-           + (40.0 / 21.0) * tr_pi ** 3 - (88.0 / 7.0) * pi_pi * tr_pi
-           + (320.0 / 21.0) * pi3) / 360.0
-    v41 = (-192.0 * ds4 + 200.0 * s * tr_pi + 16.0 * r_i4i4 * tr_pi
-           - 48.0 * r_i4j4_pi + 16.0 * r_ijkj_pi + 96.0 * lap_tr
-           + (160.0 / 21.0) * tr_pi ** 3 - (352.0 / 7.0) * pi_pi * tr_pi
-           + (1280.0 / 21.0) * pi3) / 360.0
+    v40 = (-16.0 * r_i4j4_pi + 24.0 * lap_tr + (40.0 / 21.0) * tr_pi ** 3
+           - (88.0 / 7.0) * pi_pi * tr_pi + (320.0 / 21.0) * pi3) / 360.0
 
     measure = circumference * step * sqrt_h
-    area = float(np.sum(measure))
-    return TruncationReport(
-        rho=float(rho),
-        pi_sup=pi_sup,
-        v40_integral=float(np.sum(measure * v40)),
-        v41_integral=float(np.sum(measure * v41)),
-        boundary_area=area,
-        normal_s_flux=float(np.sum(measure * ds4)))
+    v40_integral = float(np.sum(measure * v40))
+    return TruncationReport(rho=float(rho), pi_sup=pi_sup,
+                            v40_integral=v40_integral,
+                            v41_integral=4.0 * v40_integral,
+                            boundary_area=float(np.sum(measure)))

@@ -45,9 +45,9 @@ _OFFS = (-2.0, -1.0, 1.0, 2.0)
 _W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the contraction orders einsum's own search picks for every batch of n = 1
-# to 4096 points, the range callers use (the boundary's five-point flux
-# batch is the largest, the volume integrand's chunk is integrals._CHUNK);
-# fixed here so no call pays for the search
+# to 4096 points, which holds every batch callers make (a boundary report's
+# surface, at most 1024 points, is the largest; the volume integrand's
+# chunk is integrals._CHUNK); fixed here so no call pays for the search
 _FRAME_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
 _PONTRYAGIN_PATH = ["einsum_path", (0, 1), (0, 1)]
 

@@ -66,8 +66,14 @@ def _shell_norms(basis: np.ndarray) -> np.ndarray:
 
 
 def _epstein(basis: np.ndarray):
-    """The Epstein zeta of one lattice as a function of s.  Validation,
-    inversion and both shell scans do not depend on s and run once."""
+    """The Epstein zeta of one lattice as a function of s: the analytic
+    continuation of sum |v|^(-2s) over the nonzero lattice.
+
+    Incomplete-gamma representation split at the self-dual scale; both
+    the lattice and its dual are summed to a certified exponential tail.
+    Valid for real s away from 0 and 2 (the explicit pole terms carry the
+    continuation there).  Validation, inversion and both shell scans do
+    not depend on s and run once."""
     from scipy import special as sc
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (4, 4):
@@ -86,17 +92,6 @@ def _epstein(basis: np.ndarray):
         bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
         return math.pi ** s / sc.gamma(s) * bracket
     return zeta
-
-
-def epstein_zeta(s: float, basis: np.ndarray) -> float:
-    """Analytic continuation of sum |v|^(-2s) over the nonzero lattice.
-
-    Incomplete-gamma representation split at the self-dual scale; both
-    the lattice and its dual are summed to a certified exponential tail.
-    Valid for real s away from 0 and 2 (the explicit pole terms carry
-    the continuation there).
-    """
-    return _epstein(basis)(s)
 
 
 def epstein_zeta_at_zero(basis: np.ndarray, delta: float = 1e-4):
@@ -139,7 +134,6 @@ def torus_zeta_zero(lattice: np.ndarray, k: int) -> SpectralZetaResult:
 
 
 _U4_WEIGHTS = {0: (2.0, -2.0, 5.0), 1: (-22.0, 172.0, -40.0)}
-_DIV_S_WEIGHT = {0: 12.0, 1: 48.0}
 
 
 def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
@@ -147,10 +141,10 @@ def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
 
     Closed case: -b^k plus the quartic heat coefficient built from the
     full-contraction invariants.  With a boundary report, the Dirichlet
-    Betti number replaces b^k, the quartic boundary integral is added,
-    and the bulk scalar-Laplacian term is included as the equivalent
-    normal flux through the boundary.
-    """
+    Betti number replaces b^k and the quartic boundary integral (v40 for
+    k = 0, v41 for k = 1) is added.  The bulk Laplacian-of-s term, a flux
+    of the normal derivative of s through the boundary, is zero: boundary
+    reports are made on Ricci-flat metrics only."""
     k = int(k)
     if k not in (0, 1):
         raise DomainError("form-degree", f"heat formula implemented for "
@@ -165,8 +159,7 @@ def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
     else:
         b_k = harmonic_count(topo, k)
         v4 = boundary.v40_integral if k == 0 else boundary.v41_integral
-        flux = -_DIV_S_WEIGHT[k] / 360.0 * boundary.normal_s_flux
-        value = -b_k + bulk + (v4 + flux) / (16.0 * math.pi ** 2)
+        value = -b_k + bulk + v4 / (16.0 * math.pi ** 2)
     return SpectralZetaResult(zeta_at_zero=float(value),
                               method="heat-kernel-formula",
                               truncation_error=float(err))

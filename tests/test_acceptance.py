@@ -19,7 +19,7 @@ from sdlab.assembly import (
     verify_modularity,
     weights_for,
 )
-from sdlab.catalog import entry_integrals, get_entry
+from sdlab.catalog import _GEOMETRIES, entry_integrals, get_entry
 from sdlab.errors import ConsistencyError
 from sdlab.geometry.curvature import curvature_at
 from sdlab.geometry.boundary import boundary_report
@@ -82,8 +82,13 @@ def test_criterion_03_gauss_bonnet_integrals():
 
 
 def test_criterion_04_ricci_flatness_of_alf_metrics():
-    """|Ricci| <= 1e-6 |Riemann| at 50 sampled points on each ALF space."""
-    for name in ("taub-nut-1", "schwarzschild"):
+    """|Ricci| <= 1e-6 |Riemann| at 50 sampled points on each ALF space.
+    Boundary reports rest on this, so every ALF backend is tested."""
+    names = ("taub-nut-1", "taub-nut-2", "schwarzschild")
+    alf = {build for build, _ in _GEOMETRIES.values()
+           if getattr(build, "alf", False)}
+    assert {type(get_entry(name).backend) for name in names} == alf
+    for name in names:
         backend = get_entry(name).backend
         for point in backend.sample_points(50):
             s = curvature_at(backend, point)

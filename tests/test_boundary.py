@@ -55,22 +55,6 @@ def test_asymptotic_area_and_sup_scale(tn_reports):
         assert rep.pi_sup * rho == pytest.approx(1.0, rel=0.05)
 
 
-def test_scalar_flux_is_small(tn_reports):
-    # Ricci-flat space: the normal scalar-curvature flux is pure noise
-    for rep in tn_reports:
-        assert abs(rep.normal_s_flux) < 1e-3
-
-
-@pytest.mark.parametrize("resolution", [2, 4])
-def test_schwarzschild_scalar_flux_is_small(resolution):
-    # Ricci-flat as well; each point's curvature step follows its own
-    # chart scale, so rows near the poles do not coarsen the rest
-    b = get_entry("schwarzschild").backend
-    for rho in RADII:
-        rep = boundary_report(b, rho, resolution=resolution)
-        assert abs(rep.normal_s_flux) < 1e-3
-
-
 def test_schwarzschild_report():
     b = get_entry("schwarzschild").backend
     rep = boundary_report(b, 30.0, resolution=4)
@@ -95,10 +79,28 @@ def test_schwarzschild_pi_eigenvalues_exact(rho):
     assert np.max(err) <= 1e-9 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("rho", [20, 80, 320])
+def test_schwarzschild_v40_exact(rho):
+    # Pi has eigenvalues lam on the (theta, psi, phi) legs and R_i4i4 reads
+    # K there; trPi is constant, so its surface Laplacian drops out
+    b = get_entry("schwarzschild").backend
+    m = b.mass
+    f = math.sqrt(1.0 - 2.0 * m / rho)
+    lam = np.array([-f / rho, -m / (rho * rho * f), -f / rho])
+    k = np.array([-m, 2.0 * m, -m]) / rho ** 3
+    density = (-16.0 * np.sum(k * lam) + (40.0 / 21.0) * np.sum(lam) ** 3
+               - (88.0 / 7.0) * np.sum(lam ** 2) * np.sum(lam)
+               + (320.0 / 21.0) * np.sum(lam ** 3)) / 360.0
+    rep = boundary_report(b, rho, resolution=2)
+    assert rep.v40_integral == pytest.approx(density * rep.boundary_area,
+                                             rel=1e-5)
+    assert rep.v41_integral == 4.0 * rep.v40_integral
+
+
 @pytest.mark.parametrize("name", ["taub-nut-1", "schwarzschild"])
-def test_report_makes_two_kernel_calls(monkeypatch, name):
-    # one batch on the surface, one on the points moved along the normal;
-    # the metric is evaluated only by the kernel's stencil
+def test_report_makes_one_kernel_call(monkeypatch, name):
+    # one batch on the surface, whose metric is evaluated only by the
+    # kernel's stencil
     b = get_entry(name).backend
     batches, metric_calls, inside = [], [], []
     batch, derivs = curvature.curvature_batch, curvature._metric_derivatives
@@ -123,8 +125,8 @@ def test_report_makes_two_kernel_calls(monkeypatch, name):
     monkeypatch.setattr(curvature, "_metric_derivatives", spy_derivs)
     monkeypatch.setattr(type(b), "metric", spy_metric)
     boundary_report(b, 30.0, resolution=4)
-    assert batches == [64, 4 * 64]
-    assert metric_calls == [True, True]
+    assert batches == [64]
+    assert metric_calls == [True]
 
 
 def test_as_dict_round_trip(tn_reports):
