@@ -332,10 +332,8 @@ def cmd_verify_decay(args):
                for r in rhos]
     ratios = [b.pi_sup / a.pi_sup for a, b in zip(reports, reports[1:])]
     ratios_ok = all(0.45 <= q <= 0.55 for q in ratios)
-    v40 = [abs(r.v40_integral) for r in reports]
-    v41 = [abs(r.v41_integral) for r in reports]
-    decreasing = (all(a > b for a, b in zip(v40, v40[1:]))
-                  and all(a > b for a, b in zip(v41, v41[1:])))
+    v40 = [abs(r.v40_integral) for r in reports]  # v41 = 4 v40
+    decreasing = all(a > b for a, b in zip(v40, v40[1:]))
     order = -float(np.polyfit(np.log(rhos), np.log(v40), 1)[0])
     return ({"manifold": entry.name, "rho": list(rhos),
              "resolution": args.resolution},

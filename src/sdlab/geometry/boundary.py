@@ -123,7 +123,9 @@ def boundary_report(backend: GeometryBackend, rho: float,
 
     measure = circumference * step * sqrt_h
     v40_integral = float(np.sum(measure * v40))
-    return TruncationReport(rho=float(rho), pi_sup=pi_sup,
-                            v40_integral=v40_integral,
-                            v41_integral=4.0 * v40_integral,
-                            boundary_area=float(np.sum(measure)))
+    return TruncationReport(
+        rho=float(rho),
+        pi_sup=pi_sup,
+        v40_integral=v40_integral,
+        v41_integral=4.0 * v40_integral,
+        boundary_area=float(np.sum(measure)))
