@@ -3,7 +3,9 @@
 Every backend evaluates its metric on batches of chart points (shape
 (n, 4) -> (n, 4, 4)); all higher geometry is finite differences on top of
 these evaluations, so the metric functions are kept branch-free and
-vectorized.
+vectorized.  Each writes one contiguous row per component
+(`_component_rows`) and returns the (n, 4, 4) view of those rows, which
+the curvature kernel reads back as rows.
 
 Charts and conventions:
 
@@ -48,6 +50,14 @@ from . import quadrature as quad
 np = _lazy("numpy")
 
 
+def _component_rows(n: int):
+    """A zeroed (16, n) buffer whose row 4i + j holds g_ij at n points, and
+    the (n, 4, 4) view of it that `metric` returns: each component is one
+    contiguous row write."""
+    rows = np.zeros((16, n))
+    return rows, rows.T.reshape(n, 4, 4)
+
+
 def _check_lengths(lengths, coords=()) -> None:
     """Each length in [1e-30, 1e30] and each coordinate within 1e30, else
     `length-range`: the invariants scale as L^-4 and the volumes as L^4."""
@@ -89,7 +99,8 @@ class GeometryBackend:
         raise NotImplementedError
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        """Batch metric, (n, 4) -> (n, 4, 4), positive definite."""
+        """Batch metric, (n, 4) -> (n, 4, 4), positive definite and
+        exactly symmetric: the view `_component_rows` returns."""
         raise NotImplementedError
 
     def fd_scale(self, x: np.ndarray) -> np.ndarray:
@@ -104,10 +115,6 @@ class GeometryBackend:
 
     def geometry_scale(self) -> float:
         """Single length scale used by cutoff preconditions."""
-        raise NotImplementedError
-
-    def sample_points(self, count: int) -> np.ndarray:
-        """Deterministic spread of interior points for pointwise checks."""
         raise NotImplementedError
 
     def reduction(self, resolution: int, cutoff: float | None):
@@ -139,10 +146,9 @@ class FlatTorus(GeometryBackend):
         return {"radii": list(self.radii)}
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        g = np.zeros((x.shape[0], 4, 4))
+        rows, g = _component_rows(np.atleast_2d(x).shape[0])
         for i, r in enumerate(self.radii):
-            g[:, i, i] = r * r
+            rows[5 * i] = r * r
         return g
 
     def fd_scale(self, x: np.ndarray) -> np.ndarray:
@@ -153,13 +159,6 @@ class FlatTorus(GeometryBackend):
 
     def geometry_scale(self) -> float:
         return max(self.radii)
-
-    def sample_points(self, count: int) -> np.ndarray:
-        t = np.arange(count, dtype=float)
-        return np.stack([(0.1 + 0.61 * t) % (2 * math.pi),
-                         (0.7 + 0.37 * t) % (2 * math.pi),
-                         (1.3 + 0.23 * t) % (2 * math.pi),
-                         (2.1 + 0.53 * t) % (2 * math.pi)], axis=1)
 
     def volume(self) -> float:
         return (2 * math.pi) ** 4 * math.prod(self.radii)
@@ -191,11 +190,11 @@ class RoundS4(GeometryBackend):
         s_chi = np.sin(x[:, 0]) ** 2
         s_th = np.sin(x[:, 1]) ** 2
         s_ph = np.sin(x[:, 2]) ** 2
-        g = np.zeros((x.shape[0], 4, 4))
-        g[:, 0, 0] = a2
-        g[:, 1, 1] = a2 * s_chi
-        g[:, 2, 2] = a2 * s_chi * s_th
-        g[:, 3, 3] = a2 * s_chi * s_th * s_ph
+        rows, g = _component_rows(x.shape[0])
+        rows[0] = a2
+        rows[5] = a2 * s_chi
+        rows[10] = a2 * s_chi * s_th
+        rows[15] = a2 * s_chi * s_th * s_ph
         return g
 
     def fd_scale(self, x: np.ndarray) -> np.ndarray:
@@ -215,15 +214,6 @@ class RoundS4(GeometryBackend):
 
     def geometry_scale(self) -> float:
         return self.a
-
-    def sample_points(self, count: int) -> np.ndarray:
-        t = np.arange(count, dtype=float)
-        lo, hi = 0.4, math.pi - 0.4
-        span = hi - lo
-        return np.stack([lo + (0.17 + 0.61 * t) % 1.0 * span,
-                         lo + (0.39 + 0.37 * t) % 1.0 * span,
-                         lo + (0.71 + 0.23 * t) % 1.0 * span,
-                         (0.5 + 0.53 * t) % (2 * math.pi)], axis=1)
 
     def reduction(self, resolution: int, cutoff: float | None):
         # isotropic about the pole: invariants depend on chi alone
@@ -294,15 +284,15 @@ class MultiTaubNut(GeometryBackend):
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         V, wx, wy = self._potential_and_oneform(x)
-        g = np.zeros((x.shape[0], 4, 4))
+        rows, g = _component_rows(x.shape[0])
         inv_v = 1.0 / V
-        g[:, 0, 0] = V + wx * wx * inv_v
-        g[:, 1, 1] = V + wy * wy * inv_v
-        g[:, 2, 2] = V
-        g[:, 0, 1] = g[:, 1, 0] = wx * wy * inv_v
-        g[:, 0, 3] = g[:, 3, 0] = wx * inv_v
-        g[:, 1, 3] = g[:, 3, 1] = wy * inv_v
-        g[:, 3, 3] = inv_v
+        rows[0] = V + wx * wx * inv_v
+        rows[5] = V + wy * wy * inv_v
+        rows[10] = V
+        rows[1] = rows[4] = wx * wy * inv_v
+        rows[3] = rows[12] = wx * inv_v
+        rows[7] = rows[13] = wy * inv_v
+        rows[15] = inv_v
         return g
 
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
@@ -339,18 +329,6 @@ class MultiTaubNut(GeometryBackend):
         c = [sum(x) / len(self.centers) for x in zip(*self.centers)]
         reach = max(math.dist(p, c) for p in self.centers)
         return self.mass + reach
-
-    def sample_points(self, count: int) -> np.ndarray:
-        t = np.arange(count, dtype=float)
-        scale = self.geometry_scale()
-        r = scale * (0.6 + 8.0 * ((0.13 + 0.61 * t) % 1.0))
-        th = 0.35 + (math.pi - 0.7) * ((0.29 + 0.37 * t) % 1.0)
-        ph = 2 * math.pi * ((0.41 + 0.23 * t) % 1.0)
-        pts = np.stack([r * np.sin(th) * np.cos(ph),
-                        r * np.sin(th) * np.sin(ph),
-                        r * np.cos(th),
-                        np.full(count, 0.3)], axis=1)
-        return pts
 
     def _on_axis(self) -> np.ndarray:
         """Centers as an (n, 3) array; the axisymmetric reductions need
@@ -472,12 +450,12 @@ class Schwarzschild(GeometryBackend):
         X, Y, th = x[:, 0], x[:, 1], x[:, 2]
         r = 2 * m + X * X + Y * Y
         q = 8 * m / r
-        g = np.zeros((x.shape[0], 4, 4))
-        g[:, 0, 0] = 8 * m + 4 * X * X - q * Y * Y
-        g[:, 1, 1] = 8 * m + 4 * Y * Y - q * X * X
-        g[:, 0, 1] = g[:, 1, 0] = (4 + q) * X * Y
-        g[:, 2, 2] = r * r
-        g[:, 3, 3] = (r * np.sin(th)) ** 2
+        rows, g = _component_rows(x.shape[0])
+        rows[0] = 8 * m + 4 * X * X - q * Y * Y
+        rows[5] = 8 * m + 4 * Y * Y - q * X * X
+        rows[1] = rows[4] = (4 + q) * X * Y
+        rows[10] = r * r
+        rows[15] = (r * np.sin(th)) ** 2
         return g
 
     def fd_scale(self, x: np.ndarray) -> np.ndarray:
@@ -499,14 +477,6 @@ class Schwarzschild(GeometryBackend):
 
     def geometry_scale(self) -> float:
         return 2 * self.mass
-
-    def sample_points(self, count: int) -> np.ndarray:
-        t = np.arange(count, dtype=float)
-        u = math.sqrt(self.mass) * (0.0 + 2.2 * ((0.07 + 0.61 * t) % 1.0))
-        ang = 2 * math.pi * ((0.23 + 0.37 * t) % 1.0)
-        th = 0.5 + (math.pi - 1.0) * ((0.47 + 0.23 * t) % 1.0)
-        ph = 2 * math.pi * ((0.11 + 0.53 * t) % 1.0)
-        return np.stack([u * np.cos(ang), u * np.sin(ang), th, ph], axis=1)
 
     def reduction(self, resolution: int, cutoff: float | None):
         # spherically symmetric and rotation-invariant in the disc: the

@@ -1,23 +1,32 @@
 """Finite-difference curvature engine.
 
-Fourth-order central differences of the metric give Christoffel symbols and
-their derivatives; the Riemann tensor, frame components, quadratic
-invariants in both norm conventions, and the two characteristic densities
-are assembled from those.  The full stencil is 113 metric evaluations per
-point (1 center, 16 axis points, 96 mixed-pair points).  A backend lists
-in ``cyclic_axes`` the chart coordinates its metric never reads; the
-stencil rows offset along one of them repeat a row that is kept, every
-derivative along them is exactly zero, and they are skipped: 61 points
-when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts),
-1 on the flat torus.  First and second derivatives come from one
-(20, m) weight table applied as a single matmul, and the Christoffel
-and Riemann assembly is batched matmuls on reshaped views.  `curvature_batch`
-evaluates exactly the points it is given in one vectorized pass, and its
-working arrays grow with the batch (about 25 KiB per Taub-NUT point), so
-callers with many points bound the batch themselves: the volume
-integrand, ``integrals._columns``, feeds it 256 points at a time, a size
-whose arrays stay near one core's L2 cache (``integrals`` gives the scan
-that chose it).
+Fourth-order central differences give the first and second derivatives
+of the metric; the Christoffel symbols, the lowered Riemann tensor, its
+frame components, the quadratic invariants in both norm conventions, and
+the two characteristic densities are assembled from those.  The full
+stencil is 113 metric evaluations per point (1 center, 16 axis points,
+96 mixed-pair points).  A backend lists in ``cyclic_axes`` the chart
+coordinates its metric never reads; the stencil rows offset along one of
+them repeat a row that is kept, every derivative along them is exactly
+zero, and they are skipped: 61 points when one coordinate is cyclic (the
+Taub-NUT and Schwarzschild charts), 1 on the flat torus.  The metric
+comes back as component rows (``backends._component_rows``), and one
+(20, m) weight table applied to them as a single matmul gives all first
+and second derivatives.
+
+R_abcd is lowered straight from d2g and the Christoffel symbols of the
+first kind G (the textbook identity in `curvature_batch`), so no
+derivative of Gam or of g^-1 is formed; its quadratic part is one
+(16, 4) @ (4, 16) matmul per point.  Elementwise stages keep the point
+axis last, where every index permutation reads contiguous runs.  The
+frame rotation is K^T R K with K = legs (x) legs on (16, 16) index pairs,
+and the Pontryagin contraction is one (16, 16) matmul with the
+Levi-Civita symbol.  `curvature_batch` evaluates exactly the points it is
+given in one vectorized pass, and its working arrays grow with the batch
+(a peak of about 16 KiB per Taub-NUT point), so callers with many points bound the
+batch themselves: the volume integrand, ``integrals._columns``, feeds it
+256 points at a time, a size whose arrays stay near one core's L2 cache
+(``integrals`` gives the scan that chose it).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -26,6 +35,7 @@ Conventions fixed here and relied on everywhere else:
 * Orthonormal frames come from the Cholesky factor of the metric
   (F = (L^T)^{-1}), which is orientation-preserving with respect to the
   chart coordinate order; the Levi-Civita symbol below uses that order.
+  The inverse metric is F F^T.
 * gb_density integrates to the Euler number (1/(8 pi^2)) (|R|^2_endo
   - |ric - (s/4) g|^2) dV; pontryagin_density integrates to the signature
   -(1/(24 pi^2)) tr(R wedge R).
@@ -44,12 +54,6 @@ np = _lazy("numpy")
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
 _W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# the contraction orders einsum's own search picks for every batch of n = 1
-# to 4096 points, which holds every batch callers make (a boundary report's
-# surface, at most 1024 points, is the largest; the volume integrand's
-# chunk is integrals._CHUNK); fixed here so no call pays for the search
-_FRAME_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
-_PONTRYAGIN_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
 def _build_stencil():
@@ -121,9 +125,13 @@ def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
 
 
 def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
-    """R_abcd of the lowered Riemann tensor on the columns of `legs`."""
-    return np.einsum("nia,njb,nkc,nld,nijkl->nabcd", legs, legs, legs, legs,
-                     r_low, optimize=_FRAME_PATH)
+    """R_abcd of the lowered Riemann tensor on the columns of `legs`: K^T R K
+    on (16, 16) index pairs, with K_{ij,ab} = legs_ia legs_jb."""
+    n = len(legs)
+    k = (legs[:, :, None, :, None] * legs[:, None, :, None, :]).reshape(
+        n, 16, 16)
+    r = r_low.reshape(n, 16, 16)
+    return (np.swapaxes(k, 1, 2) @ r @ k).reshape(n, 4, 4, 4, 4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,19 +183,23 @@ class CurvatureBatch:
 
 
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):
+    """The metric (n, 4, 4) at the points and its derivatives with the node
+    axis last: d1[i, j, k] = d_k g_ij and d2[i, j, k, l] = d_k d_l g_ij."""
     n = pts.shape[0]
     offsets, weights = _stencil(backend.cyclic_axes)
     m = len(offsets)
-    stencil = pts[:, None, :] + h[:, None, None] * offsets[None, :, :]
-    g_rel = backend.metric(stencil.reshape(n * m, 4)).reshape(n, m, 16)
+    # coordinate-major points (4, m, n) in, component rows (16, m, n) out
+    stencil = pts.T[:, None] + offsets.T[:, :, None] * h
+    g_rel = backend.metric(stencil.reshape(4, m * n).T).reshape(m * n, 16).T \
+        .reshape(16, m, n)
     g0 = g_rel[:, 0].copy()
     # stencil weights sum to zero, so subtracting the centre value changes
     # nothing analytically but kills the O(|g|/h^2) rounding floor
     g_rel -= g0[:, None]
-    d = weights @ g_rel  # (n, 20, 16): d1 rows, then d2 rows
-    d1 = d[:, :4].reshape(n, 4, 4, 4) / h[:, None, None, None]
-    d2 = d[:, 4:].reshape(n, 4, 4, 4, 4) / (h * h)[:, None, None, None, None]
-    return g0.reshape(n, 4, 4), d1, d2
+    d = weights @ g_rel  # (16, 20, n): d1 rows, then d2 rows
+    d1 = (d[:, :4] / h).reshape(4, 4, 4, n)
+    d2 = (d[:, 4:] / (h * h)).reshape(4, 4, 4, 4, n)
+    return np.ascontiguousarray(g0.T).reshape(n, 4, 4), d1, d2
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
@@ -206,41 +218,37 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     backend.check_points(pts, margin=2.5 * h_arr)
 
     g0, d1, d2 = _metric_derivatives(backend, pts, h_arr)
-    ginv = np.linalg.inv(g0)
+    legs = _cholesky_legs(g0)
+    ginv = legs @ np.swapaxes(legs, 1, 2)       # g^-1 = F F^T
 
-    # sum_term[n,s,i,j] = d_i g_sj + d_j g_si - d_s g_ij
-    d1_t = d1.transpose(0, 2, 1, 3)                     # [n,s,i,j] = d_i g_sj
-    sum_term = d1_t + d1_t.transpose(0, 1, 3, 2) - d1
-    gamma = 0.5 * (ginv @ sum_term.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    # first kind, node axis last: G[e,i,j] = (d_i g_ej + d_j g_ei - d_e g_ij)/2
+    first = 0.5 * (d1.transpose(0, 2, 1, 3) + d1 - d1.transpose(2, 0, 1, 3))
+    first = first.reshape(64, n).T.reshape(n, 4, 16)    # node axis first
+    gamma = (ginv @ first).reshape(n, 4, 4, 4)
 
-    # dginv[n,k] = -ginv d_k g ginv
-    dginv = -(ginv[:, None] @ d1 @ ginv[:, None])
-    d2_t = d2.transpose(0, 1, 3, 2, 4)             # [n,k,s,i,j] = d_k d_i g_sj
-    dsum = d2_t + d2_t.transpose(0, 1, 2, 4, 3) - d2
-    # dgamma[n,k,l,i,j] = d_k Gam^l_{ij}
-    dgamma = 0.5 * ((dginv.reshape(n, 16, 4) @ sum_term.reshape(n, 4, 16))
-                    .reshape(n, 4, 4, 4, 4)
-                    + (ginv[:, None] @ dsum.reshape(n, 4, 4, 16))
-                    .reshape(n, 4, 4, 4, 4))
+    # R_abcd = (d_c d_b g_ad - d_c d_a g_bd - d_d d_b g_ac + d_d d_a g_bc)/2
+    #          + G_{l,da} Gam^l_cb - G_{l,ca} Gam^l_db
+    # is half - half.swap(c, d), built with the node axis last, where
+    # half_abcd = (d_c d_b g_ad - d_c d_a g_bd)/2 + quad[d,a,c,b] and
+    # quad[p,q,r,s] = G_{l,pq} Gam^l_rs is one (16, 4) @ (4, 16) per node
+    quad = (np.swapaxes(first, 1, 2) @ gamma.reshape(n, 4, 16)).reshape(n, 256)
+    hess = d2.transpose(0, 3, 2, 1, 4)                  # [a,b,c,d] = d_c d_b g_ad
+    half = 0.5 * (hess - hess.transpose(1, 0, 2, 3, 4)) \
+        + quad.T.reshape(4, 4, 4, 4, n).transpose(1, 3, 2, 0, 4)
+    r_low = np.ascontiguousarray(
+        (half - half.transpose(0, 1, 3, 2, 4)).reshape(256, n).T
+    ).reshape(n, 4, 4, 4, 4)
 
-    # R^l_{s i j} = d_i Gam^l_{j s} - d_j Gam^l_{i s}
-    #              + Gam^l_{i a} Gam^a_{j s} - Gam^l_{j a} Gam^a_{i s}
-    # q[n,l,i,j,s] = d_i Gam^l_{j s} + Gam^l_{i a} Gam^a_{j s}
-    q = (dgamma.transpose(0, 2, 1, 3, 4)
-         + (gamma.reshape(n, 16, 4) @ gamma.reshape(n, 4, 16))
-         .reshape(n, 4, 4, 4, 4))
-    r_up = (q - q.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 4, 2, 3)
-    r_low = (g0 @ r_up.reshape(n, 4, 64)).reshape(n, 4, 4, 4, 4)
-
-    r_fr = _frame_components(r_low, _cholesky_legs(g0))
+    r_fr = _frame_components(r_low, legs)
 
     ric = np.einsum("ncacb->nab", r_fr)
     scal = np.einsum("naa->n", ric)
     inv_R_full = np.einsum("nabcd,nabcd->n", r_fr, r_fr)
     inv_r = np.einsum("nab,nab->n", ric, ric)
     gbd = (inv_R_full - 4.0 * inv_r + scal * scal) / (32.0 * math.pi ** 2)
-    pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr, _levi_civita4(),
-                    optimize=_PONTRYAGIN_PATH) / (96.0 * math.pi ** 2)
+    fr = r_fr.reshape(n, 16, 16)
+    pon = np.einsum("nij,nij->n", fr @ _levi_civita4().reshape(16, 16),
+                    fr) / (96.0 * math.pi ** 2)
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,
                           riemann_low=r_low, riemann_frame=r_fr,

@@ -14,11 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from sampling import sample_points
 from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             curvature_at)
 from sdlab.geometry import curvature, integrals
+from sdlab.geometry import quadrature as quad
 from sdlab.geometry.curvature import curvature_batch
 
 
@@ -46,7 +48,7 @@ def test_constructor_rules(slug):
 
 def test_flat_torus_exactly_flat():
     backend = FlatTorus(radii=(1.0, 0.5, 2.0, 1.25))
-    for pt in backend.sample_points(5):
+    for pt in sample_points(backend, 5):
         s = curvature_at(backend, pt)
         assert s.scalar == 0.0
         assert s.inv_R_full == 0.0
@@ -94,7 +96,7 @@ def test_single_nut_frozen_values():
 
 def test_nut_anti_self_dual_ratio():
     backend = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
-    for pt in backend.sample_points(8):
+    for pt in sample_points(backend, 8):
         s = curvature_at(backend, pt)
         assert s.pontryagin_density / s.gb_density == pytest.approx(
             -2.0 / 3.0, abs=1e-7)
@@ -139,7 +141,7 @@ def test_schwarzschild_bolt_is_smooth():
 def test_ricci_flatness_sampled():
     for backend in (MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),)),
                     Schwarzschild(mass=1.0)):
-        for pt in backend.sample_points(10):
+        for pt in sample_points(backend, 10):
             s = curvature_at(backend, pt)
             ric = math.sqrt(max(s.inv_r, 0.0))
             rie = math.sqrt(s.inv_R_full)
@@ -193,7 +195,7 @@ BACKENDS = _backends()
 @pytest.mark.parametrize("name", list(BACKENDS))
 def test_metric_ignores_cyclic_axes(name):
     backend = BACKENDS[name]
-    pts = backend.sample_points(16)
+    pts = sample_points(backend, 16)
     g = backend.metric(pts)
     for axis in backend.cyclic_axes:
         for shift in (1e-3, 0.37, -2.5, 11.0):
@@ -205,7 +207,7 @@ def test_metric_ignores_cyclic_axes(name):
 @pytest.mark.parametrize("name", list(BACKENDS))
 def test_cyclic_stencil_matches_full_stencil(name, monkeypatch):
     backend = BACKENDS[name]
-    pts = backend.sample_points(24)
+    pts = sample_points(backend, 24)
     short = curvature_batch(backend, pts)
     monkeypatch.setattr(type(backend), "cyclic_axes", ())
     full = curvature_batch(backend, pts)
@@ -231,22 +233,129 @@ def test_one_cyclic_axis_needs_61_metric_points(monkeypatch):
         return metric(self, x)
 
     monkeypatch.setattr(MultiTaubNut, "metric", spy)
-    curvature_batch(backend, backend.sample_points(7))
+    curvature_batch(backend, sample_points(backend, 7))
     assert sizes == [61 * 7]
 
 
-# ------------------------------------------------------- fixed einsum paths
+# ------------------------------------- metric layout and a second Riemann route
 
 
-@pytest.mark.parametrize("n", [1, integrals._CHUNK])
-def test_fixed_einsum_paths_are_the_searched_ones(n):
-    # the paths are fixed to skip the search on every call; they must be
-    # the ones the search picks at every batch size the callers use
-    legs = np.ones((n, 4, 4))
-    r = np.ones((n, 4, 4, 4, 4))
-    frame = np.einsum_path("nia,njb,nkc,nld,nijkl->nabcd",
-                           legs, legs, legs, legs, r, optimize=True)[0]
-    pontryagin = np.einsum_path("nabcd,nabef,cdef->n", r, r,
-                                curvature._levi_civita4(), optimize=True)[0]
-    assert frame == curvature._FRAME_PATH
-    assert pontryagin == curvature._PONTRYAGIN_PATH
+def _entrywise_metric(backend, x):
+    """The metric written entry by entry into a zeroed (n, 4, 4) array, the
+    construction the backends used before writing component rows."""
+    g = np.zeros((len(x), 4, 4))
+    if backend.id == "flat-torus":
+        for i, r in enumerate(backend.radii):
+            g[:, i, i] = r * r
+    elif backend.id == "round-s4":
+        a2 = backend.a * backend.a
+        s_chi, s_th, s_ph = (np.sin(x[:, k]) ** 2 for k in range(3))
+        g[:, 0, 0] = a2
+        g[:, 1, 1] = a2 * s_chi
+        g[:, 2, 2] = a2 * s_chi * s_th
+        g[:, 3, 3] = a2 * s_chi * s_th * s_ph
+    elif backend.id == "multi-taub-nut":
+        V, wx, wy = backend._potential_and_oneform(x)
+        inv_v = 1.0 / V
+        g[:, 0, 0] = V + wx * wx * inv_v
+        g[:, 1, 1] = V + wy * wy * inv_v
+        g[:, 2, 2] = V
+        g[:, 0, 1] = g[:, 1, 0] = wx * wy * inv_v
+        g[:, 0, 3] = g[:, 3, 0] = wx * inv_v
+        g[:, 1, 3] = g[:, 3, 1] = wy * inv_v
+        g[:, 3, 3] = inv_v
+    else:
+        m = backend.mass
+        X, Y, th = x[:, 0], x[:, 1], x[:, 2]
+        r = 2 * m + X * X + Y * Y
+        q = 8 * m / r
+        g[:, 0, 0] = 8 * m + 4 * X * X - q * Y * Y
+        g[:, 1, 1] = 8 * m + 4 * Y * Y - q * X * X
+        g[:, 0, 1] = g[:, 1, 0] = (4 + q) * X * Y
+        g[:, 2, 2] = r * r
+        g[:, 3, 3] = (r * np.sin(th)) ** 2
+    return g
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+def test_metric_is_symmetric_and_matches_entrywise_construction(name):
+    backend = BACKENDS[name]
+    pts = sample_points(backend, 64)
+    g = backend.metric(pts)
+    assert g.shape == (64, 4, 4)
+    assert np.array_equal(g, g.swapaxes(1, 2))
+    assert np.array_equal(g, _entrywise_metric(backend, pts))
+
+
+def _riemann_by_dgamma(backend, pts, h):
+    """Oracle: the Riemann tensor from the derivatives of the Christoffel
+    symbols of the second kind, d_k Gam = d_k(g^-1) G + g^-1 d_k G with
+    d_k(g^-1) = -g^-1 (d_k g) g^-1, raised and then lowered by g; frame
+    components and invariants by plain einsum contractions.  It shares
+    only the metric stencil with `curvature_batch`."""
+    n = len(pts)
+    g0, d1, d2 = curvature._metric_derivatives(backend, pts, h)
+    d1 = d1.transpose(3, 2, 0, 1)         # [n,k,i,j] = d_k g_ij
+    d2 = d2.transpose(4, 2, 3, 0, 1)      # [n,k,l,i,j] = d_k d_l g_ij
+    ginv = np.linalg.inv(g0)
+    d1_t = d1.transpose(0, 2, 1, 3)
+    sum_term = d1_t + d1_t.transpose(0, 1, 3, 2) - d1
+    gamma = 0.5 * (ginv @ sum_term.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+    dginv = -(ginv[:, None] @ d1 @ ginv[:, None])
+    d2_t = d2.transpose(0, 1, 3, 2, 4)
+    dsum = d2_t + d2_t.transpose(0, 1, 2, 4, 3) - d2
+    dgamma = 0.5 * ((dginv.reshape(n, 16, 4) @ sum_term.reshape(n, 4, 16))
+                    .reshape(n, 4, 4, 4, 4)
+                    + (ginv[:, None] @ dsum.reshape(n, 4, 4, 16))
+                    .reshape(n, 4, 4, 4, 4))
+    # R^l_{s i j} = d_i Gam^l_{j s} - d_j Gam^l_{i s}
+    #              + Gam^l_{i a} Gam^a_{j s} - Gam^l_{j a} Gam^a_{i s}
+    q = (dgamma.transpose(0, 2, 1, 3, 4)
+         + (gamma.reshape(n, 16, 4) @ gamma.reshape(n, 4, 16))
+         .reshape(n, 4, 4, 4, 4))
+    r_up = (q - q.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 4, 2, 3)
+    r_low = (g0 @ r_up.reshape(n, 4, 64)).reshape(n, 4, 4, 4, 4)
+    legs = np.linalg.inv(np.swapaxes(np.linalg.cholesky(g0), 1, 2))
+    r_fr = np.einsum("nia,njb,nkc,nld,nijkl->nabcd", legs, legs, legs, legs,
+                     r_low, optimize=True)
+    ric = np.einsum("ncacb->nab", r_fr)
+    scal = np.einsum("naa->n", ric)
+    full = np.einsum("nabcd,nabcd->n", r_fr, r_fr)
+    ric2 = np.einsum("nab,nab->n", ric, ric)
+    pon = np.einsum("nabcd,nabef,cdef->n", r_fr, r_fr,
+                    curvature._levi_civita4(), optimize=True)
+    cols = {"inv_R_full": full, "inv_R_endo": 0.25 * full, "inv_r": ric2,
+            "inv_s2": scal * scal,
+            "gb_density": (full - 4 * ric2 + scal * scal) / (32 * math.pi ** 2),
+            "pontryagin_density": pon / (96 * math.pi ** 2)}
+    return r_low, r_fr, cols
+
+
+def _integrand_chunks():
+    """The first integrand chunk of each TN-2 segment (near, then far) at
+    the CLI's default resolution."""
+    tn2 = get_entry("taub-nut-2").backend
+    segments, _ = tn2.reduction(4, integrals.effective_cutoff(tn2, None))
+    for seg in segments:
+        axes = [quad.panel_rule(e, seg.order)[0] for e in seg.edges]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts, _ = seg.embed(*(g.ravel() for g in grids))
+        yield seg.backend, pts[:integrals._CHUNK]
+
+
+ORACLE_CASES = ([(name, b, sample_points(b, 24))
+                 for name, b in BACKENDS.items()]
+                + [(f"tn2-{seg}-chunk", b, pts) for seg, (b, pts)
+                   in zip(("near", "far"), _integrand_chunks())])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_riemann_matches_christoffel_derivative_oracle(case):
+    _, backend, pts = case
+    batch = curvature_batch(backend, pts)
+    r_low, r_fr, cols = _riemann_by_dgamma(backend, pts, batch.h)
+    for got, want in ((batch.riemann_low, r_low), (batch.riemann_frame, r_fr)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    scale = np.max(np.abs(cols["inv_R_full"]))
+    for col in integrals._COLS:
+        assert np.max(np.abs(getattr(batch, col) - cols[col])) <= 1e-12 * scale, col

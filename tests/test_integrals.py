@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sampling import sample_points
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
 from sdlab.geometry import integrals
@@ -192,7 +193,7 @@ def test_as_dict_round_trip():
 
 def test_chunked_columns_match_one_batch():
     b = backend("taub-nut-2")
-    pts = b.sample_points(5000)
+    pts = sample_points(b, 5000)
     whole = curvature_batch(b, pts)
     expect = np.stack([getattr(whole, c) for c in integrals._COLS], axis=1)
     assert np.array_equal(integrals._columns(b, pts), expect)
