@@ -23,10 +23,10 @@ frame rotation is K^T R K with K = legs (x) legs on (16, 16) index pairs,
 and the Pontryagin contraction is one (16, 16) matmul with the
 Levi-Civita symbol.  `curvature_batch` evaluates exactly the points it is
 given in one vectorized pass, and its working arrays grow with the batch
-(a peak of about 16 KiB per Taub-NUT point), so callers with many points bound the
-batch themselves: the volume integrand, ``integrals._columns``, feeds it
-256 points at a time, a size whose arrays stay near one core's L2 cache
-(``integrals`` gives the scan that chose it).
+(a peak of about 16 KiB per Taub-NUT point), so callers with many points
+bound the batch themselves: the volume integrand, ``integrals._columns``,
+feeds it 256 points at a time, a size whose arrays stay near one core's
+L2 cache (``integrals`` gives the scan that chose it).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -183,15 +183,15 @@ class CurvatureBatch:
 
 
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):
-    """The metric (n, 4, 4) at the points and its derivatives with the node
+    """The metric (n, 4, 4) at the points and its derivatives with the point
     axis last: d1[i, j, k] = d_k g_ij and d2[i, j, k, l] = d_k d_l g_ij."""
     n = pts.shape[0]
     offsets, weights = _stencil(backend.cyclic_axes)
     m = len(offsets)
     # coordinate-major points (4, m, n) in, component rows (16, m, n) out
     stencil = pts.T[:, None] + offsets.T[:, :, None] * h
-    g_rel = backend.metric(stencil.reshape(4, m * n).T).reshape(m * n, 16).T \
-        .reshape(16, m, n)
+    g = backend.metric(stencil.reshape(4, m * n).T)
+    g_rel = g.reshape(m * n, 16).T.reshape(16, m, n)
     g0 = g_rel[:, 0].copy()
     # stencil weights sum to zero, so subtracting the centre value changes
     # nothing analytically but kills the O(|g|/h^2) rounding floor
@@ -221,18 +221,19 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     legs = _cholesky_legs(g0)
     ginv = legs @ np.swapaxes(legs, 1, 2)       # g^-1 = F F^T
 
-    # first kind, node axis last: G[e,i,j] = (d_i g_ej + d_j g_ei - d_e g_ij)/2
+    # first kind: G[e,i,j] = (d_i g_ej + d_j g_ei - d_e g_ij) / 2, formed
+    # with the point axis last and used as an (n, 4, 16) view
     first = 0.5 * (d1.transpose(0, 2, 1, 3) + d1 - d1.transpose(2, 0, 1, 3))
-    first = first.reshape(64, n).T.reshape(n, 4, 16)    # node axis first
+    first = first.reshape(64, n).T.reshape(n, 4, 16)
     gamma = (ginv @ first).reshape(n, 4, 4, 4)
 
     # R_abcd = (d_c d_b g_ad - d_c d_a g_bd - d_d d_b g_ac + d_d d_a g_bc)/2
     #          + G_{l,da} Gam^l_cb - G_{l,ca} Gam^l_db
-    # is half - half.swap(c, d), built with the node axis last, where
+    # is half - half.swap(c, d), built with the point axis last, where
     # half_abcd = (d_c d_b g_ad - d_c d_a g_bd)/2 + quad[d,a,c,b] and
-    # quad[p,q,r,s] = G_{l,pq} Gam^l_rs is one (16, 4) @ (4, 16) per node
+    # quad[p,q,r,s] = G_{l,pq} Gam^l_rs is one (16, 4) @ (4, 16) per point
     quad = (np.swapaxes(first, 1, 2) @ gamma.reshape(n, 4, 16)).reshape(n, 256)
-    hess = d2.transpose(0, 3, 2, 1, 4)                  # [a,b,c,d] = d_c d_b g_ad
+    hess = d2.transpose(0, 3, 2, 1, 4)          # [a,b,c,d] = d_c d_b g_ad
     half = 0.5 * (hess - hess.transpose(1, 0, 2, 3, 4)) \
         + quad.T.reshape(4, 4, 4, 4, n).transpose(1, 3, 2, 0, 4)
     r_low = np.ascontiguousarray(

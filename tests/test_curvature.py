@@ -237,12 +237,12 @@ def test_one_cyclic_axis_needs_61_metric_points(monkeypatch):
     assert sizes == [61 * 7]
 
 
-# ------------------------------------- metric layout and a second Riemann route
+# ------------------------------------ metric layout and a second Riemann route
 
 
 def _entrywise_metric(backend, x):
-    """The metric written entry by entry into a zeroed (n, 4, 4) array, the
-    construction the backends used before writing component rows."""
+    """Reference: each backend's metric arithmetic, written entry by entry
+    into a zeroed (n, 4, 4) array."""
     g = np.zeros((len(x), 4, 4))
     if backend.id == "flat-torus":
         for i, r in enumerate(backend.radii):
@@ -326,7 +326,8 @@ def _riemann_by_dgamma(backend, pts, h):
                     curvature._levi_civita4(), optimize=True)
     cols = {"inv_R_full": full, "inv_R_endo": 0.25 * full, "inv_r": ric2,
             "inv_s2": scal * scal,
-            "gb_density": (full - 4 * ric2 + scal * scal) / (32 * math.pi ** 2),
+            "gb_density": (full - 4 * ric2 + scal * scal)
+            / (32 * math.pi ** 2),
             "pontryagin_density": pon / (96 * math.pi ** 2)}
     return r_low, r_fr, cols
 
@@ -349,13 +350,14 @@ ORACLE_CASES = ([(name, b, sample_points(b, 24))
                    in zip(("near", "far"), _integrand_chunks())])
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_riemann_matches_christoffel_derivative_oracle(case):
-    _, backend, pts = case
+@pytest.mark.parametrize("name,backend,pts", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_riemann_matches_christoffel_derivative_oracle(name, backend, pts):
     batch = curvature_batch(backend, pts)
     r_low, r_fr, cols = _riemann_by_dgamma(backend, pts, batch.h)
     for got, want in ((batch.riemann_low, r_low), (batch.riemann_frame, r_fr)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     scale = np.max(np.abs(cols["inv_R_full"]))
     for col in integrals._COLS:
-        assert np.max(np.abs(getattr(batch, col) - cols[col])) <= 1e-12 * scale, col
+        diff = np.max(np.abs(getattr(batch, col) - cols[col]))
+        assert diff <= 1e-12 * scale, col
