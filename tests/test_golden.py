@@ -2,8 +2,10 @@
 per subcommand, over every catalog entry, at resolution 2.
 
 The recorded bytes live in `tests/golden/cli_json.json`.  A refactor that
-must not change any number is checked against them byte for byte.  To
-record the corpus again after an intended change of output, run
+must not change any number is checked against them byte for byte.  Each
+case must also leave stderr empty or write the one `error: <slug>: ...`
+line of an SdlabError; a warning or a traceback fails it.  To record the
+corpus again after an intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,9 +21,11 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 
@@ -76,15 +80,25 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def run(argv) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+# the whole stderr of a case that fails with an SdlabError
+ERROR_LINE = re.compile(r"error: [a-z0-9-]+: [^\n]*\n")
+
+
+def invoke(argv) -> tuple[dict, str]:
+    """The recorded case of one invocation, and its stderr with every
+    warning it raised written out as Python would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse leaves this way
             code = exc.code
-    return {"argv": argv, "code": code, "stdout": out.getvalue()}
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename,
+                                          w.lineno) for w in caught)
+    return {"argv": argv, "code": code, "stdout": out.getvalue()}, \
+        err.getvalue()
 
 
 def _leaves(value, path=""):
@@ -141,7 +155,24 @@ def golden(tmp_path_factory):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_output(golden, case):
-    assert run(CASES[case]) == golden[case]
+    recorded, stderr = invoke(CASES[case])
+    assert recorded == golden[case]
+    # silent, or the one line of an SdlabError: no warning, no traceback
+    assert stderr == "" or ERROR_LINE.fullmatch(stderr), stderr
+
+
+def test_invoke_writes_out_warnings(monkeypatch):
+    def noisy(argv):
+        print("error: some-slug: one line", file=sys.stderr)
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return 1
+
+    monkeypatch.setattr(sys.modules[__name__], "main", noisy)
+    recorded, stderr = invoke(["boundary"])
+    assert recorded == {"argv": ["boundary"], "code": 1, "stdout": ""}
+    assert stderr.startswith("error: some-slug: one line\n")
+    assert "RuntimeWarning: overflow encountered" in stderr
+    assert not ERROR_LINE.fullmatch(stderr)
 
 
 def test_corpus_covers_every_case(golden):
@@ -235,7 +266,7 @@ def test_drift_names_what_moved():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as cache:
         os.environ["SDLAB_CACHE_DIR"] = cache
-        recorded = {case: run(argv) for case, argv in CASES.items()}
+        recorded = {case: invoke(argv)[0] for case, argv in CASES.items()}
     before = (json.loads(GOLDEN.read_text(encoding="ascii"))
               if GOLDEN.exists() else {})
     moved = 0
