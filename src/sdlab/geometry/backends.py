@@ -5,7 +5,9 @@ Every backend evaluates its metric on batches of chart points (shape
 these evaluations, so the metric functions are kept branch-free and
 vectorized.  Each writes one contiguous row per component
 (`_component_rows`) and returns the (n, 4, 4) view of those rows, which
-the curvature kernel reads back as rows.
+the curvature kernel reads back as rows.  `chart_scales` gives the
+kernel, in one pass, each point's step scale and its clearance from the
+chart's excluded set (poles, Taub-NUT centres and Dirac strings).
 
 Charts and conventions:
 
@@ -44,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .. import _lazy
-from ..errors import ChartError, DescriptorError, DomainError
+from ..errors import DescriptorError, DomainError
 from . import quadrature as quad
 
 np = _lazy("numpy")
@@ -86,9 +88,11 @@ class Segment:
 
 class GeometryBackend:
     """Common backend interface; subclasses fill in the metric, the chart
-    checks and the symmetry reduction."""
+    scales and the symmetry reduction."""
 
     id: str = ""
+    # ChartError slug for points too near the chart's excluded set
+    excluded = ""
     # infinite volume truncated at a cutoff, with a truncation boundary
     alf = False
     # chart coordinates the metric never reads; derivatives along them vanish
@@ -103,14 +107,10 @@ class GeometryBackend:
         exactly symmetric: the view `_component_rows` returns."""
         raise NotImplementedError
 
-    def fd_scale(self, x: np.ndarray) -> np.ndarray:
-        """Local geometry scale at each point; finite-difference steps are
-        a small fraction of this."""
-        raise NotImplementedError
-
-    def check_points(self, x: np.ndarray, margin: np.ndarray | float) -> None:
-        """Raise ChartError unless a coordinate ball of radius ``margin``
-        around each point stays inside the chart, off excluded sets."""
+    def chart_scales(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(step_scale, clearance) at (n, 4) points, in one pass: the scale
+        of which finite-difference steps are a small fraction, and the
+        coordinate distance to the excluded set (inf if there is none)."""
         raise NotImplementedError
 
     def geometry_scale(self) -> float:
@@ -151,11 +151,9 @@ class FlatTorus(GeometryBackend):
             rows[5 * i] = r * r
         return g
 
-    def fd_scale(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(x).shape[0], 1.0)
-
-    def check_points(self, x, margin) -> None:
-        return  # periodic, nothing excluded
+    def chart_scales(self, x: np.ndarray):
+        n = np.atleast_2d(x).shape[0]
+        return np.full(n, 1.0), np.full(n, np.inf)  # periodic, nothing excluded
 
     def geometry_scale(self) -> float:
         return max(self.radii)
@@ -174,6 +172,7 @@ class FlatTorus(GeometryBackend):
 class RoundS4(GeometryBackend):
     a: float = 1.0
     id: str = field(default="round-s4", init=False)
+    excluded = "pole-excluded"
 
     def __post_init__(self):
         if not self.a > 0:
@@ -197,20 +196,12 @@ class RoundS4(GeometryBackend):
         rows[15] = a2 * s_chi * s_th * s_ph
         return g
 
-    def fd_scale(self, x: np.ndarray) -> np.ndarray:
+    def chart_scales(self, x: np.ndarray):
         x = np.atleast_2d(x)
         dist = np.minimum.reduce([np.sin(x[:, 0]), np.sin(x[:, 1]), np.sin(x[:, 2])])
-        return np.clip(np.abs(dist), 1e-12, None)
-
-    def check_points(self, x, margin) -> None:
-        x = np.atleast_2d(x)
-        margin = np.broadcast_to(np.asarray(margin, dtype=float), (x.shape[0],))
-        for name, col in (("chi", 0), ("theta", 1), ("phi", 2)):
-            low = x[:, col] - margin
-            high = x[:, col] + margin
-            if np.any(low <= 0) or np.any(high >= math.pi):
-                raise ChartError("pole-excluded",
-                                 f"{name} within {np.max(margin):.2e} of a pole")
+        polar = x[:, :3]  # chi, theta and phi, with poles at 0 and pi
+        return (np.clip(np.abs(dist), 1e-12, None),
+                np.min(np.minimum(polar, math.pi - polar), axis=1))
 
     def geometry_scale(self) -> float:
         return self.a
@@ -237,6 +228,7 @@ class MultiTaubNut(GeometryBackend):
     # choice that moves the coordinate artifact away from quadrature regions
     string_signs: tuple[int, ...] | None = None
     id: str = field(default="multi-taub-nut", init=False)
+    excluded = "string-excluded"
     alf = True
     cyclic_axes = (3,)
 
@@ -310,18 +302,9 @@ class MultiTaubNut(GeometryBackend):
             d = np.minimum(d, np.where(s * dz >= 0, r, rho))
         return d
 
-    def fd_scale(self, x: np.ndarray) -> np.ndarray:
+    def chart_scales(self, x: np.ndarray):
         d = self._excluded_distance(x)
-        return np.minimum(0.25 * d, 2.0 * self.mass)
-
-    def check_points(self, x, margin) -> None:
-        x = np.atleast_2d(x)
-        margin = np.broadcast_to(np.asarray(margin, dtype=float), (x.shape[0],))
-        d = self._excluded_distance(x)
-        if np.any(d <= margin):
-            worst = float(np.min(d))
-            raise ChartError("string-excluded",
-                             f"point within {worst:.3e} of a center or Dirac string")
+        return np.minimum(0.25 * d, 2.0 * self.mass), d
 
     def geometry_scale(self) -> float:
         # the spread of the centres about their centroid, the point the
@@ -432,6 +415,7 @@ class MultiTaubNut(GeometryBackend):
 class Schwarzschild(GeometryBackend):
     mass: float = 1.0
     id: str = field(default="schwarzschild", init=False)
+    excluded = "pole-excluded"
     cyclic_axes = (3,)
     alf = True
 
@@ -458,22 +442,13 @@ class Schwarzschild(GeometryBackend):
         rows[15] = (r * np.sin(th)) ** 2
         return g
 
-    def fd_scale(self, x: np.ndarray) -> np.ndarray:
+    def chart_scales(self, x: np.ndarray):
         x = np.atleast_2d(x)
         u = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
         # disc block varies on the scale sqrt(r); angular block on sin(theta)
         disc = 0.5 * np.sqrt(2 * self.mass + u * u) / (1.0 + 0.25 * u)
         pole = np.abs(np.sin(x[:, 2]))
-        return np.minimum(disc, pole)
-
-    def check_points(self, x, margin) -> None:
-        x = np.atleast_2d(x)
-        margin = np.broadcast_to(np.asarray(margin, dtype=float), (x.shape[0],))
-        low = x[:, 2] - margin
-        high = x[:, 2] + margin
-        if np.any(low <= 0) or np.any(high >= math.pi):
-            raise ChartError("pole-excluded",
-                             f"theta within {np.max(margin):.2e} of a pole")
+        return np.minimum(disc, pole), np.minimum(x[:, 2], math.pi - x[:, 2])
 
     def geometry_scale(self) -> float:
         return 2 * self.mass

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .. import _lazy
+from ..errors import ChartError
 from .backends import GeometryBackend
 
 np = _lazy("numpy")
@@ -205,17 +206,23 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
                     h: np.ndarray | float | None = None) -> CurvatureBatch:
     """Assemble curvature for (n, 4) points in one batch; h defaults to
-    1e-3 x local scale.  The metric is evaluated on the stencil rows with
-    zero offset along ``backend.cyclic_axes``: 113 per point in general,
-    61 when one coordinate is cyclic.  Memory grows with n (that many
-    metric evaluations and several (4,4,4,4) tensors per point)."""
+    1e-3 x the step scale of ``backend.chart_scales``, and a point whose
+    clearance is at most 2.5 h (given or default) raises ChartError with
+    the slug ``backend.excluded``.  The metric is evaluated on the stencil
+    rows with zero offset along ``backend.cyclic_axes``: 113 per point in
+    general, 61 when one coordinate is cyclic.  Memory grows with n (that
+    many metric evaluations and several (4,4,4,4) tensors per point)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
+    step_scale, clearance = backend.chart_scales(pts)
     if h is None:
-        h_arr = 1e-3 * backend.fd_scale(pts)
+        h_arr = 1e-3 * step_scale
     else:
         h_arr = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
-    backend.check_points(pts, margin=2.5 * h_arr)
+    if np.any(clearance <= 2.5 * h_arr):
+        raise ChartError(backend.excluded, "a point lies within 2.5 steps of "
+                         f"the excluded set (least clearance "
+                         f"{np.min(clearance):.3e})")
 
     g0, d1, d2 = _metric_derivatives(backend, pts, h_arr)
     legs = _cholesky_legs(g0)

@@ -1,8 +1,9 @@
 """Deterministic spreads of interior chart points for pointwise checks.
 
-`sample_points(backend, count)` picks the spread by ``backend.id``.  Each
-spread keeps clear of its chart's excluded sets (poles, Taub-NUT centres
-and Dirac strings) by more than the curvature stencil's margin.
+`sample_points(backend, count)` picks the spread by ``backend.id``.  In
+each spread every point's clearance from the chart's excluded set (the
+second array of ``backend.chart_scales``: poles, Taub-NUT centres and
+Dirac strings) exceeds the curvature kernel's margin of 2.5 default steps.
 """
 
 import math

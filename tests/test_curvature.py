@@ -18,7 +18,7 @@ from sampling import sample_points
 from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
-                            curvature_at)
+                            boundary_report, curvature_at)
 from sdlab.geometry import curvature, integrals
 from sdlab.geometry import quadrature as quad
 from sdlab.geometry.curvature import curvature_batch
@@ -166,14 +166,60 @@ def test_bianchi_identity_holds():
         assert s.bianchi_residual < 1e-12 * max(1.0, s.inv_R_full)
 
 
-def test_excluded_points_rejected():
-    nut = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
-    with pytest.raises(ChartError):
-        curvature_at(nut, (0.0, 0.0, 0.0, 0.1))   # center
-    with pytest.raises(ChartError):
-        curvature_at(nut, (0.0, 0.0, -2.0, 0.1))  # on the string ray
-    with pytest.raises(ChartError):
-        curvature_at(RoundS4(a=1.0), (0.0, 0.9, 2.3, 0.7))  # chart pole
+_NUT = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
+_PAIR = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+
+# case -> (backend, point, explicit step or None, slug or None if accepted)
+EXCLUDED = {
+    "nut-centre": (_NUT, (0.0, 0.0, 0.0, 0.1), None, "string-excluded"),
+    "nut-string": (_NUT, (0.0, 0.0, -2.0, 0.1), None, "string-excluded"),
+    # the upper string runs up in this gauge, and down in the default one
+    "two-nut-string-up": (MultiTaubNut(0.5, _PAIR, (1, -1)),
+                          (0.0, 0.0, 3.0, 0.1), None, "string-excluded"),
+    "two-nut-string-down": (MultiTaubNut(0.5, _PAIR),
+                            (0.0, 0.0, 3.0, 0.1), None, None),
+    "s4-chi-0": (RoundS4(), (0.0, 0.9, 2.3, 0.7), None, "pole-excluded"),
+    "s4-chi-pi": (RoundS4(), (math.pi, 0.9, 2.3, 0.7), None,
+                  "pole-excluded"),
+    "s4-chi-3.5": (RoundS4(), (3.5, 0.9, 2.3, 0.7), None, "pole-excluded"),
+    "schwarzschild-theta-0": (Schwarzschild(), (0.8, 0.3, 0.0, 0.8), None,
+                              "pole-excluded"),
+    "schwarzschild-theta-pi": (Schwarzschild(), (0.8, 0.3, math.pi, 0.8),
+                               None, "pole-excluded"),
+    # 0.01 from the string: inside the margin 2.5 h at h = 0.01, not at 0.001
+    "margin-h-0.01": (_NUT, (0.01, 0.0, -1.0, 0.1), 0.01, "string-excluded"),
+    "margin-h-0.001": (_NUT, (0.01, 0.0, -1.0, 0.1), 0.001, None),
+    "torus-origin": (FlatTorus(), (0.0, 0.0, 0.0, 0.0), None, None),
+    "torus-wide-step": (FlatTorus(), (-1.0, 7.0, 0.0, 100.0), 5.0, None),
+}
+
+
+@pytest.mark.parametrize("case", list(EXCLUDED))
+def test_excluded_points_rejected(case):
+    backend, point, h, slug = EXCLUDED[case]
+    if slug is None:
+        assert curvature_at(backend, point, h=h).point == point
+        return
+    with pytest.raises(ChartError) as err:
+        curvature_at(backend, point, h=h)
+    assert err.value.slug == slug == backend.excluded
+
+
+def test_excluded_distance_runs_once_per_kernel_call(monkeypatch):
+    backend = get_entry("taub-nut-2").backend
+    calls = []
+    distance = MultiTaubNut._excluded_distance
+
+    def spy(self, x):
+        calls.append(len(x))
+        return distance(self, x)
+
+    monkeypatch.setattr(MultiTaubNut, "_excluded_distance", spy)
+    curvature_batch(backend, sample_points(backend, 1))
+    assert calls == [1]
+    calls.clear()
+    boundary_report(backend, 30.0, resolution=4)
+    assert calls == [64]
 
 
 # ------------------------------------------------------ cyclic stencil axes
