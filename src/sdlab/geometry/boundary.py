@@ -33,7 +33,7 @@ from ..errors import DomainError
 from .backends import GeometryBackend
 from .curvature import (_cholesky_legs, _five_point, _frame_components,
                         curvature_batch)
-from .integrals import check_resolution
+from .integrals import CUTOFF_SCALE_MAX, check_resolution
 
 np = _lazy("numpy")
 
@@ -82,15 +82,18 @@ def boundary_report(backend: GeometryBackend, rho: float,
                     resolution: int = 8) -> TruncationReport:
     """Second fundamental form and heat-coefficient boundary integrals on
     the truncation sphere of chart radius rho, from one curvature batch on
-    the surface; the metric must be Ricci-flat (see the module docstring)."""
+    the surface; the metric must be Ricci-flat (see the module docstring).
+    rho lies in (2, CUTOFF_SCALE_MAX] times the geometry scale."""
     if not getattr(backend, "alf", False):
         raise DomainError("boundary-needs-alf",
                           f"no truncation boundary for {type(backend).__name__}")
-    core = 2.0 * backend.geometry_scale()
-    if not rho > core:
-        raise DomainError("rho-inside-core",
-                          f"rho {rho} must exceed the compact core radius "
-                          f"{core}")
+    scale = backend.geometry_scale()
+    if not rho > 2.0 * scale:
+        raise DomainError("rho-inside-core", f"rho {rho} must exceed the "
+                          f"compact core radius {2.0 * scale}")
+    if rho > CUTOFF_SCALE_MAX * scale:
+        raise DomainError("rho-too-large", f"rho {rho} above "
+                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     check_resolution(resolution)
 
     n_theta = 16 * resolution

@@ -15,7 +15,7 @@ import pytest
 
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
-from sdlab.geometry import boundary, curvature
+from sdlab.geometry import boundary, curvature, integrals
 from sdlab.geometry.boundary import (TruncationReport, _second_fundamental_form,
                                      boundary_report)
 
@@ -140,6 +140,20 @@ def test_rho_inside_core_rejected():
     with pytest.raises(DomainError) as err:
         boundary_report(b, 0.5, resolution=2)
     assert err.value.slug == "rho-inside-core"
+
+
+@pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2",
+                                  "schwarzschild"])
+def test_rho_capped_like_the_cutoff(name):
+    # the cap a volume cutoff has; the report at the cap is finite
+    b = get_entry(name).backend
+    cap = integrals.CUTOFF_SCALE_MAX * b.geometry_scale()
+    rep = boundary_report(b, cap, resolution=2)
+    assert all(math.isfinite(v) for v in rep.as_dict().values())
+    for rho in (math.nextafter(cap, math.inf), 1e100, 1e200):
+        with pytest.raises(DomainError) as err:
+            boundary_report(b, rho, resolution=2)
+        assert err.value.slug == "rho-too-large"
 
 
 def test_compact_backend_rejected():

@@ -418,6 +418,26 @@ def test_cli_bad_input_is_a_usage_error(argv, slug, tmp_path):
     assert slug in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--manifold", "taub-nut-1", "--rho", "1e100"],
+    ["boundary", "--manifold", "taub-nut-1", "--rho", "1e200"],
+    ["boundary", "--manifold", "schwarzschild", "--rho", "1e200"],
+    ["verify", "decay", "--manifold", "taub-nut-1", "--rho",
+     "1e200,2e200,4e200"],
+], ids=["tn1-1e100", "tn1-1e200", "schwarzschild-1e200", "decay-1e200"])
+def test_cli_rho_beyond_cap_is_one_error_line(argv, tmp_path):
+    # once printed nan and inf, or a LinAlgError traceback
+    env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
+                          env=env, timeout=120, capture_output=True,
+                          text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: rho-too-large")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_cli_bad_complex_literal(capsys):
     code, _, err = run_cli(capsys, ["theta", "--tau", "up"])
     assert code == 64 and "complex-literal" in err
