@@ -113,6 +113,35 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _compare(old: dict, new: dict):
+    """The leaf maps of two JSON stdouts, and (|new - old| / max(1, |old|),
+    key path) for each number that moved at a key path both share, (None,
+    key path) for any other value that moved there."""
+    a, b = (dict(_leaves(json.loads(case["stdout"]))) for case in (old, new))
+    moves = []
+    for path, x in a.items():
+        y = b.get(path, x)
+        if x == y and type(x) is type(y):
+            continue
+        if type(x) in (int, float) and type(y) in (int, float):
+            moves.append((abs(y - x) / max(1.0, abs(x)), path))
+        else:
+            moves.append((None, path))
+    return a, b, moves
+
+
+def largest_move(old: dict, new: dict):
+    """(largest relative change, key path) over the numbers that moved in
+    one recorded case, or None if none did or a stdout is not JSON."""
+    if old["stdout"] == new["stdout"]:
+        return None
+    try:
+        moves = [m for m in _compare(old, new)[2] if m[0] is not None]
+    except ValueError:
+        return None
+    return max(moves, default=None)
+
+
 def drift(old: dict, new: dict) -> list[str]:
     """How one recorded case moved: its exit code, the key path of each
     removed, added or changed value that is not a number, and the largest
@@ -124,25 +153,34 @@ def drift(old: dict, new: dict) -> list[str]:
     if old["stdout"] == new["stdout"]:
         return notes
     try:
-        a, b = (dict(_leaves(json.loads(case["stdout"])))
-                for case in (old, new))
+        a, b, moves = _compare(old, new)
     except ValueError:
         return notes + ["stdout is not JSON"]
     notes += [f"{path} removed" for path in a if path not in b]
     notes += [f"{path} added" for path in b if path not in a]
-    moves = []
-    for path, x in a.items():
-        y = b.get(path, x)
-        if x == y and type(x) is type(y):
-            continue
-        if type(x) in (int, float) and type(y) in (int, float):
-            moves.append((abs(y - x) / max(1.0, abs(x)), path))
-        else:
-            notes.append(f"{path} changed")
-    if moves:
-        worst, where = max(moves)
-        notes.append(f"max |d|/max(1,|old|) = {worst:.2e} at {where}")
+    notes += [f"{path} changed" for worst, path in moves if worst is None]
+    worst = largest_move(old, new)
+    if worst:
+        notes.append(f"max |d|/max(1,|old|) = {worst[0]:.2e} at {worst[1]}")
     return notes
+
+
+def summary(before: dict, recorded: dict) -> str:
+    """The last line of a re-record: how many cases moved, and the
+    largest relative change of a number, with its case and key path."""
+    moved, worst = 0, None
+    for case, new in recorded.items():
+        if case not in before:
+            moved += 1
+            continue
+        moved += bool(drift(before[case], new))
+        move = largest_move(before[case], new)
+        if move and (worst is None or move[0] > worst[0]):
+            worst = (*move, case)
+    line = f"{moved} of {len(recorded)} cases moved"
+    if worst is None:
+        return line + "; no number moved"
+    return line + f"; largest drift {worst[0]:.2e} at {worst[2]} {worst[1]}"
 
 
 @pytest.fixture(scope="module")
@@ -263,19 +301,29 @@ def test_drift_names_what_moved():
         "max |d|/max(1,|old|) = 1.67e-01 at results.rows[1].a"]
 
 
+
+def test_summary_names_the_largest_drift():
+    old = {"code": 0, "stdout": '{"I_gb": 2.0, "I_p": -1.0}'}
+    before = {"a": old, "b": old, "c": old}
+    assert summary(before, before) == "0 of 3 cases moved; no number moved"
+    recorded = {"a": dict(old, code=1),
+                "b": dict(old, stdout='{"I_gb": 2.5, "I_p": -1.0}'),
+                "c": dict(old, stdout='{"I_gb": 2.0, "I_p": -1.25}'),
+                "d": old}
+    assert summary(before, recorded) == (
+        "4 of 4 cases moved; largest drift 2.50e-01 at b I_gb")
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as cache:
         os.environ["SDLAB_CACHE_DIR"] = cache
         recorded = {case: invoke(argv)[0] for case, argv in CASES.items()}
     before = (json.loads(GOLDEN.read_text(encoding="ascii"))
               if GOLDEN.exists() else {})
-    moved = 0
     for case, new in recorded.items():
         notes = drift(before[case], new) if case in before else ["new case"]
         if notes:
-            moved += 1
             print(f"{case}: {'; '.join(notes)}")
-    print(f"{moved} of {len(recorded)} cases moved")
+    print(summary(before, recorded))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n", encoding="ascii")
     sys.exit(0)
