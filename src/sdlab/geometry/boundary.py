@@ -13,8 +13,10 @@ space carries Pi = -(1/rho) * identity.  The part of grad e4 along dF drops
 out on tangent legs, hence Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F)
 / |dF|_g.  g, Gam and Riemann come from the one curvature batch, on the
 surface; e1..e4 are Gram-Schmidt on the chart tangents and e4 by the
-kernel's Cholesky rule; the chart Hessian of F is `curvature._five_point`
-on ``level_gradient`` (step 1e-3 rho, no metric).
+kernel's Cholesky rule; R_i4j4 is the (3, 3) block of pairs (03, 13, 23)
+of the batch's bivector Riemann rotated onto those legs
+(`curvature._frame_components`); the chart Hessian of F is
+`curvature._five_point` on ``level_gradient`` (step 1e-3 rho, no metric).
 
 Every ALF backend is Ricci-flat (Gibbons-Hawking metrics are hyperkaehler,
 Euclidean Schwarzschild is a vacuum solution; acceptance criterion 04
@@ -78,6 +80,11 @@ def _second_fundamental_form(backend, pts, jac, main, rho):
     return 0.5 * (pi + np.swapaxes(pi, 1, 2)), legs
 
 
+def _r_i4j4(r6: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """R_i4j4 (n, 3, 3): pairs (03, 13, 23) of W^T R6 W on adapted legs."""
+    return _frame_components(r6, legs)[:, [[2], [4], [5]], [2, 4, 5]]
+
+
 def boundary_report(backend: GeometryBackend, rho: float,
                     resolution: int = 8) -> TruncationReport:
     """Second fundamental form and heat-coefficient boundary integrals on
@@ -108,8 +115,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
     pi3 = np.einsum("nij,njk,nik->n", pi, pi, pi)
     pi_sup = float(np.max(np.abs(np.linalg.eigvalsh(pi))))
 
-    r_ad = _frame_components(main.riemann_low, legs)
-    r_i4j4_pi = np.einsum("nij,nij->n", r_ad[:, :3, 3, :3, 3], pi)
+    r_i4j4_pi = np.einsum("nij,nij->n", _r_i4j4(main.bivector_low, legs), pi)
 
     # induced metric on the (theta, circle, circle) parametrization
     h_ind = np.einsum("nma,nmk,nkb->nab", jac, main.g, jac)

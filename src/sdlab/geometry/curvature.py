@@ -14,19 +14,23 @@ comes back as component rows (``backends._component_rows``), and one
 (20, m) weight table applied to them as a single matmul gives all first
 and second derivatives.
 
-R_abcd is lowered straight from d2g and the Christoffel symbols of the
-first kind G (the textbook identity in `curvature_batch`), so no
-derivative of Gam or of g^-1 is formed; its quadratic part is one
-(16, 4) @ (4, 16) matmul per point.  Elementwise stages keep the point
-axis last, where every index permutation reads contiguous runs.  The
-frame rotation is K^T R K with K = legs (x) legs on (16, 16) index pairs,
-and the Pontryagin contraction is one (16, 16) matmul with the
-Levi-Civita symbol.  `curvature_batch` evaluates exactly the points it is
-given in one vectorized pass, and its working arrays grow with the batch
-(a peak of about 16 KiB per Taub-NUT point), so callers with many points
-bound the batch themselves: the volume integrand, ``integrals._columns``,
-feeds it 256 points at a time, a size whose arrays stay near one core's
-L2 cache (``integrals`` gives the scan that chose it).
+Riemann lives on bivectors: in four dimensions it is a symmetric operator
+on 2-forms, an (n, 6, 6) matrix R6[I, J] = R_abcd on the pairs I = (a, b),
+J = (c, d) of `_PAIRS` (01, 02, 03, 12, 13, 23).  R6 is lowered straight
+from d2g and the Christoffel symbols of the first kind G (the textbook
+identity in `curvature_batch`), so no derivative of Gam or of g^-1 is
+formed.  The frame rotation is W^T R6 W with W = legs ^ legs, the second
+exterior power of the Cholesky legs; |Riem|^2 is 4 |R6|^2, Ricci a
+(36, 16) +-1 map of R6, and the Pontryagin contraction 8 sum (R6 star) o
+R6, where star, the Levi-Civita symbol on pairs, is a (6, 6) signed
+permutation.  The 256-component tensors are spread from R6 only when read
+(`CurvatureBatch`).  `curvature_batch` evaluates exactly the points it is
+given in one vectorized pass, with the point axis last in elementwise
+stages; its working arrays grow with the batch (a peak of about 12 KiB
+per Taub-NUT point, nearly all of it the metric stencil), so callers with
+many points bound the batch themselves: ``integrals._columns`` feeds it
+256 points at a time, a size whose arrays stay near one core's L2 cache
+(``integrals`` gives the scan that chose it).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -43,6 +47,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,30 +130,53 @@ def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.swapaxes(np.linalg.cholesky(gram), 1, 2))
 
 
-def _frame_components(r_low: np.ndarray, legs: np.ndarray) -> np.ndarray:
-    """R_abcd of the lowered Riemann tensor on the columns of `legs`: K^T R K
-    on (16, 16) index pairs, with K_{ij,ab} = legs_ia legs_jb."""
-    n = len(legs)
-    k = (legs[:, :, None, :, None] * legs[:, None, :, None, :]).reshape(
-        n, 16, 16)
-    r = r_low.reshape(n, 16, 16)
-    return (np.swapaxes(k, 1, 2) @ r @ k).reshape(n, 4, 4, 4, 4)
-
-
 @functools.lru_cache(maxsize=None)
 def _levi_civita4() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-    for perm in permutations(range(4)):
-        sign = 1.0
-        p = list(perm)
-        for i in range(4):          # parity by selection sort
-            if p[i] != i:
-                j = p.index(i)
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        eps[perm] = sign
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])   # exactly +-1
     return eps
+
+
+@functools.lru_cache(maxsize=None)
+def _bivector_tables() -> dict:
+    """Constant tables of the bivector basis `_PAIRS`, built at first use:
+    flat row/column indices of d2 (256, n) and quad (n, 256) and weights
+    that assemble R6 (`curvature_batch`), flat entries of legs (n, 16)
+    that form W (`_frame_components`), the (36, 16) Ricci map, the Hodge
+    star (6, 6), and R_abcd = signs R6[spread] on (16, 16) index pairs."""
+    a, b = np.array(_PAIRS).T[:, :, None]
+    c, d = a.T, b.T
+    at = np.arange(256).reshape(4, 4, 4, 4)
+    pair, sign = np.zeros(16, dtype=int), np.zeros(16)  # sign 0 if a = b
+    for k, (x, y) in enumerate(_PAIRS):
+        pair[4 * x + y] = pair[4 * y + x] = k
+        sign[4 * x + y], sign[4 * y + x] = 1.0, -1.0
+    spread, signs = 6 * pair[:, None] + pair, sign[:, None] * sign
+    basis = (np.eye(36)[:, spread] * signs).reshape(36, 4, 4, 4, 4)
+    return {"d2_rows": np.stack([at[a, d, c, b], at[b, d, c, a],
+                                 at[a, c, d, b], at[b, c, d, a]]),
+            "d2_weights": np.array([0.5, -0.5, -0.5, 0.5]),
+            "quad_cols": np.stack([at[d, a, c, b], at[c, a, d, b]]),
+            "legs_at": np.stack([4 * a + c, 4 * b + d, 4 * a + d, 4 * b + c]),
+            "ricci": np.einsum("kcacb->kab", basis).reshape(36, 16),
+            "star": _levi_civita4()[a, b, c, d],
+            "spread": spread, "signs": signs}
+
+
+def _riemann4(r6: np.ndarray) -> np.ndarray:
+    """R_abcd (n, 4, 4, 4, 4) spread from its (n, 6, 6) bivector form."""
+    t = _bivector_tables()
+    return (r6.reshape(-1, 36)[:, t["spread"]] * t["signs"]).reshape(
+        -1, 4, 4, 4, 4)
+
+
+def _frame_components(r6: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """The (n, 6, 6) bivector form of R on the columns of `legs`: W^T R6 W
+    with W = legs ^ legs, W[(ij), (ab)] = legs_ia legs_jb - legs_ib legs_ja."""
+    x = legs.reshape(len(legs), 16)[:, _bivector_tables()["legs_at"]]
+    w = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+    return np.swapaxes(w, 1, 2) @ r6 @ w
 
 
 @dataclass(frozen=True)
@@ -170,17 +198,23 @@ class CurvatureSample:
 class CurvatureBatch:
     """Raw assembled geometry for a batch of points (internal plumbing).
 
-    Every derived invariant has its home here: ``inv_R_endo`` is
-    inv_R_full / 4 and ``inv_s2`` is scalar^2."""
+    Riemann is held as (n, 6, 6) bivector matrices, in chart components
+    (``bivector_low``) and in the Cholesky frame (``bivector_frame``);
+    ``riemann_low`` and ``riemann_frame`` spread them to (n, 4, 4, 4, 4)
+    on each read.  Every derived invariant has its home here:
+    ``inv_R_endo`` is inv_R_full / 4 and ``inv_s2`` is scalar^2."""
 
-    __slots__ = ("points", "h", "g", "ginv", "gamma", "riemann_low",
-                 "riemann_frame", "ricci_frame", "scalar", "inv_R_full",
+    __slots__ = ("points", "h", "g", "ginv", "gamma", "bivector_low",
+                 "bivector_frame", "ricci_frame", "scalar", "inv_R_full",
                  "inv_R_endo", "inv_r", "inv_s2", "gb_density",
                  "pontryagin_density")
 
     def __init__(self, **kw):
         for k, v in kw.items():
             setattr(self, k, v)
+
+    riemann_low = property(lambda self: _riemann4(self.bivector_low))
+    riemann_frame = property(lambda self: _riemann4(self.bivector_frame))
 
 
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):
@@ -190,14 +224,15 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
     offsets, weights = _stencil(backend.cyclic_axes)
     m = len(offsets)
     # coordinate-major points (4, m, n) in, component rows (16, m, n) out
-    stencil = pts.T[:, None] + offsets.T[:, :, None] * h
-    g = backend.metric(stencil.reshape(4, m * n).T)
+    g = backend.metric((pts.T[:, None] + offsets.T[:, :, None] * h)
+                       .reshape(4, m * n).T)
     g_rel = g.reshape(m * n, 16).T.reshape(16, m, n)
     g0 = g_rel[:, 0].copy()
     # stencil weights sum to zero, so subtracting the centre value changes
     # nothing analytically but kills the O(|g|/h^2) rounding floor
     g_rel -= g0[:, None]
     d = weights @ g_rel  # (16, 20, n): d1 rows, then d2 rows
+    del g, g_rel  # a lower peak: glibc trims and refaults the heap less
     d1 = (d[:, :4] / h).reshape(4, 4, 4, n)
     d2 = (d[:, 4:] / (h * h)).reshape(4, 4, 4, 4, n)
     return np.ascontiguousarray(g0.T).reshape(n, 4, 4), d1, d2
@@ -211,7 +246,7 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
     the slug ``backend.excluded``.  The metric is evaluated on the stencil
     rows with zero offset along ``backend.cyclic_axes``: 113 per point in
     general, 61 when one coordinate is cyclic.  Memory grows with n (that
-    many metric evaluations and several (4,4,4,4) tensors per point)."""
+    many metric evaluations per point; see the module docstring)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     step_scale, clearance = backend.chart_scales(pts)
@@ -236,30 +271,27 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
 
     # R_abcd = (d_c d_b g_ad - d_c d_a g_bd - d_d d_b g_ac + d_d d_a g_bc)/2
     #          + G_{l,da} Gam^l_cb - G_{l,ca} Gam^l_db
-    # is half - half.swap(c, d), built with the point axis last, where
-    # half_abcd = (d_c d_b g_ad - d_c d_a g_bd)/2 + quad[d,a,c,b] and
-    # quad[p,q,r,s] = G_{l,pq} Gam^l_rs is one (16, 4) @ (4, 16) per point
+    # on bivector pairs I = (a, b), J = (c, d): the d2g terms are four rows
+    # of d2 (point axis last) gathered at once, the Gam terms two columns of
+    # quad[p,q,r,s] = G_{l,pq} Gam^l_rs, one (16, 4) @ (4, 16) per point
+    t = _bivector_tables()
     quad = (np.swapaxes(first, 1, 2) @ gamma.reshape(n, 4, 16)).reshape(n, 256)
-    hess = d2.transpose(0, 3, 2, 1, 4)          # [a,b,c,d] = d_c d_b g_ad
-    half = 0.5 * (hess - hess.transpose(1, 0, 2, 3, 4)) \
-        + quad.T.reshape(4, 4, 4, 4, n).transpose(1, 3, 2, 0, 4)
-    r_low = np.ascontiguousarray(
-        (half - half.transpose(0, 1, 3, 2, 4)).reshape(256, n).T
-    ).reshape(n, 4, 4, 4, 4)
+    quad = quad[:, t["quad_cols"]]
+    hess = t["d2_weights"] @ d2.reshape(256, n)[t["d2_rows"]].reshape(4, -1)
+    r6 = hess.reshape(36, n).T.reshape(n, 6, 6) + (quad[:, 0] - quad[:, 1])
+    r6_fr = _frame_components(r6, legs)
 
-    r_fr = _frame_components(r_low, legs)
-
-    ric = np.einsum("ncacb->nab", r_fr)
+    flat = r6_fr.reshape(n, 36)
+    ric = (flat @ t["ricci"]).reshape(n, 4, 4)
     scal = np.einsum("naa->n", ric)
-    inv_R_full = np.einsum("nabcd,nabcd->n", r_fr, r_fr)
+    inv_R_full = 4.0 * np.einsum("ni,ni->n", flat, flat)
     inv_r = np.einsum("nab,nab->n", ric, ric)
     gbd = (inv_R_full - 4.0 * inv_r + scal * scal) / (32.0 * math.pi ** 2)
-    fr = r_fr.reshape(n, 16, 16)
-    pon = np.einsum("nij,nij->n", fr @ _levi_civita4().reshape(16, 16),
-                    fr) / (96.0 * math.pi ** 2)
+    pon = 8.0 * np.einsum("nij,nij->n", r6_fr @ t["star"],
+                          r6_fr) / (96.0 * math.pi ** 2)
 
     return CurvatureBatch(points=pts, h=h_arr, g=g0, ginv=ginv, gamma=gamma,
-                          riemann_low=r_low, riemann_frame=r_fr,
+                          bivector_low=r6, bivector_frame=r6_fr,
                           ricci_frame=ric, scalar=scal, inv_R_full=inv_R_full,
                           inv_R_endo=0.25 * inv_R_full, inv_r=inv_r,
                           inv_s2=scal * scal, gb_density=gbd,

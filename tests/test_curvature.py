@@ -19,7 +19,7 @@ from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             boundary_report, curvature_at)
-from sdlab.geometry import curvature, integrals
+from sdlab.geometry import boundary, curvature, integrals
 from sdlab.geometry import quadrature as quad
 from sdlab.geometry.curvature import curvature_batch
 
@@ -407,3 +407,56 @@ def test_riemann_matches_christoffel_derivative_oracle(name, backend, pts):
     for col in integrals._COLS:
         diff = np.max(np.abs(getattr(batch, col) - cols[col]))
         assert diff <= 1e-12 * scale, col
+
+
+# ------------------------------------------------ Riemann on bivector pairs
+
+
+def _spy_spread(monkeypatch):
+    """Record the batch size of every 6 x 6 -> 4^4 expansion."""
+    calls = []
+    spread = curvature._riemann4
+
+    def spy(r6):
+        calls.append(len(r6))
+        return spread(r6)
+
+    monkeypatch.setattr(curvature, "_riemann4", spy)
+    return calls
+
+
+def test_integral_never_spreads_riemann_to_four_indices(monkeypatch):
+    calls = _spy_spread(monkeypatch)
+    tn2 = get_entry("taub-nut-2").backend
+    integrals.integrate_invariants(tn2, resolution=2)
+    assert calls == []
+    curvature_at(tn2, sample_points(tn2, 1)[0])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+def test_spread_riemann_is_exactly_antisymmetric(name):
+    backend = BACKENDS[name]
+    batch = curvature_batch(backend, sample_points(backend, 8))
+    for r in (batch.riemann_low, batch.riemann_frame):
+        assert np.array_equal(r, -r.transpose(0, 2, 1, 3, 4))
+        assert np.array_equal(r, -r.transpose(0, 1, 2, 4, 3))
+        assert np.max(np.abs(r)) > 0 or name == "flat-torus"
+
+
+@pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2", "schwarzschild"])
+def test_boundary_normal_block_matches_einsum_rotation(name, monkeypatch):
+    seen = []
+    block = boundary._r_i4j4
+
+    def spy(r6, legs):
+        seen.append((r6, legs, block(r6, legs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(boundary, "_r_i4j4", spy)
+    boundary_report(get_entry(name).backend, 40.0, resolution=4)
+    (r6, legs, got), = seen
+    r_low = curvature._riemann4(r6)
+    want = np.einsum("nia,njb,nkc,nld,nijkl->nabcd", legs, legs, legs, legs,
+                     r_low)[:, :3, 3, :3, 3]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -10,11 +10,16 @@ doubles both.  The flat torus integrates identically to zero.
 
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sdlab
 from sampling import sample_points
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
@@ -226,7 +231,7 @@ def test_chunk_size_does_not_change_integrals(monkeypatch):
 
 
 def test_integral_peak_memory_is_bounded():
-    # a chunk's working set, not the mesh, sets the peak: about 8.8 MiB
+    # a chunk's working set, not the mesh, sets the peak: about 5.9 MiB
     # at 256 nodes a chunk, against 104 MiB at 4096
     b = backend("taub-nut-2")
     integrate_invariants(b, resolution=1)     # lazy imports and tables
@@ -236,4 +241,26 @@ def test_integral_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 12 * 2**20
+
+
+_NO_MA_CHILD = """
+import contextlib, io, sys
+from sdlab.cli import main
+for name in ("taub-nut-1", "schwarzschild"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["integrate", "--manifold", name, "--no-cache",
+                     "--resolution", "1"]) == 0, name
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_alf_integrals_do_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma (12-15 ms) for np.median; the tail fit of
+    # every ALF integral must not pay for it
+    env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NO_MA_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
