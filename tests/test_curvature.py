@@ -412,21 +412,15 @@ def test_riemann_matches_christoffel_derivative_oracle(name, backend, pts):
 # ------------------------------------------------ Riemann on bivector pairs
 
 
-def _spy_spread(monkeypatch):
-    """Record the batch size of every 6 x 6 -> 4^4 expansion."""
+def test_integral_never_spreads_riemann_to_four_indices(monkeypatch):
     calls = []
     spread = curvature._riemann4
 
-    def spy(r6):
+    def spy(r6):            # each 6 x 6 -> 4^4 expansion, by batch size
         calls.append(len(r6))
         return spread(r6)
 
     monkeypatch.setattr(curvature, "_riemann4", spy)
-    return calls
-
-
-def test_integral_never_spreads_riemann_to_four_indices(monkeypatch):
-    calls = _spy_spread(monkeypatch)
     tn2 = get_entry("taub-nut-2").backend
     integrals.integrate_invariants(tn2, resolution=2)
     assert calls == []
