@@ -10,9 +10,10 @@ corpus again after an intended change of output, run
     PYTHONPATH=src python tests/test_golden.py
 
 which also prints each case whose stdout or exit code moved, with the
-JSON key path of each removed, added or changed non-number value and the
+JSON key path of each removed, added or changed non-number value, the
 largest |new - old| / max(1, |old|) over the numbers both stdouts share
-with the key path of that number, and say in CHANGES.md which outputs
+and the largest |new - old| / |old| over those with |old| >= 1e-6, each
+with the key path of its number, and say in CHANGES.md which outputs
 moved and why.
 """
 
@@ -115,8 +116,9 @@ def _leaves(value, path=""):
 
 def _compare(old: dict, new: dict):
     """The leaf maps of two JSON stdouts, and (|new - old| / max(1, |old|),
-    key path) for each number that moved at a key path both share, (None,
-    key path) for any other value that moved there."""
+    |new - old| / |old| or None if |old| < 1e-6, key path) for each number
+    that moved at a key path both share, (None, None, key path) for any
+    other value that moved there."""
     a, b = (dict(_leaves(json.loads(case["stdout"]))) for case in (old, new))
     moves = []
     for path, x in a.items():
@@ -124,22 +126,28 @@ def _compare(old: dict, new: dict):
         if x == y and type(x) is type(y):
             continue
         if type(x) in (int, float) and type(y) in (int, float):
-            moves.append((abs(y - x) / max(1.0, abs(x)), path))
+            d = abs(y - x)
+            moves.append((d / max(1.0, abs(x)),
+                          d / abs(x) if abs(x) >= 1e-6 else None, path))
         else:
-            moves.append((None, path))
+            moves.append((None, None, path))
     return a, b, moves
 
 
 def largest_move(old: dict, new: dict):
-    """(largest relative change, key path) over the numbers that moved in
-    one recorded case, or None if none did or a stdout is not JSON."""
+    """The largest |new - old| / max(1, |old|) and the largest
+    |new - old| / |old| over |old| >= 1e-6 among the numbers that moved in
+    one recorded case, each as (figure, key path), or None where no number
+    counts or a stdout is not JSON."""
     if old["stdout"] == new["stdout"]:
-        return None
+        return None, None
     try:
         moves = [m for m in _compare(old, new)[2] if m[0] is not None]
     except ValueError:
-        return None
-    return max(moves, default=None)
+        return None, None
+    return (max(((fig, path) for fig, _, path in moves), default=None),
+            max(((rel, path) for _, rel, path in moves if rel is not None),
+                default=None))
 
 
 def drift(old: dict, new: dict) -> list[str]:
@@ -158,29 +166,37 @@ def drift(old: dict, new: dict) -> list[str]:
         return notes + ["stdout is not JSON"]
     notes += [f"{path} removed" for path in a if path not in b]
     notes += [f"{path} added" for path in b if path not in a]
-    notes += [f"{path} changed" for worst, path in moves if worst is None]
-    worst = largest_move(old, new)
+    notes += [f"{path} changed" for fig, _, path in moves if fig is None]
+    worst, rel = largest_move(old, new)
     if worst:
         notes.append(f"max |d|/max(1,|old|) = {worst[0]:.2e} at {worst[1]}")
+    if rel:
+        notes.append(f"max |d|/|old| = {rel[0]:.2e} at {rel[1]}")
     return notes
 
 
 def summary(before: dict, recorded: dict) -> str:
-    """The last line of a re-record: how many cases moved, and the
-    largest relative change of a number, with its case and key path."""
-    moved, worst = 0, None
+    """The last line of a re-record: how many cases moved, the largest
+    change of a number relative to max(1, |old|), and the largest relative
+    to |old| >= 1e-6, each with its case and key path."""
+    moved, worst, rel = 0, None, None
     for case, new in recorded.items():
         if case not in before:
             moved += 1
             continue
         moved += bool(drift(before[case], new))
-        move = largest_move(before[case], new)
-        if move and (worst is None or move[0] > worst[0]):
-            worst = (*move, case)
+        moves = largest_move(before[case], new)
+        if moves[0] and (worst is None or moves[0][0] > worst[0]):
+            worst = (*moves[0], case)
+        if moves[1] and (rel is None or moves[1][0] > rel[0]):
+            rel = (*moves[1], case)
     line = f"{moved} of {len(recorded)} cases moved"
     if worst is None:
         return line + "; no number moved"
-    return line + f"; largest drift {worst[0]:.2e} at {worst[2]} {worst[1]}"
+    line += f"; largest drift {worst[0]:.2e} at {worst[2]} {worst[1]}"
+    if rel is None:
+        return line
+    return line + f"; largest relative drift {rel[0]:.2e} at {rel[2]} {rel[1]}"
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +291,8 @@ def test_drift_names_what_moved():
     assert drift(old, old) == []
     assert drift(old, dict(old, code=1)) == ["exit code 0 -> 1"]
     new = {"code": 0, "stdout": '{"v40_integral": 2.0, "I_gb": -0.25}'}
-    assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
+    assert drift(old, new) == ["max |d|/max(1,|old|) = 2.50e-01 at I_gb",
+                               "max |d|/|old| = 5.00e-01 at I_gb"]
     new = {"code": 0, "stdout": '{"v41_integral": 2.0, "I_gb": -0.5}'}
     assert drift(old, new) == ["v40_integral removed", "v41_integral added"]
     assert drift(old, dict(old, stdout="Traceback")) == [
@@ -286,11 +303,13 @@ def test_drift_names_what_moved():
                                    '{"v40": 0.5}]}'}
     assert drift(reports, shrunk) == [
         "reports[0].flux removed", "reports[1].flux removed",
-        "max |d|/max(1,|old|) = 5.00e-01 at reports[0].v40"]
+        "max |d|/max(1,|old|) = 5.00e-01 at reports[0].v40",
+        "max |d|/|old| = 5.00e-01 at reports[0].v40"]
     keyed = {"code": 0, "stdout": '{"cache_key": "9a0f", "I_gb": -0.5}'}
     rekeyed = {"code": 0, "stdout": '{"cache_key": "17be", "I_gb": -0.25}'}
     assert drift(keyed, rekeyed) == [
-        "cache_key changed", "max |d|/max(1,|old|) = 2.50e-01 at I_gb"]
+        "cache_key changed", "max |d|/max(1,|old|) = 2.50e-01 at I_gb",
+        "max |d|/|old| = 5.00e-01 at I_gb"]
     assert drift(keyed, dict(rekeyed, stdout=keyed["stdout"].replace(
         "9a0f", "17be"))) == ["cache_key changed"]
     nested = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
@@ -298,20 +317,36 @@ def test_drift_names_what_moved():
     moved = {"code": 1, "stdout": '{"results": {"rows": [{"a": 1.0}, '
                                   '{"a": 3.5}], "order": 0.66}}'}
     assert drift(nested, moved) == [
-        "max |d|/max(1,|old|) = 1.67e-01 at results.rows[1].a"]
-
+        "max |d|/max(1,|old|) = 1.67e-01 at results.rows[1].a",
+        "max |d|/|old| = 1.67e-01 at results.rows[1].a"]
+    # numbers far below 1: an error estimate that moved by 4e-7 of itself
+    # is named, a residual at rounding level (|old| < 1e-6) is not
+    small = {"code": 0, "stdout": '{"I_gb": 2.0, "bianchi_residual": 1.3e-26,'
+                                  ' "error_estimate": 4e-06}'}
+    moved = {"code": 0, "stdout": '{"I_gb": 2.000000000004, '
+                                  '"bianchi_residual": 2.2e-16, '
+                                  '"error_estimate": 4.0000016e-06}'}
+    assert drift(small, moved) == [
+        "max |d|/max(1,|old|) = 2.00e-12 at I_gb",
+        "max |d|/|old| = 4.00e-07 at error_estimate"]
 
 
 def test_summary_names_the_largest_drift():
     old = {"code": 0, "stdout": '{"I_gb": 2.0, "I_p": -1.0}'}
-    before = {"a": old, "b": old, "c": old}
-    assert summary(before, before) == "0 of 3 cases moved; no number moved"
+    tol = {"code": 0, "stdout": '{"I_gb": 2.0, "tol": 0.001}'}
+    before = {"a": old, "b": old, "c": old, "e": tol}
+    assert summary(before, before) == "0 of 4 cases moved; no number moved"
     recorded = {"a": dict(old, code=1),
                 "b": dict(old, stdout='{"I_gb": 2.5, "I_p": -1.0}'),
                 "c": dict(old, stdout='{"I_gb": 2.0, "I_p": -1.25}'),
-                "d": old}
+                "d": old,
+                "e": dict(tol, stdout='{"I_gb": 2.0, "tol": 0.002}')}
     assert summary(before, recorded) == (
-        "4 of 4 cases moved; largest drift 2.50e-01 at b I_gb")
+        "5 of 5 cases moved; largest drift 2.50e-01 at b I_gb; "
+        "largest relative drift 1.00e+00 at e tol")
+    assert summary(before, dict(recorded, e=tol)) == (
+        "4 of 5 cases moved; largest drift 2.50e-01 at b I_gb; "
+        "largest relative drift 2.50e-01 at b I_gb")
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as cache:
