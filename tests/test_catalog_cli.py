@@ -344,10 +344,13 @@ def run_cli(capsys, argv):
 
 
 def test_cli_import_skips_scipy():
-    # scipy.special is slow to import and only the Epstein route needs it
+    # the Epstein route runs on numpy alone
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
-    code = "import sys, sdlab.cli; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, sdlab.cli\n"
+            "code = sdlab.cli.main(['zeta', '--lattice', "
+            "'2.5,0,0,0,0,2.4,0,0,0,0,2.6,0,0,0,0,2.5', '--k', '0'])\n"
+            "sys.exit(code or 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -42,8 +42,8 @@ POINTS = {"flat-torus": "0.1,0.2,0.3,0.4", "round-s4": "1.0,1.2,0.8,0.5",
           "taub-nut-2": "1.5,0.4,0.7,0.3",
           "schwarzschild": "0.8,0.3,1.1,0.8"}
 LATTICE = "2.1,0.3,0,0,0,1.9,0.2,0,0,0,2.4,0.1,0.2,0,0,2.2"
-# condition number 3.3, but the dual scan box exceeds the enumeration cap
-CAPPED_LATTICE = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,0.3"
+# condition number 100, but the reduced dual box exceeds the enumeration cap
+CAPPED_LATTICE = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,0.01"
 
 
 def _cases() -> dict:

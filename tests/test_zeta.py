@@ -12,10 +12,14 @@ Oracles
   s -> 0 is taken by Richardson extrapolation from small s because three
   of the Hurwitz factors sit next to poles whose finite parts contribute.
   The result equals -61/90 and must match the curvature-integral route.
+* Upper incomplete gamma: mpmath's `gammainc` at 30 digits.
+* Shell norms: the scan of the whole cube of side 2 ceil(R / sigma_min) + 1,
+  R = sqrt(cut / pi), around the origin of the basis as given.
 """
 
 import dataclasses
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +31,11 @@ from sdlab.errors import DescriptorError, DomainError, ResourceError
 from sdlab.geometry.boundary import boundary_report
 from sdlab.geometry.integrals import CurvatureIntegrals
 from sdlab.spectral_zeta import (
+    LATTICE_CONDITION_CAP,
+    _CUT,
     _epstein,
+    _gamma_upper,
+    _shell_norms,
     epstein_zeta_at_zero,
     heat_zeta_zero,
     torus_zeta_zero,
@@ -61,6 +69,74 @@ def test_zeta_at_zero_is_minus_one(seed):
     val, err = epstein_zeta_at_zero(basis)
     assert val == pytest.approx(-1.0, abs=1e-6)
     assert err < 1e-6
+
+
+def _rotated(seed, sigma):
+    """Q1 diag(sigma) Q2 with seeded random rotations."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+    return q1 @ np.diag(sigma) @ q2
+
+
+def test_lattice_at_the_condition_cap_is_enumerated():
+    # condition number 1e4, which this seed rounds to just inside the cap
+    lattice = _rotated(1, (0.03, 0.5, 3.0, 300.0))
+    assert np.linalg.cond(lattice) <= LATTICE_CONDITION_CAP
+    start = time.process_time()
+    res = torus_zeta_zero(lattice, 0)
+    assert time.process_time() - start < 1.0
+    assert res.zeta_at_zero == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("a", [-1.0, -0.7, -2e-4, -1e-4, 0.0, 1e-4, 2e-4, 0.7,
+                               1 - 1e-4, 1 + 1e-4, 1.3, 2 - 2e-4, 2 - 1e-4,
+                               2 + 1e-4, 2 + 2e-4, 2.7, 3.0])
+def test_gamma_upper_matches_mpmath(a):
+    x = np.geomspace(1e-6, 40.0, 200)
+    exact = np.array([float(mp.gammainc(a, t)) for t in x])
+    assert np.max(np.abs(_gamma_upper(a, x) / exact - 1.0)) <= 1e-13
+
+
+def _cube_shell_norms(basis):
+    """The shell norms of `_shell_norms`, scanned over the whole cube whose
+    half-side is R over the smallest singular value of the basis."""
+    sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
+    n_max = int(math.ceil(math.sqrt(_CUT / math.pi) / sigma_min))
+    axis = np.arange(-n_max, n_max + 1)
+    g1, g2, g3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    base = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
+    out = []
+    for n4 in axis:  # chunk along the last axis to bound memory
+        n = np.concatenate([base, np.full((base.shape[0], 1), n4)], axis=1)
+        v = n @ basis
+        q = np.einsum("ij,ij->i", v, v)
+        out.append(q[(q > 0) & (math.pi * q <= _CUT)])
+    return np.concatenate(out)
+
+
+def _scanned_lattices():
+    cases = {"eye": np.eye(4)}
+    for seed in (11, 23, 47):
+        rng = np.random.default_rng(seed)
+        basis = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        cases[f"seed{seed}"] = basis
+        cases[f"seed{seed}-dual"] = np.linalg.inv(basis).T
+    # the two scans of torus_zeta_zero on a lattice like the CLI benchmark's
+    spectral = 2.0 * math.pi * np.linalg.inv(_rotated(2, (2.5, 3.0, 3.5, 4.0))).T
+    cases["cli"] = spectral
+    cases["cli-dual"] = np.linalg.inv(spectral).T
+    return cases
+
+
+SCANNED = _scanned_lattices()
+
+
+@pytest.mark.parametrize("name", list(SCANNED))
+def test_shell_norms_match_cube_scan(name):
+    basis = SCANNED[name]
+    got, want = np.sort(_shell_norms(basis)), np.sort(_cube_shell_norms(basis))
+    assert got.shape == want.shape and got.size > 0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_torus_form_degrees_give_binomials():
@@ -168,7 +244,8 @@ def test_singular_lattice_rejected():
     assert err.value.slug == "lattice-singular"
 
 
-CAPPED = np.diag([1.0, 1.0, 1.0, 0.3])  # dual scan box 151^4 > 2e8
+# condition number 100, but the reduced dual box is 45^3 x 4485 > 2e8 points
+CAPPED = np.diag([1.0, 1.0, 1.0, 0.01])
 
 
 def test_enumeration_cap_is_a_resource_error():
