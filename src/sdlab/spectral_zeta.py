@@ -23,6 +23,13 @@ np = _lazy("numpy")
 
 LATTICE_CONDITION_CAP = 1.0e4
 _CUT = 40.0  # summation cutoff in pi*|v|^2; tail below exp(-40)
+_BAND_EDGES = (1.5, 3.0, 8.0, 20.0)
+_BAND_DEPTHS = (66, 38, 17, 9)  # continued-fraction depth from each edge on
+# Taylor coefficients of (1/Gamma(1 + a) - 1)/a at a = 0, enough at |a| < 0.05
+_RGAMMA = (0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+           0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+           0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+           0.0001280502823881162)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,15 +69,6 @@ def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
         out = (b + j) * out + w
         w *= x
     return out
-
-
-_BAND_EDGES = (1.5, 3.0, 8.0, 20.0)
-_BAND_DEPTHS = (66, 38, 17, 9)  # continued-fraction depth from each edge on
-# Taylor coefficients of (1/Gamma(1 + a) - 1)/a at a = 0, enough at |a| < 0.05
-_RGAMMA = (0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
-           0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
-           0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
-           0.0001280502823881162)
 
 
 def _gamma_series(a: float, x: np.ndarray) -> np.ndarray:
