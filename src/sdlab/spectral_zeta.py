@@ -138,27 +138,29 @@ def _epstein(basis: np.ndarray):
     """The Epstein zeta of one lattice as a function of s: the analytic
     continuation of sum |v|^(-2s) over the nonzero lattice.
 
-    Incomplete-gamma representation split at the self-dual scale; both
-    the lattice and its dual are summed to a certified exponential tail.
-    Valid for real s away from 0 and 2 (the explicit pole terms carry the
-    continuation there).  Validation, inversion and both shell scans do
-    not depend on s and run once."""
+    Incomplete-gamma representation split at the self-dual scale: the
+    basis is scaled by 1/c to unit covolume, c = |det|^(1/4), so the
+    lattice and its dual need about as many shells each, and zeta(s)
+    carries the factor c^(-2s).  Both are summed to a certified
+    exponential tail.  Valid for real s away from 0 and 2 (the explicit
+    pole terms carry the continuation there).  Validation, inversion and
+    both shell scans do not depend on s and run once."""
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (4, 4):
         raise DomainError("lattice-shape", "need a 4x4 generator matrix")
     det = float(np.linalg.det(basis))
     if abs(det) < 1e-300:
         raise DomainError("lattice-singular", "generator matrix not invertible")
-    covol = abs(det)
-    dual = np.linalg.inv(basis).T
-    q1 = math.pi * _shell_norms(basis)
-    q2 = math.pi * _shell_norms(dual)
+    c = abs(det) ** 0.25
+    unit = basis / c
+    q1 = math.pi * _shell_norms(unit)
+    q2 = math.pi * _shell_norms(np.linalg.inv(unit).T)
 
     def zeta(s: float) -> float:
         i1 = float(np.sum(_gamma_upper(s, q1) * q1 ** (-s)))
         i2 = float(np.sum(_gamma_upper(2.0 - s, q2) * q2 ** (s - 2.0)))
-        bracket = i1 + i2 / covol + 1.0 / (covol * (s - 2.0)) - 1.0 / s
-        return math.pi ** s / math.gamma(s) * bracket
+        bracket = i1 + i2 + 1.0 / (s - 2.0) - 1.0 / s
+        return c ** (-2.0 * s) * math.pi ** s / math.gamma(s) * bracket
     return zeta
 
 

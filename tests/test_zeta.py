@@ -25,6 +25,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sdlab import spectral_zeta
 from sdlab.catalog import get_entry
 from sdlab.cli import main
 from sdlab.errors import DescriptorError, DomainError, ResourceError
@@ -244,18 +245,23 @@ def test_singular_lattice_rejected():
     assert err.value.slug == "lattice-singular"
 
 
-# condition number 100, but the reduced dual box is 45^3 x 4485 > 2e8 points
-CAPPED = np.diag([1.0, 1.0, 1.0, 0.01])
+# condition number 1e9: scaled to unit covolume its three short axes give
+# a box of 1269^3 > 2e8 points.  Within the condition cap the unit-covolume
+# boxes stay below a million points, so the CLI reaches the enumeration cap
+# only with the condition cap raised.
+CAPPED = np.diag([1.0, 1.0, 1.0, 1e9])
 
 
 def test_enumeration_cap_is_a_resource_error():
     with pytest.raises(ResourceError) as err:
-        torus_zeta_zero(CAPPED, 1)
+        epstein_zeta_at_zero(CAPPED)
     assert err.value.slug == "lattice-enumeration"
 
 
-def test_enumeration_cap_exit_code(capsys):
-    code = main(["zeta", "--lattice", ",".join(map(str, CAPPED.ravel())),
+def test_enumeration_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(spectral_zeta, "LATTICE_CONDITION_CAP", 1e10)
+    lattice = np.linalg.inv(CAPPED)  # torus_zeta_zero scans 2 pi x its dual
+    code = main(["zeta", "--lattice", ",".join(map(str, lattice.ravel())),
                  "--k", "1"])
     assert code == 2 and "lattice-enumeration" in capsys.readouterr().err
 
