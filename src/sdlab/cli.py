@@ -197,7 +197,8 @@ def cmd_boundary(args):
             for rho in rhos]
     return ({"manifold": entry.name, "rho": list(rhos),
              "resolution": args.resolution},
-            {"reports": rows}, {"csv_rows": rows})
+            {"reports": rows}, {"csv_rows": rows, "error_estimate": max(
+                r["error_estimate"] for r in rows)})
 
 
 def cmd_zeta(args):
@@ -342,7 +343,8 @@ def cmd_verify_decay(args):
              "ratios_in_window": ratios_ok,
              "v4_strictly_decreasing": decreasing,
              "fitted_decay_order": order,
-             "reports": [r.as_dict() for r in reports]}, {})
+             "reports": [r.as_dict() for r in reports]},
+            {"error_estimate": max(r.error_estimate for r in reports)})
 
 
 # --------------------------------------------------------------------- main

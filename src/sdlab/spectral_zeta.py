@@ -212,7 +212,8 @@ def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
     Closed case: -b^k plus the quartic heat coefficient built from the
     full-contraction invariants.  With a boundary report, the Dirichlet
     Betti number replaces b^k and the quartic boundary integral (v40 for
-    k = 0, v41 for k = 1) is added.  The bulk Laplacian-of-s term, a flux
+    k = 0, v41 for k = 1) is added, with the report's relative error
+    estimate in the truncation error.  The bulk Laplacian-of-s term, a flux
     of the normal derivative of s through the boundary, is zero: boundary
     reports are made on Ricci-flat metrics only."""
     k = int(k)
@@ -230,6 +231,7 @@ def heat_zeta_zero(topo, curv, k: int, boundary=None) -> SpectralZetaResult:
         b_k = harmonic_count(topo, k)
         v4 = boundary.v40_integral if k == 0 else boundary.v41_integral
         value = -b_k + bulk + v4 / (16.0 * math.pi ** 2)
+        err += abs(v4) / (16.0 * math.pi ** 2) * boundary.error_estimate
     return SpectralZetaResult(zeta_at_zero=float(value),
                               method="heat-kernel-formula",
                               truncation_error=float(err))

@@ -79,10 +79,31 @@ def test_schwarzschild_pi_eigenvalues_exact(rho):
     assert np.max(err) <= 1e-9 * np.max(np.abs(exact))
 
 
+def _closed_form_area(name, rho):
+    # Schwarzschild: the sphere 4 pi rho^2 times the Killing circle 8 pi m f,
+    # f = sqrt(1 - 2m/rho); TN-1: the sphere 4 pi rho^2 V times the fiber
+    # 4 pi m V^(-1/2), V = 1 + m/rho
+    m = get_entry(name).backend.mass
+    if name == "schwarzschild":
+        f = math.sqrt(1.0 - 2.0 * m / rho)
+        return 32.0 * math.pi ** 2 * m * rho ** 2 * f
+    return 16.0 * math.pi ** 2 * m * rho ** 2 * math.sqrt(1.0 + m / rho)
+
+
+@pytest.mark.parametrize("resolution", [2, 4])
+@pytest.mark.parametrize("name", ["schwarzschild", "taub-nut-1"])
+@pytest.mark.parametrize("rho", [20.0, 80.0])
+def test_boundary_area_matches_closed_form(name, rho, resolution):
+    rep = boundary_report(get_entry(name).backend, rho, resolution=resolution)
+    assert rep.boundary_area == pytest.approx(_closed_form_area(name, rho),
+                                              rel=1e-12)
+    assert 0.0 < rep.error_estimate < 1e-5
+
+
 @pytest.mark.parametrize("rho", [20, 80, 320])
 def test_schwarzschild_v40_exact(rho):
     # Pi has eigenvalues lam on the (theta, psi, phi) legs and R_i4i4 reads
-    # K there; trPi is constant, so its surface Laplacian drops out
+    # K there; the density is constant on the sphere
     b = get_entry("schwarzschild").backend
     m = b.mass
     f = math.sqrt(1.0 - 2.0 * m / rho)
@@ -92,15 +113,40 @@ def test_schwarzschild_v40_exact(rho):
                - (88.0 / 7.0) * np.sum(lam ** 2) * np.sum(lam)
                + (320.0 / 21.0) * np.sum(lam ** 3)) / 360.0
     rep = boundary_report(b, rho, resolution=2)
-    assert rep.v40_integral == pytest.approx(density * rep.boundary_area,
-                                             rel=1e-5)
+    area = _closed_form_area("schwarzschild", rho)
+    assert rep.v40_integral == pytest.approx(density * area, rel=1e-6)
     assert rep.v41_integral == 4.0 * rep.v40_integral
+
+
+def test_taub_nut_2_v40_agrees_across_resolutions():
+    b = get_entry("taub-nut-2").backend
+    v40 = [boundary_report(b, 40.0, resolution=r).v40_integral
+           for r in (2, 4, 8)]
+    assert max(v40) - min(v40) <= 1e-5 * abs(v40[-1])
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 8])
+def test_report_uses_at_most_16_points_per_resolution_step(monkeypatch,
+                                                           resolution):
+    # the budget of the midpoint theta grid the Gauss panels replaced
+    batches = []
+    batch = curvature.curvature_batch
+
+    def spy_batch(backend, pts, h=None):
+        batches.append(len(pts))
+        return batch(backend, pts, h)
+
+    monkeypatch.setattr(boundary, "curvature_batch", spy_batch)
+    boundary_report(get_entry("taub-nut-1").backend, 30.0,
+                    resolution=resolution)
+    assert len(batches) == 2 and batches[1] == 2 * batches[0]
+    assert sum(batches) <= 16 * resolution
 
 
 @pytest.mark.parametrize("name", ["taub-nut-1", "schwarzschild"])
 def test_report_makes_one_kernel_call(monkeypatch, name):
-    # one batch on the surface, whose metric is evaluated only by the
-    # kernel's stencil
+    # one batch on each surface mesh (coarse and doubled), whose metric is
+    # evaluated only by the kernel's stencil
     b = get_entry(name).backend
     batches, metric_calls, inside = [], [], []
     batch, derivs = curvature.curvature_batch, curvature._metric_derivatives
@@ -125,8 +171,8 @@ def test_report_makes_one_kernel_call(monkeypatch, name):
     monkeypatch.setattr(curvature, "_metric_derivatives", spy_derivs)
     monkeypatch.setattr(type(b), "metric", spy_metric)
     boundary_report(b, 30.0, resolution=4)
-    assert batches == [64]
-    assert metric_calls == [True]
+    assert batches == [16, 32]
+    assert metric_calls == [True, True]
 
 
 def test_as_dict_round_trip(tn_reports):

@@ -213,6 +213,19 @@ def test_heat_route_truncated_space_converges(tn1_integrals):
     assert abs(vals[2]) < 0.1
 
 
+def test_heat_route_truncation_error_carries_the_boundary_estimate(
+        tn1_integrals):
+    entry = get_entry("taub-nut-1")
+    rep = boundary_report(entry.backend, 40.0, resolution=2)
+    for k, v4 in ((0, rep.v40_integral), (1, rep.v41_integral)):
+        res = heat_zeta_zero(entry.descriptor, tn1_integrals, k, boundary=rep)
+        bulk = heat_zeta_zero(entry.descriptor, tn1_integrals, k)
+        term = abs(v4) / (16.0 * math.pi ** 2) * rep.error_estimate
+        assert term > 0.0
+        assert res.truncation_error == pytest.approx(
+            bulk.truncation_error + term, rel=1e-14)
+
+
 def test_dirichlet_one_forms_need_neck_condition(schw_integrals):
     entry = get_entry("schwarzschild")
     rep = boundary_report(entry.backend, 30.0, resolution=2)
