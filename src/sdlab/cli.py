@@ -22,8 +22,9 @@ from .assembly import (anomaly_counterterms, assemble_partition,
                        pathological_partition, verify_modularity, weights_for)
 from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
                       finite_float, finite_floats, get_entry, parse_manifest)
-from .errors import SdlabError, UsageError
+from .errors import DomainError, SdlabError, UsageError
 from .geometry import boundary_report, curvature_at
+from .geometry.integrals import CUTOFF_SCALE_MAX
 from .jsonio import canonical_dumps
 from .lattice_sum import brute_force_partition, theta_product
 from .modular_forms import cot_contour_theta, s_transform_residual, theta
@@ -63,9 +64,9 @@ def parse_floats(text: str, count: int | None = None,
         vals = finite_floats(text)
     except ValueError:
         raise UsageError("float-list", f"{label}: {text!r}")
-    if count is not None and len(vals) != count:
-        raise UsageError("float-list",
-                         f"{label}: expected {count} numbers, got {len(vals)}")
+    if not vals or count not in (None, len(vals)):
+        raise UsageError("float-list", f"{label}: expected "
+                         f"{count or 'one or more'} numbers, got {len(vals)}")
     return vals
 
 
@@ -112,9 +113,6 @@ def _emit(args, env: dict, csv_rows: list[dict] | None = None) -> None:
         print(canonical_dumps(env))
         return
     if getattr(args, "csv", False):
-        if not csv_rows:
-            raise UsageError("csv-unavailable",
-                             "this command produced no tabular rows")
         cols = list(csv_rows[0])
         print(",".join(cols))
         for row in csv_rows:
@@ -179,6 +177,10 @@ _CURVATURE_FIELDS = ("scalar", "inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
 def cmd_curvature(args):
     entry, backend = _chart(args)
     point = parse_floats(args.point, 4, "--point")
+    scale = backend.geometry_scale()
+    if backend.alf and not backend.radius(point) <= CUTOFF_SCALE_MAX * scale:
+        raise DomainError("point-too-far", f"--point {point} lies beyond "
+                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     s = curvature_at(backend, point)
     return ({"manifold": entry.name, "point": list(point)},
             {f: getattr(s, f) for f in _CURVATURE_FIELDS}, {})
@@ -301,6 +303,8 @@ def cmd_verify_theta(args):
 def cmd_verify_modularity(args):
     taus = ([parse_complex(t) for t in args.taus.split(",")]
             if args.taus else list(_DEFAULT_TAUS))
+    if args.tol is not None and not args.tol > 0:
+        raise DomainError("tol-positive", f"tol = {args.tol} must be > 0")
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
     residual = verify_modularity(entry.descriptor, taus, conv, curv=ci)

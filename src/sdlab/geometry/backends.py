@@ -37,7 +37,8 @@ Each backend also owns the geometry-specific halves of the integrals:
 tensor-product mesh, each with a chart embedding and a reduced volume
 weight, which ``integrals.integrate_invariants`` refines and sums; the
 ALF backends (``alf = True``) add the truncation surface and the
-gradient of its level function that ``boundary`` works on.
+gradient of its level function that ``boundary`` works on, and the
+``radius`` of a chart point, which the CLI caps like rho and the cutoff.
 """
 from __future__ import annotations
 
@@ -309,9 +310,12 @@ class MultiTaubNut(GeometryBackend):
     def geometry_scale(self) -> float:
         # the spread of the centres about their centroid, the point the
         # truncation surface is centred on, so translation changes nothing
-        c = [sum(x) / len(self.centers) for x in zip(*self.centers)]
-        reach = max(math.dist(p, c) for p in self.centers)
-        return self.mass + reach
+        return self.mass + max(map(self.radius, self.centers))
+
+    def radius(self, x) -> float:
+        """Distance of a chart point from the centroid of the centres."""
+        c = [sum(v) / len(self.centers) for v in zip(*self.centers)]
+        return math.dist(x[:3], c)
 
     def _on_axis(self) -> np.ndarray:
         """Centers as an (n, 3) array; the axisymmetric reductions need
@@ -452,6 +456,10 @@ class Schwarzschild(GeometryBackend):
 
     def geometry_scale(self) -> float:
         return 2 * self.mass
+
+    def radius(self, x) -> float:
+        """Area radius 2m + X^2 + Y^2 of a chart point."""
+        return 2 * self.mass + x[0] * x[0] + x[1] * x[1]
 
     def reduction(self, resolution: int, cutoff: float | None):
         # spherically symmetric and rotation-invariant in the disc: the

@@ -381,8 +381,9 @@ def test_cli_theta_json(capsys):
      "argument --tol"),
     (["integrate", "--manifold", "taub-nut-1", "--cutoff", "nan"],
      "argument --cutoff"),
+    (["boundary", "--manifold", "taub-nut-1", "--rho", ""], "float-list"),
     (["boundary", "--manifold", "taub-nut-1", "--rho", "", "--csv"],
-     "csv-unavailable"),
+     "float-list"),
     # a bytes argument is written to a manifest file and replaced by its path
     (["catalog", "list", "--manifest", b"root:x:0:0:root:/root:/bin/sh\n"],
      "manifest-unreadable"),
@@ -402,7 +403,7 @@ def test_cli_theta_json(capsys):
     (["verify", "decay", "--manifold", "taub-nut-1", "--rho", "20,40,80",
       "--cutoff", "5"], "unrecognized arguments: --cutoff"),
 ], ids=["point-nan", "rho-inf", "lattice-nan", "tau-nan", "tol-nan",
-        "cutoff-nan", "csv-empty", "manifest-no-section",
+        "cutoff-nan", "rho-empty", "csv-empty", "manifest-no-section",
         "manifest-duplicate-option", "manifest-duplicate-section",
         "manifest-not-utf8", "manifest-stray-continuation",
         "curvature-resolution", "boundary-cutoff", "decay-cutoff"])
@@ -439,6 +440,46 @@ def test_cli_rho_beyond_cap_is_one_error_line(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: rho-too-large")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, slug", [
+    (["curvature", "--manifold", "schwarzschild", "--point=1e30,1e30,1,0"],
+     "point-too-far"),
+    (["curvature", "--manifold", "schwarzschild", "--point=1e5,0,1,0"],
+     "point-too-far"),
+    (["curvature", "--manifold", "taub-nut-1", "--point=1e300,0,0,0"],
+     "point-too-far"),
+    (["verify", "modularity", "--manifold", "flat-torus", "--tol", "-1"],
+     "tol-positive"),
+    (["verify", "modularity", "--manifold", "flat-torus", "--tol", "0"],
+     "tol-positive"),
+], ids=["schwarzschild-1e30", "schwarzschild-1e5", "tn1-1e300",
+        "modularity-tol-negative", "modularity-tol-zero"])
+def test_cli_meaningless_request_is_one_error_line(argv, slug, tmp_path):
+    # the points once gave a LinAlgError traceback, invariants of 0.64 on a
+    # Ricci-flat metric, or overflow warnings; the tolerances a check that
+    # could not pass
+    env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],
+                          env=env, timeout=120, capture_output=True,
+                          text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {slug}:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_readme_exit_codes_match_the_raised_slugs():
+    # a slug the table names must still be raised, and new slugs documented
+    root = pathlib.Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    slugs = set(re.findall(r"`([a-z0-9]+(?:-[a-z0-9]+)+)`", section))
+    source = "".join(p.read_text(encoding="utf-8")
+                     for p in (root / "src").rglob("*.py"))
+    assert {s for s in slugs if f'"{s}"' not in source} == set()
+    assert {"point-too-far", "tol-positive", "float-list"} <= slugs
 
 
 def test_cli_bad_complex_literal(capsys):
