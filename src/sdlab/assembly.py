@@ -18,8 +18,11 @@ import cmath
 import dataclasses
 import math
 
+from . import _lazy
 from .errors import ConsistencyError, DescriptorError, DomainError
-from .modular_forms import _as_tau, principal_power, theta
+
+# runs where a theta value or a principal power is formed, not for weights
+modular_forms = _lazy("sdlab.modular_forms")
 
 _KINDS = ("compact", "alf")
 
@@ -184,11 +187,12 @@ def assemble_partition(desc: ManifoldDescriptor, tau,
                        convention: str = "paper-endo", *,
                        curv) -> PartitionEvaluation:
     """One-loop partition value at coupling tau, factor by factor."""
-    tau = _as_tau(tau)
+    tau = modular_forms._as_tau(tau)
     exponent = imtau_exponent(desc, curv, convention)
-    th_p = theta(tau).value ** desc.bplus_l2
-    th_m = theta(-tau.conjugate()).value ** desc.bminus_l2
-    imtau_power = principal_power(tau.imag / (8.0 * math.pi ** 2), exponent)
+    th_p = modular_forms.theta(tau).value ** desc.bplus_l2
+    th_m = modular_forms.theta(-tau.conjugate()).value ** desc.bminus_l2
+    imtau_power = modular_forms.principal_power(
+        tau.imag / (8.0 * math.pi ** 2), exponent)
     torsion = float(desc.torsion_order)
     det_factor = 1.0  # determinant normalizations deliberately suppressed
     value = (torsion * th_p * th_m * desc.vol_flat_torus_factor
@@ -213,15 +217,15 @@ def verify_modularity(desc: ManifoldDescriptor, tau_samples,
     weights; the shift law compares Z(tau + 2) against Z(tau).
     """
     w = weights_for(desc, curv, convention)
-    phase = principal_power(complex(0.0, -1.0), w.sigma_phase)
+    phase = modular_forms.principal_power(complex(0.0, -1.0), w.sigma_phase)
     worst = 0.0
     for tau in tau_samples:
-        tau = _as_tau(tau)
+        tau = modular_forms._as_tau(tau)
         z, z_inv, z_shift = (
             assemble_partition(desc, t, convention, curv=curv).value
             for t in (tau, -1.0 / tau, tau + 2.0))
-        rhs = (phase * principal_power(tau, w.alpha)
-               * principal_power(tau.conjugate(), w.beta) * z)
+        rhs = (phase * modular_forms.principal_power(tau, w.alpha)
+               * modular_forms.principal_power(tau.conjugate(), w.beta) * z)
         scale = abs(z)
         worst = max(worst, abs(z_inv - rhs) / scale, abs(z_shift - z) / scale)
     return worst
@@ -306,12 +310,12 @@ def pathological_partition(tau) -> dict:
     the negative real axis the square root takes its upper-half-plane
     limit (documented edge: tau = i gives exactly i).
     """
-    tau = _as_tau(tau)
+    tau = modular_forms._as_tau(tau)
     z = 1j / tau.conjugate()
     if z.imag == 0.0 and z.real < 0.0:
         gaussian = cmath.exp(0.5 * (math.log(abs(z)) + 1j * math.pi))
     else:
-        gaussian = principal_power(z, 0.5)
+        gaussian = modular_forms.principal_power(z, 0.5)
     report = {
         "tau_weight": 0.0,
         "tau_bar_weight": -0.5,

@@ -10,7 +10,6 @@ table from a section's `geometry` to what builds it and the keys it reads.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import functools
 import math
@@ -19,10 +18,11 @@ import warnings
 from . import cache
 from .assembly import ManifoldDescriptor
 from .errors import DescriptorError, UsageError
-from .geometry import (CurvatureIntegrals, FlatTorus, GeometryBackend,
-                       MultiTaubNut, RoundS4, Schwarzschild,
-                       integrate_invariants)
-from .geometry.integrals import check_resolution, effective_cutoff
+from .geometry.backends import (FlatTorus, GeometryBackend, MultiTaubNut,
+                                RoundS4, Schwarzschild)
+from .geometry.integrals import (CurvatureIntegrals, check_resolution,
+                                 effective_cutoff, integrate_invariants)
+from .jsonio import finite_float, finite_floats
 
 # integrals known in closed form: nothing is integrated or estimated
 _exact_integrals = functools.partial(
@@ -152,19 +152,6 @@ def _dirichlet(raw: str) -> int | str:
     return "derive" if raw.strip() == "derive" else int(raw)
 
 
-def finite_float(text: str) -> float:
-    """float(text); nan and inf are a ValueError, as a non-number is."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def finite_floats(text: str) -> tuple[float, ...]:
-    """`finite_float` of each comma- or blank-separated token of text."""
-    return tuple(map(finite_float, text.replace(",", " ").split()))
-
-
 def _triples(raw: str) -> tuple[tuple[float, ...], ...]:
     flat = finite_floats(raw)
     return tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
@@ -217,6 +204,8 @@ def _arguments(section: str, keys: dict, opts: dict) -> dict:
 
 def parse_manifest(path: str) -> dict:
     """Load user manifolds from an INI manifest; returns name -> entry."""
+    import configparser  # only a manifest needs it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")

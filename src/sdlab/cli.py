@@ -17,19 +17,24 @@ import cmath
 import sys
 
 from . import __version__, _lazy
-from .assembly import (anomaly_counterterms, assemble_partition,
-                       euler_number, imtau_exponent, neck_check,
-                       pathological_partition, verify_modularity, weights_for)
-from .catalog import (BUILTINS, CatalogEntry, builtin_names, entry_integrals,
-                      finite_float, finite_floats, get_entry, parse_manifest)
 from .errors import DomainError, SdlabError, UsageError
-from .geometry import boundary_report, curvature_at
-from .geometry.integrals import CUTOFF_SCALE_MAX
-from .jsonio import canonical_dumps
-from .lattice_sum import brute_force_partition, theta_product
-from .modular_forms import cot_contour_theta, s_transform_residual, theta
-from .spectral_zeta import torus_zeta_zero
+from .jsonio import canonical_dumps, finite_float, finite_floats
 
+# Every sdlab module is registered here and runs at its first attribute
+# access, so a process executes only the modules its command reaches, and
+# `import sdlab.cli` still puts each of them in sys.modules (perfbench's
+# `spans.instrument` wraps the functions of every module it finds there).
+assembly = _lazy("sdlab.assembly")
+_lazy("sdlab.cache")
+catalog = _lazy("sdlab.catalog")
+_lazy("sdlab.geometry.backends")
+boundary = _lazy("sdlab.geometry.boundary")
+curvature = _lazy("sdlab.geometry.curvature")
+integrals = _lazy("sdlab.geometry.integrals")
+_lazy("sdlab.geometry.quadrature")
+lattice_sum = _lazy("sdlab.lattice_sum")
+modular_forms = _lazy("sdlab.modular_forms")
+spectral_zeta = _lazy("sdlab.spectral_zeta")
 np = _lazy("numpy")
 
 _DEFAULT_TAUS = (complex(0.3, 0.8), complex(-1.1, 0.4), complex(0.05, 2.2),
@@ -123,16 +128,17 @@ def _emit(args, env: dict, csv_rows: list[dict] | None = None) -> None:
 
 # ------------------------------------------------------------ catalog wiring
 
-def _entry(args) -> CatalogEntry:
-    extra = parse_manifest(args.manifest) if getattr(args, "manifest", None) else None
-    return get_entry(args.manifold, extra)
+def _entry(args) -> catalog.CatalogEntry:
+    manifest = getattr(args, "manifest", None)
+    extra = catalog.parse_manifest(manifest) if manifest else None
+    return catalog.get_entry(args.manifold, extra)
 
 
 def _integrals(args):
     """(entry, integrals, cache_key or None, hit) for the command's args."""
     entry = _entry(args)
-    return (entry, *entry_integrals(entry, args.resolution, args.cutoff,
-                                    getattr(args, "no_cache", False)))
+    return (entry, *catalog.entry_integrals(
+        entry, args.resolution, args.cutoff, getattr(args, "no_cache", False)))
 
 
 def _chart(args):
@@ -143,7 +149,7 @@ def _chart(args):
     return entry, entry.backend
 
 
-def _scope(entry: CatalogEntry, args) -> dict:
+def _scope(entry: catalog.CatalogEntry, args) -> dict:
     return {"manifold": entry.name, "resolution": args.resolution,
             "cutoff": args.cutoff}
 
@@ -152,7 +158,7 @@ def _scope(entry: CatalogEntry, args) -> dict:
 
 def cmd_theta(args):
     tau = parse_complex(args.tau)
-    tv = theta(tau, tol=args.tol)
+    tv = modular_forms.theta(tau, tol=args.tol)
     return ({"tau": tau, "tol": args.tol},
             {"value": tv.value, "tail_bound": tv.tail_bound,
              "terms_used": tv.terms_used},
@@ -161,8 +167,9 @@ def cmd_theta(args):
 
 def cmd_lattice(args):
     tau = parse_complex(args.tau)
-    brute = brute_force_partition(args.bplus, args.bminus, args.box, tau)
-    prod = theta_product(args.bplus, args.bminus, tau)
+    brute = lattice_sum.brute_force_partition(args.bplus, args.bminus,
+                                              args.box, tau)
+    prod = lattice_sum.theta_product(args.bplus, args.bminus, tau)
     return ({"bplus": args.bplus, "bminus": args.bminus, "box": args.box,
              "tau": tau},
             {"brute_force": brute, "theta_product": prod,
@@ -178,10 +185,11 @@ def cmd_curvature(args):
     entry, backend = _chart(args)
     point = parse_floats(args.point, 4, "--point")
     scale = backend.geometry_scale()
-    if backend.alf and not backend.radius(point) <= CUTOFF_SCALE_MAX * scale:
+    cap = integrals.CUTOFF_SCALE_MAX
+    if backend.alf and not backend.radius(point) <= cap * scale:
         raise DomainError("point-too-far", f"--point {point} lies beyond "
-                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
-    s = curvature_at(backend, point)
+                          f"{cap}x geometry scale {scale}")
+    s = curvature.curvature_at(backend, point)
     return ({"manifold": entry.name, "point": list(point)},
             {f: getattr(s, f) for f in _CURVATURE_FIELDS}, {})
 
@@ -195,7 +203,8 @@ def cmd_integrate(args):
 def cmd_boundary(args):
     entry, backend = _chart(args)
     rhos = parse_floats(args.rho, None, "--rho")
-    rows = [boundary_report(backend, rho, resolution=args.resolution).as_dict()
+    rows = [boundary.boundary_report(backend, rho,
+                                     resolution=args.resolution).as_dict()
             for rho in rhos]
     return ({"manifold": entry.name, "rho": list(rhos),
              "resolution": args.resolution},
@@ -206,7 +215,7 @@ def cmd_boundary(args):
 def cmd_zeta(args):
     basis = np.array(parse_floats(args.lattice, 16, "--lattice"),
                      dtype=float).reshape(4, 4)
-    res = torus_zeta_zero(basis, args.k)
+    res = spectral_zeta.torus_zeta_zero(basis, args.k)
     return ({"lattice": [list(row) for row in basis.tolist()], "k": args.k},
             res.as_dict(), {"error_estimate": res.truncation_error})
 
@@ -214,11 +223,11 @@ def cmd_zeta(args):
 def cmd_weights(args):
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    w = weights_for(entry.descriptor, ci, conv)
+    w = assembly.weights_for(entry.descriptor, ci, conv)
     return (_scope(entry, args),
             {"alpha": w.alpha, "beta": w.beta, "sigma_phase": w.sigma_phase,
-             "imtau_power_exponent": imtau_exponent(entry.descriptor, ci,
-                                                    conv)},
+             "imtau_power_exponent": assembly.imtau_exponent(
+                 entry.descriptor, ci, conv)},
             {"convention": conv, "error_estimate": ci.error_estimate,
              "cache_key": key})
 
@@ -227,7 +236,7 @@ def cmd_partition(args):
     tau = parse_complex(args.tau)
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    pe = assemble_partition(entry.descriptor, tau, conv, curv=ci)
+    pe = assembly.assemble_partition(entry.descriptor, tau, conv, curv=ci)
     return ({"manifold": entry.name, "tau": tau,
              "resolution": args.resolution, "cutoff": args.cutoff},
             {"value": pe.value, "factors": pe.factors},
@@ -238,7 +247,7 @@ def cmd_partition(args):
 def cmd_anomaly(args):
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    record = anomaly_counterterms(entry.descriptor, ci, conv)
+    record = assembly.anomaly_counterterms(entry.descriptor, ci, conv)
     record.pop("convention")
     return (_scope(entry, args), record,
             {"convention": conv, "error_estimate": ci.error_estimate,
@@ -247,26 +256,26 @@ def cmd_anomaly(args):
 
 def cmd_pathology(args):
     tau = parse_complex(args.tau)
-    return {"tau": tau}, pathological_partition(tau), {}
+    return {"tau": tau}, assembly.pathological_partition(tau), {}
 
 
 def cmd_neck(args):
     entry = _entry(args)
-    return {"manifold": entry.name}, neck_check(entry.descriptor), {}
+    return {"manifold": entry.name}, assembly.neck_check(entry.descriptor), {}
 
 
 def cmd_catalog(args):
-    extra = parse_manifest(args.manifest) if args.manifest else {}
+    extra = catalog.parse_manifest(args.manifest) if args.manifest else {}
     if args.action == "list":
         rows = []
-        for name in list(builtin_names()) + sorted(extra):
-            entry = extra.get(name) or BUILTINS[name]
+        for name in list(catalog.builtin_names()) + sorted(extra):
+            entry = extra.get(name) or catalog.BUILTINS[name]
             d = entry.descriptor
             rows.append({"name": name, "kind": d.kind, "b0": d.b0, "b1": d.b1,
                          "bplus_l2": d.bplus_l2, "bminus_l2": d.bminus_l2,
                          "geometry": entry.geometry})
         return {"action": "list"}, {"manifolds": rows}, {}
-    entry = get_entry(args.name, extra)
+    entry = catalog.get_entry(args.name, extra)
     d = entry.descriptor
     results = {
         "name": d.name, "kind": d.kind, "b0": d.b0, "b1": d.b1,
@@ -286,12 +295,13 @@ def cmd_catalog(args):
 # -------------------------------------------------------------------- verify
 
 def cmd_verify_theta(args):
-    worst_s = max(s_transform_residual(tau) for tau in _DEFAULT_TAUS)
+    worst_s = max(modular_forms.s_transform_residual(tau)
+                  for tau in _DEFAULT_TAUS)
     contour = []
     for u in (1j, 2j, complex(0.5, 1.0)):
-        ref = theta(u, tol=1e-10).value
+        ref = modular_forms.theta(u, tol=1e-10).value
         for eps in (0.1, 0.2, 0.3):
-            minus = cot_contour_theta(u, eps, tol=1e-8)[1]
+            minus = modular_forms.cot_contour_theta(u, eps, tol=1e-8)[1]
             contour.append({"u": u, "eps": eps, "contour_minus": minus,
                             "abs_error": abs(minus - ref)})
     worst_c = max(c["abs_error"] for c in contour)
@@ -307,7 +317,8 @@ def cmd_verify_modularity(args):
         raise DomainError("tol-positive", f"tol = {args.tol} must be > 0")
     entry, ci, key, _ = _integrals(args)
     conv = _convention(args)
-    residual = verify_modularity(entry.descriptor, taus, conv, curv=ci)
+    residual = assembly.verify_modularity(entry.descriptor, taus, conv,
+                                          curv=ci)
     tol = args.tol if args.tol is not None else (
         1e-8 if entry.descriptor.kind == "compact" else 1e-6)
     return ({"manifold": entry.name, "taus": taus, "tol": tol},
@@ -317,7 +328,7 @@ def cmd_verify_modularity(args):
 
 def cmd_verify_gauss_bonnet(args):
     entry, ci, key, _ = _integrals(args)
-    chi = euler_number(entry.descriptor)
+    chi = assembly.euler_number(entry.descriptor)
     diff = abs(chi - ci.I_gb)
     tol = 0.03 * max(1.0, abs(chi))
     return (_scope(entry, args), diff <= tol,
@@ -333,7 +344,7 @@ def cmd_verify_decay(args):
                             for a, b in zip(rhos, rhos[1:])):
         raise UsageError("rho-sequence", f"need at least three radii, each "
                          f"double the one before: {args.rho!r}")
-    reports = [boundary_report(backend, r, resolution=args.resolution)
+    reports = [boundary.boundary_report(backend, r, resolution=args.resolution)
                for r in rhos]
     ratios = [b.pi_sup / a.pi_sup for a, b in zip(reports, reports[1:])]
     ratios_ok = all(0.45 <= q <= 0.55 for q in ratios)

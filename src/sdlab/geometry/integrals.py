@@ -35,9 +35,10 @@ from .. import _lazy
 from ..errors import DomainError, ResourceError
 from . import quadrature as quad
 from .backends import GeometryBackend, Segment
-from .curvature import curvature_batch
 
 np = _lazy("numpy")
+# the kernel runs only when an integral is computed, not for a cached one
+curvature = _lazy("sdlab.geometry.curvature")
 
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
          "gb_density", "pontryagin_density")
@@ -85,7 +86,7 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
     """The `_COLS` invariants at (n, 4) points, shape (n, 6)."""
     out = np.empty((len(pts), len(_COLS)))
     for i in range(0, len(pts), _CHUNK):
-        b = curvature_batch(backend, pts[i:i + _CHUNK])
+        b = curvature.curvature_batch(backend, pts[i:i + _CHUNK])
         out[i:i + _CHUNK] = np.stack([getattr(b, c) for c in _COLS], axis=1)
     return out
 
@@ -157,6 +158,9 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
     check_resolution(resolution)
     if not callable(getattr(backend, "reduction", None)):
         raise DomainError("backend-unknown", type(backend).__name__)
+    # run the kernel's module before the mesh loads numpy: compiled on top
+    # of numpy's heap, it raised a cache miss's peak RSS by 0.1 to 0.5 MB
+    curvature.curvature_batch  # the attribute access runs the module
     cutoff_rho = effective_cutoff(backend, cutoff_rho)
     segments, tail_at = backend.reduction(resolution, cutoff_rho)
     fs = [_integrand(seg) for seg in segments]

@@ -4,7 +4,9 @@ Identical inputs must serialize to identical bytes across runs and
 platforms: floats are written with 17 significant digits (enough to
 round-trip IEEE doubles), complex numbers as {"re": ..., "im": ...}
 objects, and mappings keep their insertion order, which every command
-fixes by construction.
+fixes by construction.  `finite_float` and `finite_floats` parse the
+numbers of command-line options and manifests, which must be finite to
+be written at all.
 """
 
 from __future__ import annotations
@@ -90,3 +92,16 @@ def canonical_loads(text: str):
     complex.  Other such pairs and NaN/Infinity are a ValueError."""
     return json.loads(text, object_hook=_decode_complex,
                       parse_constant=_reject_constant)
+
+
+def finite_float(text: str) -> float:
+    """float(text); nan and inf are a ValueError, as a non-number is."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def finite_floats(text: str) -> tuple[float, ...]:
+    """`finite_float` of each comma- or blank-separated token of text."""
+    return tuple(map(finite_float, text.replace(",", " ").split()))

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from . import _lazy
 from .errors import BranchError, DomainError, ResourceError
-from .geometry.quadrature import panel_rule
 
 np = _lazy("numpy")
+quad = _lazy("sdlab.geometry.quadrature")  # only the contour route needs it
 
 # Hard cap on theta series length; reaching it means Im(tau) is far too
 # small for the requested tolerance.
@@ -111,7 +111,7 @@ def _cot_line_integral(u: complex, shift: complex, half_width: float,
                        panel_width: float, order: int) -> complex:
     """Gauss-Legendre composite integral of exp(i pi u (c+shift)^2) cot(pi (c+shift)) / i."""
     n_panels = max(1, int(math.ceil(2.0 * half_width / panel_width)))
-    nodes, weights = panel_rule(
+    nodes, weights = quad.panel_rule(
         np.linspace(-half_width, half_width, n_panels + 1), order)
     z = nodes + shift
     w_ = np.exp(1j * math.pi * u * z * z) * (np.cos(math.pi * z) / np.sin(math.pi * z))

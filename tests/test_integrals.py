@@ -23,7 +23,7 @@ import sdlab
 from sampling import sample_points
 from sdlab.catalog import get_entry
 from sdlab.errors import DomainError
-from sdlab.geometry import integrals
+from sdlab.geometry import curvature, integrals
 from sdlab.geometry.backends import MultiTaubNut
 from sdlab.geometry.curvature import curvature_batch
 from sdlab.geometry.integrals import (
@@ -211,7 +211,7 @@ def test_integrand_batches_are_bounded(monkeypatch):
         sizes.append(len(pts))
         return curvature_batch(backend, pts, h)
 
-    monkeypatch.setattr(integrals, "curvature_batch", spy)
+    monkeypatch.setattr(curvature, "curvature_batch", spy)
     integrate_invariants(backend("taub-nut-2"), resolution=2)
     # the refined outer mesh has more nodes than one chunk
     assert sum(sizes) > integrals._CHUNK
