@@ -299,12 +299,15 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray,
 
 
 def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
-    r = batch.riemann_frame[i]
-    bianchi = np.max(np.abs(r + np.einsum("acdb->abcd", r)
-                            + np.einsum("adbc->abcd", r)))
+    r6 = batch.bivector_frame[i]
+    # first Bianchi identity: R6 holds the antisymmetry within each pair
+    # and is symmetric to rounding, so the cyclic sum R_abcd + R_acdb +
+    # R_adbc can be nonzero only on four distinct indices, where it is
+    # +-(R_0123 - R_0213 + R_0312)
+    bianchi = abs(r6[0, 5] - r6[1, 4] + r6[2, 3])
     return CurvatureSample(
         point=tuple(float(c) for c in batch.points[i]),
-        riemann=r.copy(),
+        riemann=batch.riemann_frame[i].copy(),
         ricci=batch.ricci_frame[i].copy(),
         scalar=float(batch.scalar[i]),
         inv_R_full=float(batch.inv_R_full[i]),

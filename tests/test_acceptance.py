@@ -98,7 +98,7 @@ def test_criterion_04_ricci_flatness_of_alf_metrics():
 
 
 def test_criterion_05_spectral_zeta_dual_routes():
-    """Epstein continuation matches the heat-coefficient route to 1e-6."""
+    """Epstein continuation matches the heat-coefficient route to 1e-14."""
     desc = get_entry("flat-torus").descriptor
     zeros, _, _ = entry_integrals(get_entry("flat-torus"), resolution=2)
     heat0 = heat_zeta_zero(desc, zeros, 0).zeta_at_zero
@@ -107,9 +107,9 @@ def test_criterion_05_spectral_zeta_dual_routes():
         rng = np.random.default_rng(seed)
         basis = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
         val, _ = epstein_zeta_at_zero(basis)
-        assert abs(val - heat0) <= 1e-6
+        assert abs(val - heat0) <= 1e-14
     one_forms = torus_zeta_zero(np.eye(4), 1).zeta_at_zero
-    assert abs(one_forms - (-4.0)) <= 1e-6
+    assert abs(one_forms - (-4.0)) <= 1e-14
 
 
 def test_criterion_06_single_center_weights_and_factors(tn1_integrals):

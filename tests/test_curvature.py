@@ -438,6 +438,23 @@ def test_spread_riemann_is_exactly_antisymmetric(name):
         assert np.max(np.abs(r)) > 0 or name == "flat-torus"
 
 
+def _bianchi_on_spread_tensor(r):
+    """The residual as it was computed on the (4, 4, 4, 4) frame tensor."""
+    return np.max(np.abs(r + np.einsum("acdb->abcd", r)
+                         + np.einsum("adbc->abcd", r)))
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+def test_bianchi_residual_matches_spread_tensor_formula(name):
+    backend = BACKENDS[name]
+    batch = curvature_batch(backend, sample_points(backend, 20))
+    scale = np.max(np.abs(batch.bivector_frame))
+    for i in range(len(batch.points)):
+        new = curvature._sample_from_batch(batch, i).bianchi_residual
+        old = _bianchi_on_spread_tensor(batch.riemann_frame[i])
+        assert abs(new - old) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2", "schwarzschild"])
 def test_boundary_normal_block_matches_einsum_rotation(name, monkeypatch):
     seen = []

@@ -68,7 +68,7 @@ def test_zeta_at_zero_is_minus_one(seed):
     rng = np.random.default_rng(seed)
     basis = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     val, err = epstein_zeta_at_zero(basis)
-    assert val == pytest.approx(-1.0, abs=1e-6)
+    assert val == pytest.approx(-1.0, abs=1e-14)
     assert err < 1e-6
 
 
