@@ -43,8 +43,8 @@ POINTS = {"flat-torus": "0.1,0.2,0.3,0.4", "round-s4": "1.0,1.2,0.8,0.5",
           "schwarzschild": "0.8,0.3,1.1,0.8"}
 LATTICE = "2.1,0.3,0,0,0,1.9,0.2,0,0,0,2.4,0.1,0.2,0,0,2.2"
 # condition number 100: refused by the enumeration cap until the Epstein
-# basis was scaled to unit covolume, and now the case whose sampling at
-# s = +-delta is least accurate (estimate and error both about 0.09)
+# basis was scaled to unit covolume, and the case whose sampling at
+# s = +-delta is least accurate (error 6e-8 after Richardson, estimate 0.09)
 CAPPED_LATTICE = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,0.01"
 
 
