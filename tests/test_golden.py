@@ -241,14 +241,22 @@ LIGHT = ("weights/round-s4", "integrate/round-s4", "partition/taub-nut-1",
          "catalog-list", "catalog-show/taub-nut-2",
          "verify-modularity/round-s4", "verify-gauss-bonnet/taub-nut-1")
 
+# Each row: exit code, stdout, the heavy libraries loaded and the sdlab
+# modules executed so far.  A module that `sdlab.cli` registered lazily
+# and nothing has touched is still a `_LazyModule`, not a ModuleType, and
+# asking its type runs nothing.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from sdlab import cli
 
 def loaded():
     return [m for m in ("numpy._core", "scipy") if m in sys.modules]
 
-rows = [[None, "", loaded()]]
+def executed():
+    return sorted(n for n, m in sys.modules.items()
+                  if n.split(".")[0] == "sdlab" and type(m) is types.ModuleType)
+
+rows = [[None, "", loaded(), executed()]]
 for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \\
@@ -257,9 +265,20 @@ for argv in json.load(sys.stdin):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    rows.append([code, out.getvalue(), loaded()])
+    rows.append([code, out.getvalue(), loaded(), executed()])
 print(json.dumps(rows))
 """
+
+
+def _child_rows(argvs) -> list:
+    """`_CHILD`'s rows for `argvs`, run in turn in one fresh interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
@@ -269,23 +288,46 @@ def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
                      "--json"]) == 0
     light = [[a for a in CASES[c] if a != "--no-cache"] for c in LIGHT]
     heavy = CASES["curvature/round-s4"]
-    env = dict(os.environ,
-               PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
-                          input=json.dumps([*light, ["--version"], heavy]),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    (_, _, at_import), *rows, version, curv = json.loads(proc.stdout)
+    (_, _, at_import, _), *rows, version, curv = _child_rows(
+        [*light, ["--version"], heavy])
     assert at_import == []
-    for case, (code, out, loaded) in zip(LIGHT, rows):
+    for case, (code, out, loaded, _) in zip(LIGHT, rows):
         want = golden[case]["stdout"]
         if case.startswith("integrate/"):       # recorded with --no-cache
             want = want.replace('"cache_hit": false', '"cache_hit": true')
         assert (code, out, loaded) == (golden[case]["code"], want, []), case
-    assert version == [0, f"{sdlab.__version__}\n", []]
+    assert version[:3] == [0, f"{sdlab.__version__}\n", []]
     assert curv[:2] == [golden["curvature/round-s4"]["code"],
                         golden["curvature/round-s4"]["stdout"]]
     assert "numpy._core" in curv[2]
+    # no light command, cache hits included, runs the curvature kernel,
+    # the boundary reports or the lattice sums
+    kernels = {"sdlab.geometry.curvature", "sdlab.geometry.boundary",
+               "sdlab.spectral_zeta", "sdlab.lattice_sum"}
+    assert not kernels & set(rows[-1][3])
+
+
+# the sdlab modules that `import sdlab.cli` and `sdlab --version` execute
+_PARSER = {"sdlab", "sdlab.cli", "sdlab.errors", "sdlab.geometry",
+           "sdlab.jsonio"}
+# closed-form commands in the order one process runs them, with the sdlab
+# modules each executes on top of those before it: no geometry module but
+# the quadrature panels of the contour route, and no catalog
+_CLOSED_FORM = (("theta", {"sdlab.modular_forms"}),
+                ("pathology", {"sdlab.assembly"}),
+                ("verify-theta", {"sdlab.geometry.quadrature"}))
+
+
+def test_closed_form_commands_execute_no_geometry(golden):
+    at_import, version, *rows = _child_rows(
+        [["--version"], *(CASES[case] for case, _ in _CLOSED_FORM)])
+    assert set(at_import[3]) == set(version[3]) == _PARSER
+    assert version[:2] == [0, f"{sdlab.__version__}\n"]
+    executed = _PARSER
+    for (case, more), (code, out, _, now) in zip(_CLOSED_FORM, rows):
+        executed = executed | more
+        assert (code, out) == (golden[case]["code"], golden[case]["stdout"])
+        assert set(now) == executed, case
 
 
 def test_drift_names_what_moved():
