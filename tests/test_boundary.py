@@ -132,9 +132,9 @@ def test_report_uses_at_most_16_points_per_resolution_step(monkeypatch,
     batches = []
     batch = curvature.curvature_batch
 
-    def spy_batch(backend, pts, h=None):
+    def spy_batch(backend, pts):
         batches.append(len(pts))
-        return batch(backend, pts, h)
+        return batch(backend, pts)
 
     monkeypatch.setattr(boundary, "curvature_batch", spy_batch)
     boundary_report(get_entry("taub-nut-1").backend, 30.0,
@@ -152,9 +152,9 @@ def test_report_makes_one_kernel_call(monkeypatch, name):
     batch, derivs = curvature.curvature_batch, curvature._metric_derivatives
     metric = type(b).metric
 
-    def spy_batch(backend, pts, h=None):
+    def spy_batch(backend, pts):
         batches.append(len(pts))
-        return batch(backend, pts, h)
+        return batch(backend, pts)
 
     def spy_derivs(*args):
         inside.append(True)

@@ -207,9 +207,9 @@ def test_chunked_columns_match_one_batch():
 def test_integrand_batches_are_bounded(monkeypatch):
     sizes = []
 
-    def spy(backend, pts, h=None):
+    def spy(backend, pts):
         sizes.append(len(pts))
-        return curvature_batch(backend, pts, h)
+        return curvature_batch(backend, pts)
 
     monkeypatch.setattr(curvature, "curvature_batch", spy)
     integrate_invariants(backend("taub-nut-2"), resolution=2)
