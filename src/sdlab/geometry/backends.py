@@ -118,6 +118,11 @@ class GeometryBackend:
         """Single length scale used by cutoff preconditions."""
         raise NotImplementedError
 
+    def facing_away(self, x) -> "GeometryBackend":
+        """The same metric in the gauge whose coordinate artifacts lie
+        farthest from chart point x; only a Dirac string has a choice."""
+        return self
+
     def reduction(self, resolution: int, cutoff: float | None):
         """Symmetry reduction of the volume integral: (segments, tail_at).
 
@@ -288,6 +293,14 @@ class MultiTaubNut(GeometryBackend):
         rows[15] = inv_v
         return g
 
+    def facing_away(self, x) -> "MultiTaubNut":
+        """The copy whose strings all point away from chart point x (its z
+        decides): down from each centre at or below it, up from each centre
+        above it, so that the nearest excluded point is a centre."""
+        return MultiTaubNut(self.mass, self.centers,
+                            tuple(1 if x[2] >= c[2] else -1
+                                  for c in self.centers))
+
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance (chart euclidean, 3-space) to centers and string rays."""
         x = np.atleast_2d(x)
@@ -343,12 +356,10 @@ class MultiTaubNut(GeometryBackend):
         m = self.mass
         fiber = self.fiber_period()
         # the invariants do not depend on the string gauge, so each segment
-        # samples a copy in a gauge whose strings miss it: the outer one
-        # with both strings down, the inner one with the upper string up
-        iu = 0 if z0 > z1 else 1
-        near = MultiTaubNut(m, self.centers,
-                            tuple(-1 if i == iu else 1 for i in range(2)))
-        far = MultiTaubNut(m, self.centers)
+        # samples a copy whose strings miss it: the inner one, between the
+        # centres, with the upper string up, the outer one with both down
+        near = self.facing_away((x0, y0, zc))
+        far = self.facing_away((x0, y0, max(z0, z1)))
 
         def embed(rho, theta):
             # polar grid in the phi = 0 half-plane, upper half doubled

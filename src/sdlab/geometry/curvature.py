@@ -277,6 +277,8 @@ def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
 
 
 def curvature_at(backend: GeometryBackend, x) -> CurvatureSample:
-    """Curvature sample at one point, as `curvature_batch` gives it."""
+    """Curvature sample at one point, evaluated in the gauge
+    ``backend.facing_away(x)``: the invariants do not see the gauge, and
+    there no Dirac string limits the step, only a centre."""
     pt = np.asarray(x, dtype=float).reshape(1, 4)
-    return _sample_from_batch(curvature_batch(backend, pt), 0)
+    return _sample_from_batch(curvature_batch(backend.facing_away(x), pt), 0)

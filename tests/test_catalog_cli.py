@@ -470,6 +470,22 @@ def test_cli_meaningless_request_is_one_error_line(argv, slug, tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("point", ["0.3,0,-1,0.1", "0.1,0,-1,0.1",
+                                   "0.03,0,-1,0.1", "0.01,0,-1,0.1",
+                                   "0.3,0,-3,0.1", "0.1,0,-3,0.1"])
+def test_cli_curvature_near_a_dirac_string(point, capsys):
+    # in the default gauge the step reached the string: at 0.01 from it
+    # inv_R_full read 3043.04 and scalar -1.0003, with exit code 0
+    code, out, _ = run_cli(capsys, ["curvature", "--manifold", "taub-nut-1",
+                                    "--point", point, "--json"])
+    assert code == 0
+    res = jsonio.canonical_loads(out)["results"]
+    x, _, z, _ = map(float, point.split(","))
+    exact = 24 * 0.25 / (math.hypot(x, z) + 0.5) ** 6
+    assert res["inv_R_full"] == pytest.approx(exact, rel=1e-6)
+    assert abs(res["scalar"]) <= 1e-6 * math.sqrt(exact)
+
+
 def test_readme_exit_codes_match_the_raised_slugs():
     # a slug the table names must still be raised, and new slugs documented
     root = pathlib.Path(__file__).parents[1]

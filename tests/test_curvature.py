@@ -164,13 +164,14 @@ def test_fd_step_halving_fourth_order():
 _NUT = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
 _PAIR = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
 
-# case -> (backend, point, slug or None if accepted)
+# case -> (backend, point, slug or None if accepted); a point on a Dirac
+# string is evaluated in the gauge whose strings point away from it
 EXCLUDED = {
     "nut-centre": (_NUT, (0.0, 0.0, 0.0, 0.1), "string-excluded"),
-    "nut-string": (_NUT, (0.0, 0.0, -2.0, 0.1), "string-excluded"),
+    "nut-string": (_NUT, (0.0, 0.0, -2.0, 0.1), None),
     # the upper string runs up in this gauge, and down in the default one
     "two-nut-string-up": (MultiTaubNut(0.5, _PAIR, (1, -1)),
-                          (0.0, 0.0, 3.0, 0.1), "string-excluded"),
+                          (0.0, 0.0, 3.0, 0.1), None),
     "two-nut-string-down": (MultiTaubNut(0.5, _PAIR),
                             (0.0, 0.0, 3.0, 0.1), None),
     "s4-chi-0": (RoundS4(), (0.0, 0.9, 2.3, 0.7), "pole-excluded"),
@@ -194,6 +195,23 @@ def test_excluded_points_rejected(case):
     with pytest.raises(ChartError) as err:
         curvature_at(backend, point)
     assert err.value.slug == slug == backend.excluded
+
+
+def test_points_on_a_string_evaluate_in_the_gauge_facing_away():
+    s = curvature_at(_NUT, (0.0, 0.0, -2.0, 0.1))
+    assert s.inv_R_full == pytest.approx(24 * 0.25 / 2.5 ** 6, rel=1e-7)
+    up = curvature_at(MultiTaubNut(0.5, _PAIR, (1, -1)), (0.0, 0.0, 3.0, 0.1))
+    down = curvature_at(MultiTaubNut(0.5, _PAIR), (0.0, 0.0, 3.0, 0.1))
+    for f in ("inv_R_full", "gb_density", "pontryagin_density"):
+        assert getattr(up, f) == pytest.approx(getattr(down, f), rel=1e-7), f
+
+
+def test_two_centre_segments_sample_the_gauge_facing_away():
+    # the inner segment lies between the centres (upper string up), the
+    # outer one is sampled with both strings down, whatever the given gauge
+    for centers, near in ((_PAIR, (1, -1)), (_PAIR[::-1], (-1, 1))):
+        segments, _ = MultiTaubNut(0.5, centers, (-1, -1)).reduction(2, 40.0)
+        assert [s.backend.string_signs for s in segments] == [near, (1, 1)]
 
 
 def test_excluded_distance_runs_once_per_kernel_call(monkeypatch):
