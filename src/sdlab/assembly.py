@@ -158,10 +158,14 @@ def _riemann_norm(curv, convention: str) -> tuple[float, float]:
     raise DomainError("convention-unknown", repr(convention))
 
 
+# coefficients of I_r and I_s2 in the quartic-curvature bracket
+_RICCI_COEF, _SCALAR_COEF = -87.0 / 2880.0, 1.0 / 128.0
+
+
 def _correction(curv, convention: str) -> float:
     """Quartic-curvature bracket shared by the weights and the exponent."""
     i_R, divisor = _riemann_norm(curv, convention)
-    return i_R / divisor - 87.0 / 2880.0 * curv.I_r + curv.I_s2 / 128.0
+    return i_R / divisor + _RICCI_COEF * curv.I_r + _SCALAR_COEF * curv.I_s2
 
 
 def imtau_exponent(desc: ManifoldDescriptor, curv,
@@ -277,10 +281,10 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv,
             f"density integral")
     else:
         c_p = sigma_top / (4.0 * curv.I_p)
+    # alpha and beta carry -1/(2 pi^2) times the bracket of `_correction`
     i_R, divisor = _riemann_norm(curv, convention)
-    c_R = -1.0 / (2.0 * divisor * math.pi ** 2)
-    c_r = 87.0 / (5760.0 * math.pi ** 2)
-    c_s2 = -1.0 / (256.0 * math.pi ** 2)
+    c_R, c_r, c_s2 = (-coef / (2.0 * math.pi ** 2)
+                      for coef in (1.0 / divisor, _RICCI_COEF, _SCALAR_COEF))
 
     curv_part = c_R * i_R + c_r * curv.I_r + c_s2 * curv.I_s2
     alpha_rec = c_gb * curv.I_gb + c_p * curv.I_p + curv_part

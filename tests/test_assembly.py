@@ -308,6 +308,16 @@ def test_anomaly_sphere_gilkey():
         19.0 / 60.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("convention, divisor",
+                         [("paper-endo", 120.0), ("gilkey-full", 240.0)])
+def test_anomaly_curvature_coefficients_are_the_closed_forms(convention,
+                                                            divisor):
+    rep = anomaly_counterterms(desc("k3-analytic"), K3, convention)
+    assert rep["c_R"] == -1.0 / (2.0 * divisor * math.pi ** 2)
+    assert rep["c_r"] == 87.0 / (5760.0 * math.pi ** 2)
+    assert rep["c_s2"] == -1.0 / (256.0 * math.pi ** 2)
+
+
 def test_anomaly_torus_coefficients_vanish():
     rep = anomaly_counterterms(desc("flat-torus"), ZERO)
     assert rep["c_gb"] == 0.0 and rep["c_p"] == 0.0

@@ -25,8 +25,11 @@ from sdlab.catalog import (
     parse_manifest,
 )
 from sdlab.cli import main, parse_complex
-from sdlab.errors import DescriptorError, DomainError, UsageError
-from sdlab.geometry import GeometryBackend, integrals
+from sdlab.errors import DescriptorError, DomainError, SdlabError, UsageError
+from sdlab.geometry import GeometryBackend, MultiTaubNut, integrals
+from sdlab.geometry import quadrature as quad
+from sdlab.lattice_sum import brute_force_partition
+from sdlab.modular_forms import cot_contour_theta, principal_power, theta
 
 # ------------------------------------------------------------------- catalog
 
@@ -496,6 +499,59 @@ def test_readme_exit_codes_match_the_raised_slugs():
                      for p in (root / "src").rglob("*.py"))
     assert {s for s in slugs if f'"{s}"' not in source} == set()
     assert {"point-too-far", "tol-positive", "float-list"} <= slugs
+
+
+def test_every_raised_slug_is_named_by_a_test():
+    # the literal first argument of each *Error( call under src/, calls
+    # that span lines included, must appear quoted in some test file
+    root = pathlib.Path(__file__).parents[1]
+    source = "".join(p.read_text(encoding="utf-8")
+                     for p in (root / "src").rglob("*.py"))
+    raised = set(re.findall(r'\w+Error\(\s*"([a-z0-9]+(?:-[a-z0-9]+)+)"',
+                            source))
+    tests = "".join(p.read_text(encoding="utf-8")
+                    for p in (root / "tests").rglob("*")
+                    if p.suffix in (".py", ".json"))
+    assert len(raised) >= 69
+    assert sorted(s for s in raised
+                  if f'"{s}"' not in tests and f"'{s}'" not in tests) == []
+
+
+# slug -> a call that raises it, or a CLI argv whose stderr names it
+PROVOKE = {
+    "box-positive": lambda: brute_force_partition(1, 0, 0, 1j),
+    "lattice-box-cap": lambda: brute_force_partition(3, 3, 30, 1j),
+    # raises at the first term past the cap, before any term is summed
+    "theta-term-cap": lambda: theta(1e-10j),
+    "power-of-zero": lambda: principal_power(0, 0.5),
+    "principal-branch-cut": lambda: principal_power(-1, 0.5),
+    "eps-range": lambda: cot_contour_theta(1j, 0.6),
+    "panel-edges": lambda: quad.panel_rule([1.0, 0.0], 8),
+    "graded-edges": lambda: quad.graded_edges(1.0, 1.0, 2, 0.1),
+    "tail-window": lambda: quad.fit_power_tail([1.0, 2.0, 3.0],
+                                               [1.0, 0.5, 0.3], 3.0),
+    "tail-fit-divergent": lambda: quad.fit_power_tail(
+        [10.0, 12.0, 14.0, 16.0], [0.1, 1 / 12, 1 / 14, 1 / 16], 16.0),
+    "reduction-needs-axis": lambda: MultiTaubNut(
+        0.5, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0))).reduction(2, 40.0),
+    "no-chart": ["curvature", "--manifold", "k3-analytic",
+                 "--point", "0.1,0.2,0.3,0.4"],
+    "rho-sequence": ["verify", "decay", "--manifold", "taub-nut-1",
+                     "--rho", "20,30,40"],
+}
+
+
+@pytest.mark.parametrize("slug", list(PROVOKE))
+def test_slug_is_raised_where_it_names(slug, capsys):
+    provoke = PROVOKE[slug]
+    if isinstance(provoke, list):
+        code, out, err = run_cli(capsys, provoke)
+        assert code == 64 and out == ""
+        assert err.startswith(f"error: {slug}:") and err.count("\n") == 1
+        return
+    with pytest.raises(SdlabError) as err:
+        provoke()
+    assert err.value.slug == slug
 
 
 def test_cli_bad_complex_literal(capsys):
