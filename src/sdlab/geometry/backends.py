@@ -119,8 +119,7 @@ class GeometryBackend:
         raise NotImplementedError
 
     def facing_away(self, x) -> "GeometryBackend":
-        """The same metric in the gauge whose coordinate artifacts lie
-        farthest from chart point x; only a Dirac string has a choice."""
+        """This metric in the gauge whose artifacts lie farthest from x."""
         return self
 
     def reduction(self, resolution: int, cutoff: float | None):
@@ -297,9 +296,8 @@ class MultiTaubNut(GeometryBackend):
         """The copy whose strings all point away from chart point x (its z
         decides): down from each centre at or below it, up from each centre
         above it, so that the nearest excluded point is a centre."""
-        return MultiTaubNut(self.mass, self.centers,
-                            tuple(1 if x[2] >= c[2] else -1
-                                  for c in self.centers))
+        return MultiTaubNut(self.mass, self.centers, tuple(
+            1 if x[2] >= c[2] else -1 for c in self.centers))
 
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance (chart euclidean, 3-space) to centers and string rays."""

@@ -6,13 +6,12 @@ frame components, the quadratic invariants in both norm conventions, and
 the two characteristic densities are assembled from those.  The full
 stencil is 113 metric evaluations per point (1 center, 16 axis points,
 96 mixed-pair points).  A backend lists in ``cyclic_axes`` the chart
-coordinates its metric never reads; the stencil rows offset along one of
-them repeat a row that is kept, every derivative along them is exactly
-zero, and `_stencil` builds none of them: 61 points when one coordinate
-is cyclic (the Taub-NUT and Schwarzschild charts), 1 on the flat torus.
-The metric comes back as component rows (``backends._component_rows``),
-and one (20, m) weight table applied to them as a single matmul gives
-all first and second derivatives.
+coordinates its metric never reads; every derivative along them is
+exactly zero, and `_stencil` builds no row offset along them: 61 points
+when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts), 1
+on the flat torus.  The metric comes back as component rows
+(``backends._component_rows``), and one (20, m) weight table applied to
+them as a single matmul gives all first and second derivatives.
 
 Riemann lives on bivectors: in four dimensions it is a symmetric operator
 on 2-forms, an (n, 6, 6) matrix R6[I, J] = R_abcd on the pairs I = (a, b),
@@ -22,15 +21,14 @@ identity in `curvature_batch`), so no derivative of Gam or of g^-1 is
 formed.  The frame rotation is W^T R6 W with W = legs ^ legs, the second
 exterior power of the Cholesky legs; |Riem|^2 is 4 |R6|^2, Ricci a
 (36, 16) +-1 map of R6, and the Pontryagin contraction 8 sum (R6 star) o
-R6, where star, the Levi-Civita symbol on pairs, is the (6, 6) signed
-antidiagonal; no four-index Riemann tensor is formed.  `curvature_batch`
+R6, where star, the Levi-Civita symbol on pairs, is a signed (6, 6)
+antidiagonal; no four-index Riemann is formed.  `curvature_batch`
 evaluates exactly the points it is given in one vectorized pass, with the
 point axis last in elementwise stages; its working arrays grow with the
-batch (a peak of about 12 KiB per Taub-NUT point, nearly all of it the
+batch (about 12 KiB per Taub-NUT point at peak, nearly all of it the
 metric stencil), so callers with many points bound the batch themselves:
 ``integrals._columns`` feeds it 256 points at a time, a size whose arrays
-stay near one core's L2 cache (``integrals`` gives the scan that chose
-it).
+stay near one core's L2 cache (see the scan in ``integrals``).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -65,20 +63,18 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 @functools.lru_cache(maxsize=None)
 def _stencil(cyclic_axes: tuple[int, ...]):
     """Offset table (m, 4) and weight table (20, m) per unit step: row k < 4
-    of the weights gives d/dx_k, row 4 + 4k + l gives d2/dx_k dx_l.  The
-    rows are the centre, four points along each axis the metric reads and
-    a 4 x 4 block on each pair of those axes: 113 in general, 61 with one
-    cyclic axis.  Every derivative along a cyclic axis vanishes and gets no
-    row; its diagonal second derivative keeps the centre weight, which
-    multiplies the exact zero of the centred values (`_metric_derivatives`)."""
+    of the weights gives d/dx_k, row 4 + 4k + l gives d2/dx_k dx_l.  Rows:
+    the centre, four points on each axis outside `cyclic_axes` and a 4 x 4
+    block on each pair of those.  The d2 row of a cyclic axis keeps its
+    centre weight, which meets the exact zero of the centred values."""
     axes = [d for d in range(4) if d not in cyclic_axes]
     pairs = list(itertools.combinations(axes, 2))
     base = 1 + 4 * len(axes)            # first row of the pair blocks
     m = base + 16 * len(pairs)
     offsets, w = np.zeros((m, 4)), np.zeros((20, m))
     w2 = w[4:].reshape(4, 4, m)
+    # diagonal second derivatives from the centre and the axis points
     w2[range(4), range(4), 0] = -30.0 / 12.0
-    # diagonal second derivatives from the axis points and the centre
     for k, d in enumerate(axes):
         rows = slice(1 + 4 * k, 5 + 4 * k)
         offsets[rows, d] = _OFFS
@@ -200,14 +196,13 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray) -> CurvatureBatch:
-    """Assemble curvature for (n, 4) points in one batch, in the chart and
-    string gauge of `backend` as given.  The step h is 1e-3 x the step scale
-    of ``backend.chart_scales``, and a point whose clearance is at most 2.5 h
+    """Assemble curvature for (n, 4) points in one batch, in the gauge of
+    `backend` as given.  The step h is 1e-3 x the step scale of
+    ``backend.chart_scales``; a point whose clearance is at most 2.5 h
     raises ChartError with the slug ``backend.excluded``.  The metric is
-    evaluated on the stencil rows along the axes outside
-    ``backend.cyclic_axes``: 113 per point in general, 61 when one
-    coordinate is cyclic.  Memory grows with n (that many metric
-    evaluations per point; see the module docstring)."""
+    evaluated on `_stencil` (113 points per point in general, 61 when one
+    coordinate is cyclic), so memory grows with n (see the module
+    docstring)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
     step_scale, clearance = backend.chart_scales(pts)
@@ -277,8 +272,8 @@ def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
 
 
 def curvature_at(backend: GeometryBackend, x) -> CurvatureSample:
-    """Curvature sample at one point, evaluated in the gauge
-    ``backend.facing_away(x)``: the invariants do not see the gauge, and
-    there no Dirac string limits the step, only a centre."""
+    """Curvature sample at one point in the gauge ``backend.facing_away(x)``,
+    where a centre, never a Dirac string, limits the step."""
     pt = np.asarray(x, dtype=float).reshape(1, 4)
-    return _sample_from_batch(curvature_batch(backend.facing_away(x), pt), 0)
+    batch = curvature_batch(backend.facing_away(pt[0]), pt)
+    return _sample_from_batch(batch, 0)
