@@ -485,9 +485,10 @@ def test_bianchi_residual_matches_spread_tensor_formula(name):
     backend = BACKENDS[name]
     batch = curvature_batch(backend, sample_points(backend, 20))
     scale = np.max(np.abs(batch.bivector_frame))
+    spread = _spread(batch.bivector_frame)
     for i in range(len(batch.points)):
         new = curvature._sample_from_batch(batch, i).bianchi_residual
-        old = _bianchi_on_spread_tensor(_spread(batch.bivector_frame)[i])
+        old = _bianchi_on_spread_tensor(spread[i])
         assert abs(new - old) <= 1e-14 * scale
 
 
