@@ -157,13 +157,6 @@ def _triples(raw: str) -> tuple[tuple[float, ...], ...]:
     return tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
 
 
-def _signs(raw: str) -> tuple[int, ...]:
-    vals = finite_floats(raw)
-    if not all(v.is_integer() for v in vals):
-        raise ValueError("string signs must be whole numbers")
-    return tuple(int(v) for v in vals)
-
-
 # manifest key (the field name, lowercased as configparser reads keys) ->
 # (descriptor field, conversion of its raw string)
 _DESC_KEYS = {field.lower(): (field, convert) for field, convert in (
@@ -177,8 +170,7 @@ _GEOMETRIES = {
     FlatTorus.id: (FlatTorus, {"radii": ("radii", finite_floats)}),
     RoundS4.id: (RoundS4, {"radius": ("a", finite_float)}),
     MultiTaubNut.id: (MultiTaubNut, {
-        "mass": ("mass", finite_float), "centers": ("centers", _triples),
-        "string_signs": ("string_signs", _signs)}),
+        "mass": ("mass", finite_float), "centers": ("centers", _triples)}),
     Schwarzschild.id: (Schwarzschild, {"mass": ("mass", finite_float)}),
     "analytic": (_exact_integrals, {
         key: (arg, finite_float) for key, arg in zip(

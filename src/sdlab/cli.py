@@ -176,11 +176,6 @@ def cmd_lattice(args):
              "abs_difference": abs(brute - prod)}, {})
 
 
-_CURVATURE_FIELDS = ("scalar", "inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
-                     "gb_density", "pontryagin_density", "bianchi_residual",
-                     "step")
-
-
 def cmd_curvature(args):
     entry, backend = _chart(args)
     point = parse_floats(args.point, 4, "--point")
@@ -191,7 +186,7 @@ def cmd_curvature(args):
                           f"{cap}x geometry scale {scale}")
     s = curvature.curvature_at(backend, point)
     return ({"manifold": entry.name, "point": list(point)},
-            {f: getattr(s, f) for f in _CURVATURE_FIELDS}, {})
+            {f: v for f, v in vars(s).items() if f != "point"}, {})
 
 
 def cmd_integrate(args):

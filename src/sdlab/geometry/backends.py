@@ -21,7 +21,9 @@ Charts and conventions:
       w_x = sum_a m (y - y_a) / (r_a (r_a + z - z_a)),
       w_y = -sum_a m (x - x_a) / (r_a (r_a + z - z_a)).
   The Dirac string of center a is the downward ray {x = x_a, y = y_a,
-  z < z_a}; it and the centers themselves are the excluded set.  The fiber
+  z < z_a}; it and the centers themselves are the excluded set.  The
+  strings are pure gauge: a backend is built with every string down, and
+  only `facing_away` makes a copy with some strings up.  The fiber
   period is 4 pi m (2 pi at the default m = 1/2), which makes the centers
   smooth points.
 * ``schwarzschild``: global disc chart (X, Y, theta, phi) with
@@ -229,9 +231,9 @@ class RoundS4(GeometryBackend):
 class MultiTaubNut(GeometryBackend):
     mass: float = 0.5
     centers: tuple[tuple[float, float, float], ...] = ((0.0, 0.0, 0.0),)
-    # +1 hangs the Dirac string below the centre, -1 above; a per-centre gauge
-    # choice that moves the coordinate artifact away from quadrature regions
-    string_signs: tuple[int, ...] | None = None
+    # +1 hangs the Dirac string below the centre, -1 above: a pure gauge,
+    # all +1 here, that only `facing_away` sets on its copies
+    string_signs: tuple[int, ...] = field(init=False)
     id: str = field(default="multi-taub-nut", init=False)
     excluded = "string-excluded"
     alf = True
@@ -245,13 +247,7 @@ class MultiTaubNut(GeometryBackend):
         if any(len(c) != 3 for c in self.centers):
             raise DescriptorError("centers-shape", "need 3 coordinates per center")
         _check_lengths((self.mass,), [x for c in self.centers for x in c])
-        if self.string_signs is None:
-            object.__setattr__(self, "string_signs", (1,) * len(self.centers))
-        if len(self.string_signs) != len(self.centers):
-            raise DescriptorError("string-signs-shape",
-                                  "need one string sign per center")
-        if any(s not in (-1, 1) for s in self.string_signs):
-            raise DescriptorError("string-signs-values", "signs must be +1 or -1")
+        object.__setattr__(self, "string_signs", (1,) * len(self.centers))
 
     @property
     def params(self) -> dict:
@@ -296,8 +292,10 @@ class MultiTaubNut(GeometryBackend):
         """The copy whose strings all point away from chart point x (its z
         decides): down from each centre at or below it, up from each centre
         above it, so that the nearest excluded point is a centre."""
-        return MultiTaubNut(self.mass, self.centers, tuple(
+        nut = MultiTaubNut(self.mass, self.centers)
+        object.__setattr__(nut, "string_signs", tuple(
             1 if x[2] >= c[2] else -1 for c in self.centers))
+        return nut
 
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance (chart euclidean, 3-space) to centers and string rays."""

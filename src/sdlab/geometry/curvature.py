@@ -157,6 +157,11 @@ class CurvatureSample:
     step: float
 
 
+# the batch invariants a sample copies, in the order of its fields
+_SAMPLED = ("scalar", "inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
+            "gb_density", "pontryagin_density")
+
+
 class CurvatureBatch:
     """Raw assembled geometry for a batch of points (internal plumbing).
 
@@ -259,16 +264,8 @@ def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
     bianchi = abs(r6[0, 5] - r6[1, 4] + r6[2, 3])
     return CurvatureSample(
         point=tuple(float(c) for c in batch.points[i]),
-        scalar=float(batch.scalar[i]),
-        inv_R_full=float(batch.inv_R_full[i]),
-        inv_R_endo=float(batch.inv_R_endo[i]),
-        inv_r=float(batch.inv_r[i]),
-        inv_s2=float(batch.inv_s2[i]),
-        gb_density=float(batch.gb_density[i]),
-        pontryagin_density=float(batch.pontryagin_density[i]),
-        bianchi_residual=float(bianchi),
-        step=float(batch.h[i]),
-    )
+        **{f: float(getattr(batch, f)[i]) for f in _SAMPLED},
+        bianchi_residual=float(bianchi), step=float(batch.h[i]))
 
 
 def curvature_at(backend: GeometryBackend, x) -> CurvatureSample:

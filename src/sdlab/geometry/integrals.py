@@ -142,7 +142,7 @@ def effective_cutoff(backend: GeometryBackend,
     if cutoff_rho < CUTOFF_SCALE_MIN * scale - 1e-9:
         raise DomainError("cutoff-too-small", f"cutoff {cutoff_rho} below "
                           f"{CUTOFF_SCALE_MIN}x geometry scale {scale}")
-    if cutoff_rho > CUTOFF_SCALE_MAX * scale:
+    if not cutoff_rho <= CUTOFF_SCALE_MAX * scale:     # NaN fails too
         raise DomainError("cutoff-too-large", f"cutoff {cutoff_rho} above "
                           f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     return float(cutoff_rho)

@@ -23,6 +23,7 @@ np = _lazy("numpy")
 
 LATTICE_CONDITION_CAP = 1.0e4
 _CUT = 40.0  # summation cutoff in pi*|v|^2; tail below exp(-40)
+_DELTA = 1e-4  # the delta of `epstein_zeta_at_zero`
 _BAND_EDGES = (1.5, 3.0, 8.0, 20.0)
 _BAND_DEPTHS = (66, 38, 17, 9)  # continued-fraction depth from each edge on
 # Taylor coefficients of (1/Gamma(1 + a) - 1)/a at a = 0, enough at |a| < 0.05
@@ -164,7 +165,7 @@ def _epstein(basis: np.ndarray):
     return zeta
 
 
-def epstein_zeta_at_zero(basis: np.ndarray, delta: float = 1e-4):
+def epstein_zeta_at_zero(basis: np.ndarray):
     """Continuation value at s = 0 via symmetric sampling at s = +-delta.
 
     The averages of zeta over s = +-delta and s = +-2 delta differ from
@@ -175,8 +176,8 @@ def epstein_zeta_at_zero(basis: np.ndarray, delta: float = 1e-4):
     The lattice is scanned once.
     """
     zeta = _epstein(basis)
-    avg1 = 0.5 * (zeta(delta) + zeta(-delta))
-    avg2 = 0.5 * (zeta(2 * delta) + zeta(-2 * delta))
+    avg1 = 0.5 * (zeta(_DELTA) + zeta(-_DELTA))
+    avg2 = 0.5 * (zeta(2 * _DELTA) + zeta(-2 * _DELTA))
     return ((4.0 * avg1 - avg2) / 3.0,
             abs(avg1 - avg2) / 3.0 + 64.0 * math.exp(-_CUT))
 

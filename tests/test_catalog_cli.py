@@ -28,8 +28,9 @@ from sdlab.cli import main, parse_complex
 from sdlab.errors import DescriptorError, DomainError, SdlabError, UsageError
 from sdlab.geometry import GeometryBackend, MultiTaubNut, integrals
 from sdlab.geometry import quadrature as quad
-from sdlab.lattice_sum import brute_force_partition
+from sdlab.lattice_sum import brute_force_partition, theta_product
 from sdlab.modular_forms import cot_contour_theta, principal_power, theta
+from sdlab.spectral_zeta import epstein_zeta_at_zero, torus_zeta_zero
 
 # ------------------------------------------------------------------- catalog
 
@@ -100,7 +101,18 @@ h1_neck_trivial = yes
 geometry = multi-taub-nut
 mass = 0.25
 centers = 0 0 -1, 0 0 1
-string_signs = 1 1
+
+[bolt]
+kind = alf
+b0 = 1
+b1 = 0
+bplus_l2 = 1
+bminus_l2 = 1
+b0_d = derive
+b1_d = derive
+h1_neck_trivial = no
+geometry = schwarzschild
+mass = 2
 """
 
 
@@ -112,7 +124,7 @@ def write_manifest(tmp_path, text, name="m.ini"):
 
 def test_manifest_good_entries(tmp_path):
     entries = parse_manifest(write_manifest(tmp_path, GOOD_MANIFEST))
-    assert set(entries) == {"my-k3", "off-axis-pair"}
+    assert set(entries) == {"my-k3", "off-axis-pair", "bolt"}
     k3 = entries["my-k3"]
     assert k3.backend is None
     w = weights_for(k3.descriptor, k3.integrals)
@@ -123,6 +135,9 @@ def test_manifest_good_entries(tmp_path):
     assert pair.backend.centers == ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
     assert pair.descriptor.b1_D == "derive"
     assert pair.descriptor.h1_neck_trivial is True
+    bolt = entries["bolt"]
+    assert bolt.backend.mass == 2.0
+    assert bolt.descriptor.h1_neck_trivial is False
 
 
 def test_every_backend_is_in_the_geometry_table():
@@ -132,6 +147,22 @@ def test_every_backend_is_in_the_geometry_table():
         assert build is backends.get(geometry, catalog._exact_integrals)
         params = inspect.signature(build).parameters
         assert {arg for arg, _ in keys.values()} <= set(params), geometry
+
+
+def test_readme_manifest_table_lists_the_keys_each_geometry_reads():
+    # the backticked names before any ":" in a row's key cell; a row with
+    # an empty geometry cell continues the geometry above it
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| `geometry` | key | default |\n", 1)[1]
+    listed, geometry = {}, None
+    for row in table.split("\n\n", 1)[0].splitlines()[1:]:
+        first, keys = row.split("|")[1:3]
+        geometry = first.strip().strip("`") or geometry
+        listed.setdefault(geometry, set()).update(
+            re.findall(r"`(\w+)`", keys.split(":")[0]))
+    assert listed == {geometry: set(keys) for geometry, (_, keys)
+                      in catalog._GEOMETRIES.items()}
 
 
 def test_manifest_defaults_are_the_constructors(tmp_path):
@@ -194,12 +225,11 @@ def test_manifest_unreadable(tmp_path):
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
      "geometry = analytic\ni_r_full = 1\ni_r_endo = 1\ni_ricci = 0\n"
      "i_s2 = 0\ni_gb = many\ni_p = 0\n", "manifest-value"),
+    # the string gauge is the code's choice, not a manifest key
     ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
      "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
-     "geometry = multi-taub-nut\nstring_signs = 1.7\n", "manifest-value"),
-    ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
-     "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
-     "geometry = multi-taub-nut\nstring_signs = -0.5\n", "manifest-value"),
+     "geometry = multi-taub-nut\nstring_signs = 1\n",
+     "manifest-key-unknown"),
     # non-finite numbers in every kind of float key
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
      "geometry = round-s4\nvol_flat_torus_factor = inf\n", "manifest-value"),
@@ -335,6 +365,9 @@ def test_cache_key_tracks_payload():
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path / "alt"))
     assert cache.cache_dir() == tmp_path / "alt"
+    monkeypatch.delenv("SDLAB_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cache.cache_dir() == tmp_path / "xdg" / "sdlab"
 
 
 # ----------------------------------------------------------------------- CLI
@@ -512,12 +545,14 @@ def test_every_raised_slug_is_named_by_a_test():
     tests = "".join(p.read_text(encoding="utf-8")
                     for p in (root / "tests").rglob("*")
                     if p.suffix in (".py", ".json"))
-    assert len(raised) >= 69
+    assert len(raised) >= 67
     assert sorted(s for s in raised
                   if f'"{s}"' not in tests and f"'{s}'" not in tests) == []
 
 
-# slug -> a call that raises it, or a CLI argv whose stderr names it
+# case -> a call that raises its slug, or a CLI argv whose stderr names it;
+# the case is the slug, then "/" and what differs where a second call
+# raises it
 PROVOKE = {
     "box-positive": lambda: brute_force_partition(1, 0, 0, 1j),
     "lattice-box-cap": lambda: brute_force_partition(3, 3, 30, 1j),
@@ -532,6 +567,17 @@ PROVOKE = {
                                                [1.0, 0.5, 0.3], 3.0),
     "tail-fit-divergent": lambda: quad.fit_power_tail(
         [10.0, 12.0, 14.0, 16.0], [0.1, 1 / 12, 1 / 14, 1 / 16], 16.0),
+    # steep inside r = 8 and r^-0.5 beyond: the whole window fits, its outer
+    # half gives exponent 0.598
+    "tail-fit-divergent/outer-window": lambda r=np.geomspace(6.2, 9.8, 12):
+        quad.fit_power_tail(r, np.where(r < 8.0, 8.0 ** -0.5 * (r / 8.0) ** -6,
+                                        r ** -0.5), 10.0),
+    "lattice-singular": lambda: epstein_zeta_at_zero(np.zeros((4, 4))),
+    "lattice-shape": lambda: torus_zeta_zero(np.eye(3), 0),
+    "betti-nonnegative": lambda: theta_product(-1, 0, 1j),
+    "tol-positive": lambda: cot_contour_theta(1j, 0.2, tol=0.0),
+    "quadrature-non-convergence": lambda: cot_contour_theta(-2.4 + 0.15j,
+                                                            0.45),
     "reduction-needs-axis": lambda: MultiTaubNut(
         0.5, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0))).reduction(2, 40.0),
     "no-chart": ["curvature", "--manifold", "k3-analytic",
@@ -541,9 +587,10 @@ PROVOKE = {
 }
 
 
-@pytest.mark.parametrize("slug", list(PROVOKE))
-def test_slug_is_raised_where_it_names(slug, capsys):
-    provoke = PROVOKE[slug]
+@pytest.mark.parametrize("case", list(PROVOKE))
+def test_slug_is_raised_where_it_names(case, capsys):
+    provoke = PROVOKE[case]
+    slug = case.partition("/")[0]
     if isinstance(provoke, list):
         code, out, err = run_cli(capsys, provoke)
         assert code == 64 and out == ""

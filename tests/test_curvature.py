@@ -26,26 +26,35 @@ from sdlab.geometry import quadrature as quad
 from sdlab.geometry.curvature import curvature_batch
 
 
-# slug -> a constructor call that breaks the rule it names
+# case -> a constructor call that breaks the rule its slug names; the case
+# is the slug, then "/" and the backend where a second backend checks it
 CONSTRUCTOR_RULES = {
     "mass-positive": (MultiTaubNut, {"mass": 0.0}),
+    "mass-positive/schwarzschild": (Schwarzschild, {"mass": 0.0}),
     "radius-positive": (RoundS4, {"a": -1.0}),
     "radii-positive": (FlatTorus, {"radii": (1.0, 1.0, 1.0, math.nan)}),
     "radii-shape": (FlatTorus, {"radii": (1.0, 1.0, 1.0)}),
     "centers-nonempty": (MultiTaubNut, {"centers": ()}),
     "centers-shape": (MultiTaubNut, {"centers": ((0.0, 0.0),)}),
-    "string-signs-shape": (MultiTaubNut, {"string_signs": (1, 1)}),
-    "string-signs-values": (MultiTaubNut, {"string_signs": (0,)}),
     "length-range": (Schwarzschild, {"mass": 1e31}),
 }
 
 
-@pytest.mark.parametrize("slug", CONSTRUCTOR_RULES)
-def test_constructor_rules(slug):
-    cls, kwargs = CONSTRUCTOR_RULES[slug]
+@pytest.mark.parametrize("case", CONSTRUCTOR_RULES)
+def test_constructor_rules(case):
+    cls, kwargs = CONSTRUCTOR_RULES[case]
     with pytest.raises(DescriptorError) as err:
         cls(**kwargs)
-    assert err.value.slug == slug
+    assert err.value.slug == case.partition("/")[0]
+
+
+def test_string_gauge_is_not_an_argument():
+    with pytest.raises(TypeError):
+        MultiTaubNut(0.5, ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)), (1, -1))
+    with pytest.raises(TypeError):
+        MultiTaubNut(string_signs=(1,))
+    assert MultiTaubNut(0.5, ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))) \
+        .string_signs == (1, 1)
 
 
 def test_flat_torus_exactly_flat():
@@ -105,9 +114,9 @@ def test_nut_anti_self_dual_ratio():
 
 
 def test_two_nut_between_centers():
+    # evaluated with the upper string up, as in every gauge facing away
     backend = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, -1.0),
-                                              (0.0, 0.0, 1.0)),
-                           string_signs=(1, -1))
+                                              (0.0, 0.0, 1.0)))
     s = curvature_at(backend, (0.0, 0.0, 0.0, 0.5))
     assert s.inv_r < 1e-9
     assert s.pontryagin_density / s.gb_density == pytest.approx(-2 / 3,
@@ -116,11 +125,11 @@ def test_two_nut_between_centers():
 
 def test_string_gauge_invariance():
     # the Dirac-string side is a gauge choice; invariants cannot see it
-    pt = (0.6, 0.4, 0.2, 0.3)
-    a = curvature_at(MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),),
-                                  string_signs=(1,)), pt)
-    b = curvature_at(MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),),
-                                  string_signs=(-1,)), pt)
+    down = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
+    up = down.facing_away((0.0, 0.0, -1.0))
+    assert (down.string_signs, up.string_signs) == ((1,), (-1,))
+    pt = np.array([(0.6, 0.4, 0.2, 0.3)])
+    a, b = (curvature_batch(nut, pt) for nut in (down, up))
     assert a.inv_R_full == pytest.approx(b.inv_R_full, rel=1e-8)
     assert a.gb_density == pytest.approx(b.gb_density, rel=1e-8)
 
@@ -163,6 +172,10 @@ def test_fd_step_halving_fourth_order():
 
 _NUT = MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))
 _PAIR = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+# the copies of the pair in which a point between the centres, or one
+# below both, faces away from every string: signs (1, -1) and (-1, -1)
+_BETWEEN = MultiTaubNut(0.5, _PAIR).facing_away((0.0, 0.0, 0.0))
+_BELOW = MultiTaubNut(0.5, _PAIR).facing_away((0.0, 0.0, -2.0))
 
 # case -> (backend, point, slug or None if accepted); a point on a Dirac
 # string is evaluated in the gauge whose strings point away from it
@@ -170,8 +183,7 @@ EXCLUDED = {
     "nut-centre": (_NUT, (0.0, 0.0, 0.0, 0.1), "string-excluded"),
     "nut-string": (_NUT, (0.0, 0.0, -2.0, 0.1), None),
     # the upper string runs up in this gauge, and down in the default one
-    "two-nut-string-up": (MultiTaubNut(0.5, _PAIR, (1, -1)),
-                          (0.0, 0.0, 3.0, 0.1), None),
+    "two-nut-string-up": (_BETWEEN, (0.0, 0.0, 3.0, 0.1), None),
     "two-nut-string-down": (MultiTaubNut(0.5, _PAIR),
                             (0.0, 0.0, 3.0, 0.1), None),
     "s4-chi-0": (RoundS4(), (0.0, 0.9, 2.3, 0.7), "pole-excluded"),
@@ -200,7 +212,7 @@ def test_excluded_points_rejected(case):
 def test_points_on_a_string_evaluate_in_the_gauge_facing_away():
     s = curvature_at(_NUT, (0.0, 0.0, -2.0, 0.1))
     assert s.inv_R_full == pytest.approx(24 * 0.25 / 2.5 ** 6, rel=1e-7)
-    up = curvature_at(MultiTaubNut(0.5, _PAIR, (1, -1)), (0.0, 0.0, 3.0, 0.1))
+    up = curvature_at(_BETWEEN, (0.0, 0.0, 3.0, 0.1))
     down = curvature_at(MultiTaubNut(0.5, _PAIR), (0.0, 0.0, 3.0, 0.1))
     for f in ("inv_R_full", "gb_density", "pontryagin_density"):
         assert getattr(up, f) == pytest.approx(getattr(down, f), rel=1e-7), f
@@ -210,7 +222,9 @@ def test_two_centre_segments_sample_the_gauge_facing_away():
     # the inner segment lies between the centres (upper string up), the
     # outer one is sampled with both strings down, whatever the given gauge
     for centers, near in ((_PAIR, (1, -1)), (_PAIR[::-1], (-1, 1))):
-        segments, _ = MultiTaubNut(0.5, centers, (-1, -1)).reduction(2, 40.0)
+        below = MultiTaubNut(0.5, centers).facing_away((0.0, 0.0, -2.0))
+        assert below.string_signs == (-1, -1)
+        segments, _ = below.reduction(2, 40.0)
         assert [s.backend.string_signs for s in segments] == [near, (1, 1)]
 
 
@@ -237,10 +251,8 @@ def _backends():
     entries = {name: get_entry(name) for name in builtin_names()}
     out = {name: e.backend for name, e in entries.items()
            if e.backend is not None}
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        out[f"two-nut{signs}"] = MultiTaubNut(
-            mass=0.5, centers=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
-            string_signs=signs)
+    for nut in (_BETWEEN, _BELOW):  # taub-nut-2 is the pair in (1, 1)
+        out[f"two-nut{nut.string_signs}"] = nut
     return out
 
 

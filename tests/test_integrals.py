@@ -21,9 +21,10 @@ import pytest
 
 import sdlab
 from sampling import sample_points
-from sdlab.catalog import get_entry
+from sdlab.catalog import entry_integrals, get_entry
 from sdlab.errors import DomainError
 from sdlab.geometry import curvature, integrals
+from sdlab.geometry import quadrature as quad
 from sdlab.geometry.backends import MultiTaubNut
 from sdlab.geometry.curvature import curvature_batch
 from sdlab.geometry.integrals import (
@@ -122,17 +123,24 @@ def test_coincident_centers_integrate_as_one_charge_two_center():
 
 
 @functools.lru_cache(maxsize=None)
-def two_center_i_gb(centers, signs=None):
-    nut = MultiTaubNut(0.5, centers, signs)
+def two_center_i_gb(centers, facing=None):
+    """I_gb of the pair, in the copy facing away from (0, 0, facing) if
+    that is given, else in the gauge it is built in."""
+    nut = MultiTaubNut(0.5, centers)
+    if facing is not None:
+        nut = nut.facing_away((0.0, 0.0, facing))
     return integrate_invariants(nut, resolution=1).I_gb
 
 
-@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+# the three gauges a copy facing away reaches: (1, 1), then (1, -1) or
+# (-1, 1) depending on the centre order, then (-1, -1)
+@pytest.mark.parametrize("facing", [2.0, 0.0, -2.0],
+                         ids=["above", "between", "below"])
 @pytest.mark.parametrize("centers", [((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
                                      ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))])
-def test_two_center_string_gauge_invariant(centers, signs):
+def test_two_center_string_gauge_invariant(centers, facing):
     # the Dirac strings are a gauge choice; no mesh may depend on it
-    assert two_center_i_gb(centers, signs) == two_center_i_gb(centers)
+    assert two_center_i_gb(centers, facing) == two_center_i_gb(centers)
 
 
 @pytest.mark.parametrize("centers, shift", [
@@ -158,6 +166,18 @@ def test_schwarzschild_targets(schw_integrals):
     assert abs(ci.I_r) < 1e-6
 
 
+def test_tail_with_a_sign_change_is_bounded_by_the_window():
+    r = np.geomspace(6.2, 9.8, 12)
+    v = np.cos(r) / r ** 3
+    assert quad.fit_power_tail(r, v, 10.0) \
+        == (0.0, np.max(np.abs(v)) * 10.0 * 0.5, None)
+
+
+def test_graded_edges_are_even_when_the_first_width_covers_the_span():
+    assert np.array_equal(quad.graded_edges(0.0, 1.0, 4, first_width=0.5),
+                          np.linspace(0.0, 1.0, 5))
+
+
 # ----------------------------------------------------------------- validation
 
 
@@ -180,6 +200,22 @@ def test_cutoff_too_small():
     with pytest.raises(DomainError) as err:
         integrate_invariants(b, resolution=2, cutoff_rho=0.9 * floor)
     assert err.value.slug == "cutoff-too-small"
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: integrate_invariants(MultiTaubNut(), 1, math.nan),
+    lambda: entry_integrals(get_entry("taub-nut-1"), 2, math.nan),
+], ids=["integrate_invariants", "entry_integrals"])
+def test_nan_cutoff_is_too_large(integrate, capfd, tmp_path, monkeypatch):
+    # once LAPACK printed DLASCL lines and numpy raised LinAlgError, and the
+    # catalog route failed on the cache key with json-nonfinite
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    with pytest.raises(Exception) as err:
+        integrate()
+    assert "DLASCL" not in "".join(capfd.readouterr())  # LAPACK's stdout
+    assert isinstance(err.value, DomainError)
+    assert err.value.slug == "cutoff-too-large"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_three_centers_unsupported():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlab.errors import BranchError, DomainError, ResourceError
-from sdlab.modular_forms import (cot_contour_theta, principal_power,
-                                 s_transform_residual, theta)
+from sdlab.modular_forms import (_tail_bound, cot_contour_theta,
+                                 principal_power, s_transform_residual, theta)
 
 mp.mp.dps = 40
 
@@ -50,6 +50,10 @@ def test_tail_bound_certified(tol):
     tv = theta(tau, tol=tol)
     assert tv.tail_bound <= tol
     assert abs(tv.value - mp_theta(tau)) <= tv.tail_bound + 1e-14
+
+
+def test_tail_bound_is_infinite_when_the_ratio_rounds_to_one():
+    assert _tail_bound(1e-20, 1) == math.inf
 
 
 def test_domain_rejections():
