@@ -218,6 +218,28 @@ def test_points_on_a_string_evaluate_in_the_gauge_facing_away():
         assert getattr(up, f) == pytest.approx(getattr(down, f), rel=1e-7), f
 
 
+@pytest.mark.parametrize("copy", [_BETWEEN, _BELOW],
+                         ids=["between", "below"])
+def test_two_centre_curvature_is_gauge_invariant(copy):
+    # curvature_batch runs in the backend's own gauge; off every string the
+    # copies facing away see the invariants of the pair built default.  The
+    # string distance sets the stencil step, so they agree to its truncation
+    pts = np.array([(1.2, 0.9, z, 0.3) for z in (-1.7, -0.5, 0.0, 0.8, 2.2)])
+    a = curvature_batch(MultiTaubNut(0.5, _PAIR), pts)
+    b = curvature_batch(copy, pts)
+    for f in ("inv_R_full", "gb_density", "pontryagin_density"):
+        np.testing.assert_allclose(getattr(b, f), getattr(a, f), rtol=1e-7,
+                                   err_msg=f)
+
+
+def test_facing_away_makes_a_copy_that_reports_its_gauge():
+    pair = MultiTaubNut(0.5, _PAIR)
+    assert pair.facing_away((0.0, 0.0, 2.0)) == pair  # above: the default
+    assert _BETWEEN != pair and pair.string_signs == (1, 1)
+    assert (_BETWEEN.mass, _BETWEEN.centers) == (pair.mass, pair.centers)
+    assert _BETWEEN.params == {**pair.params, "string_signs": [1, -1]}
+
+
 def test_two_centre_segments_sample_the_gauge_facing_away():
     # the inner segment lies between the centres (upper string up), the
     # outer one is sampled with both strings down, whatever the given gauge
