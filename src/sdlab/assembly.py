@@ -47,15 +47,13 @@ class ManifoldDescriptor:
         n = self.name
         if self.kind not in _KINDS:
             raise DescriptorError("kind-unknown", f"{n}: kind {self.kind!r}")
-        counts = [("b0", self.b0, None), ("b1", self.b1, None),
-                  ("bplus_l2", self.bplus_l2, None),
-                  ("bminus_l2", self.bminus_l2, None)]
+        counts = [(lab, getattr(self, lab), None)
+                  for lab in ("b0", "b1", "bplus_l2", "bminus_l2")]
         if self.kind == "alf":
             # given Dirichlet counts are bounded by b0, b1 (checked first)
-            counts += [(lab, v, bound) for lab, v, bound in
-                       (("b0_D", self.b0_D, self.b0),
-                        ("b1_D", self.b1_D, self.b1))
-                       if v is not None and v != "derive"]
+            counts += [(f"b{k}_D", v, bound) for k, v, bound in
+                       ((0, self.b0_D, self.b0), (1, self.b1_D, self.b1))
+                       if v not in (None, "derive")]
         for lab, v, bound in counts:
             if not isinstance(v, int) or v < 0:
                 raise DescriptorError("betti-nonnegative", f"{n}: {lab} = {v!r}")
@@ -74,8 +72,7 @@ class ManifoldDescriptor:
             if self.b0 < 1:
                 raise DescriptorError("connected-b0",
                                       f"{n}: compact descriptor needs b0 >= 1")
-            if (self.b0_D is not None or self.b1_D is not None
-                    or self.h1_neck_trivial is not None):
+            if (self.b0_D, self.b1_D, self.h1_neck_trivial) != (None,) * 3:
                 raise DescriptorError(
                     "dirichlet-data-compact",
                     f"{n}: Dirichlet fields are ALF-only")
@@ -149,8 +146,9 @@ def euler_number(desc: ManifoldDescriptor) -> int:
 
 def _riemann_norm(curv, convention: str) -> tuple[float, float]:
     """(integrated Riemann-square norm, its divisor in the correction)."""
-    # the two norms differ by 4 on any metric, the divisors by 2, so the
-    # quotients agree exactly on Ricci-flat spaces and only there
+    # the norms differ by 4 on any metric and the divisors by 2, so the
+    # quotients differ by a factor 2 on every metric; the corrections add
+    # the same I_r and I_s2 terms and differ by exactly 2 on Ricci-flat ones
     if convention == "paper-endo":
         return curv.I_R_endo, 120.0
     if convention == "gilkey-full":

@@ -1,7 +1,8 @@
 """Built-in manifold catalog and user manifest loading.
 
-Each entry binds a topological descriptor to the metric backend that
-realizes it, or to stored exact integrals when no chart is needed;
+The descriptor of a chart entry, built-in or from a manifest, is the
+`topology` its metric backend states (`_chart`); only an entry without a
+chart, which stores exact integrals instead, writes its own descriptor.
 `entry_integrals` alone decides where an entry's integrals come from.
 User manifests are flat key-value INI sections, one manifold per
 section; built-in names cannot be overridden.  `_GEOMETRIES` is the one
@@ -45,18 +46,26 @@ class CatalogEntry:
         return "analytic" if self.backend is None else self.backend.id
 
 
+def _chart(name: str, backend: GeometryBackend,
+           given: dict | None = None) -> CatalogEntry:
+    """The entry whose descriptor is the `topology` of `backend`.  `given`
+    manifest fields may set what that leaves open, a count it derives
+    included; any other that differs from it, `kind` too, is refused."""
+    fixed, given = backend.topology, given or {}
+    # checked under the geometry's kind; a given kind is compared below
+    desc = ManifoldDescriptor(name, **{**fixed, **given, "kind": fixed["kind"]})
+    wrong = [f"{k} = {fixed[k]!r}, not {v!r}" for k, v in given.items()
+             if fixed.get(k, v) not in (v, "derive")]
+    if wrong:
+        raise DescriptorError("descriptor-contradicts-geometry", f"[{name}] "
+                              f"{backend.id} states {'; '.join(wrong)}")
+    return CatalogEntry(desc, backend)
+
+
 def _builtins() -> dict:
     entries = [
-        CatalogEntry(
-            ManifoldDescriptor(
-                name="flat-torus", kind="compact", b0=1, b1=4,
-                bplus_l2=3, bminus_l2=3),
-            FlatTorus()),
-        CatalogEntry(
-            ManifoldDescriptor(
-                name="round-s4", kind="compact", b0=1, b1=0,
-                bplus_l2=0, bminus_l2=0),
-            RoundS4(a=1.0)),
+        _chart("flat-torus", FlatTorus()),
+        _chart("round-s4", RoundS4(a=1.0)),
         CatalogEntry(
             ManifoldDescriptor(
                 name="k3-analytic", kind="compact", b0=1, b1=0,
@@ -66,25 +75,10 @@ def _builtins() -> dict:
             integrals=_exact_integrals(
                 I_R_full=768.0 * math.pi ** 2, I_R_endo=192.0 * math.pi ** 2,
                 I_r=0.0, I_s2=0.0, I_gb=24.0, I_p=-16.0)),
-        CatalogEntry(
-            ManifoldDescriptor(
-                name="taub-nut-1", kind="alf", b0=1, b1=0,
-                bplus_l2=0, bminus_l2=1, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=True),
-            MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),))),
-        CatalogEntry(
-            ManifoldDescriptor(
-                name="taub-nut-2", kind="alf", b0=1, b1=0,
-                bplus_l2=0, bminus_l2=2, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=True),
-            MultiTaubNut(mass=0.5,
-                         centers=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))),
-        CatalogEntry(
-            ManifoldDescriptor(
-                name="schwarzschild", kind="alf", b0=1, b1=0,
-                bplus_l2=1, bminus_l2=1, b0_D="derive", b1_D="derive",
-                h1_neck_trivial=False),
-            Schwarzschild(mass=1.0)),
+        _chart("taub-nut-1", MultiTaubNut(0.5, ((0.0, 0.0, 0.0),))),
+        _chart("taub-nut-2", MultiTaubNut(
+            0.5, ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))),
+        _chart("schwarzschild", Schwarzschild(mass=1.0)),
     ]
     return {e.name: e for e in entries}
 
@@ -222,20 +216,20 @@ def parse_manifest(path: str) -> dict:
             raise DescriptorError(
                 "manifest-key-unknown",
                 f"[{section}] {geometry} reads no {sorted(unknown)}")
-        desc_kw = _arguments(section, _DESC_KEYS, opts)
+        given = _arguments(section, _DESC_KEYS, opts)
         kw = _arguments(section, keys, opts)
+        if geometry != "analytic":
+            out[section] = _chart(section, build(**kw), given)
+            continue
         for key in ("b0", "b1", "bplus_l2", "bminus_l2", "kind"):
             if key not in opts:
                 raise DescriptorError("manifest-key-missing",
                                       f"[{section}] needs {key}")
-        desc = ManifoldDescriptor(name=section, **desc_kw)
-        if geometry != "analytic":
-            out[section] = CatalogEntry(desc, backend=build(**kw))
-        elif len(kw) < len(keys):
+        desc = ManifoldDescriptor(name=section, **given)
+        if len(kw) < len(keys):
             raise DescriptorError(
                 "manifest-value" if kw else "manifest-incomplete",
                 f"[{section}] analytic geometry needs the six i_* integral "
                 f"keys, missing {sorted(set(keys) - set(opts))}")
-        else:
-            out[section] = CatalogEntry(desc, integrals=build(**kw))
+        out[section] = CatalogEntry(desc, integrals=build(**kw))
     return out

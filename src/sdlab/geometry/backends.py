@@ -41,6 +41,7 @@ weight, which ``integrals.integrate_invariants`` refines and sums; the
 ALF backends (``alf = True``) add the truncation surface and the
 gradient of its level function that ``boundary`` works on, and the
 ``radius`` of a chart point, which the CLI caps like rho and the cutoff.
+Each also states its ``topology``, the descriptor data the geometry fixes.
 """
 from __future__ import annotations
 
@@ -100,6 +101,8 @@ class GeometryBackend:
     alf = False
     # chart coordinates the metric never reads; derivatives along them vanish
     cyclic_axes: tuple[int, ...] = ()
+    # the `ManifoldDescriptor` fields the geometry fixes, as plain data
+    topology: dict
 
     @property
     def params(self) -> dict:
@@ -140,6 +143,9 @@ class FlatTorus(GeometryBackend):
     radii: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     id: str = field(default="flat-torus", init=False)
     cyclic_axes = (0, 1, 2, 3)
+    # T^4: b1 = 4, and the Hodge star splits b2 = 6 into 3 + 3
+    topology = {"kind": "compact", "b0": 1, "b1": 4, "bplus_l2": 3,
+                "bminus_l2": 3}
 
     def __post_init__(self):
         if len(self.radii) != 4:
@@ -180,6 +186,8 @@ class RoundS4(GeometryBackend):
     a: float = 1.0
     id: str = field(default="round-s4", init=False)
     excluded = "pole-excluded"
+    topology = {"kind": "compact", "b0": 1, "b1": 0, "bplus_l2": 0,
+                "bminus_l2": 0}
 
     def __post_init__(self):
         if not self.a > 0:
@@ -248,6 +256,19 @@ class MultiTaubNut(GeometryBackend):
             raise DescriptorError("centers-shape", "need 3 coordinates per center")
         _check_lengths((self.mass,), [x for c in self.centers for x in c])
         object.__setattr__(self, "string_signs", (1,) * len(self.centers))
+
+    @property
+    def topology(self) -> dict:
+        # b-_L2 = n (Hausel, Hunsicker and Mazzeo, Duke Math. J. 122, 2004);
+        # the neck, a lens space, has H^1 = 0.  Coincident centres make an
+        # orbifold point, which no integer descriptor states
+        n = len(self.centers)
+        if len(set(map(tuple, self.centers))) < n:
+            raise DescriptorError("centers-coincident",
+                                  f"centers {self.centers}: an orbifold point")
+        return {"kind": "alf", "b0": 1, "b1": 0, "bplus_l2": 0,
+                "bminus_l2": n, "b0_D": "derive", "b1_D": "derive",
+                "h1_neck_trivial": True}
 
     @property
     def params(self) -> dict:
@@ -429,6 +450,11 @@ class Schwarzschild(GeometryBackend):
     excluded = "pole-excluded"
     cyclic_axes = (3,)
     alf = True
+    # b+-_L2 = 1 (Etesi and Hausel, J. Geom. Phys. 37, 2001); the neck
+    # S^2 x S^1 has H^1 = Z, so `derive` cannot give b1_D
+    topology = {"kind": "alf", "b0": 1, "b1": 0, "bplus_l2": 1,
+                "bminus_l2": 1, "b0_D": "derive", "b1_D": "derive",
+                "h1_neck_trivial": False}
 
     def __post_init__(self):
         if not self.mass > 0:

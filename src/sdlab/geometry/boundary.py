@@ -95,12 +95,12 @@ def boundary_report(backend: GeometryBackend, rho: float,
         raise DomainError("boundary-needs-alf",
                           f"no truncation boundary for {type(backend).__name__}")
     scale = backend.geometry_scale()
+    if not rho <= CUTOFF_SCALE_MAX * scale:     # NaN fails too
+        raise DomainError("rho-too-large", f"rho {rho} above "
+                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     if not rho > 2.0 * scale:
         raise DomainError("rho-inside-core", f"rho {rho} must exceed the "
                           f"compact core radius {2.0 * scale}")
-    if rho > CUTOFF_SCALE_MAX * scale:
-        raise DomainError("rho-too-large", f"rho {rho} above "
-                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     check_resolution(resolution)
     sups = []
 

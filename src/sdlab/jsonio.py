@@ -26,52 +26,33 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _encode(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, complex):
-        out.append('{"re": ')
-        out.append(_format_float(obj.real))
-        out.append(', "im": ')
-        out.append(_format_float(obj.imag))
-        out.append("}")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise DomainError("json-key-type",
-                                  f"mapping keys must be strings, got {key!r}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(": ")
-            _encode(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _encode(value, out)
-        out.append("]")
-    else:
-        raise DomainError("json-type", f"cannot serialize {type(obj).__name__}")
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise DomainError("json-key-type",
+                          f"mapping keys must be strings, got {key!r}")
+    return json.dumps(key, ensure_ascii=True)
+
+
+def _encode(obj) -> str:
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, complex):
+        return (f'{{"re": {_format_float(obj.real)}, '
+                f'"im": {_format_float(obj.imag)}}}')
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_key(k)}: {_encode(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_encode, obj)) + "]"
+    raise DomainError("json-type", f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_dumps(obj) -> str:
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out)
+    return _encode(obj)
 
 
 def _decode_complex(d):

@@ -196,7 +196,7 @@ def test_rho_capped_like_the_cutoff(name):
     cap = integrals.CUTOFF_SCALE_MAX * b.geometry_scale()
     rep = boundary_report(b, cap, resolution=2)
     assert all(math.isfinite(v) for v in rep.as_dict().values())
-    for rho in (math.nextafter(cap, math.inf), 1e100, 1e200):
+    for rho in (math.nextafter(cap, math.inf), 1e100, 1e200, math.nan):
         with pytest.raises(DomainError) as err:
             boundary_report(b, rho, resolution=2)
         assert err.value.slug == "rho-too-large"

@@ -1,5 +1,6 @@
 """Catalog entries, manifest parsing, canonical JSON, cache, CLI surface."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import sdlab
 from sdlab import cache, catalog, jsonio
-from sdlab.assembly import weights_for
+from sdlab.assembly import ManifoldDescriptor, weights_for
 from sdlab.catalog import (
     CatalogEntry,
     builtin_names,
@@ -165,20 +166,132 @@ def test_readme_manifest_table_lists_the_keys_each_geometry_reads():
                       in catalog._GEOMETRIES.items()}
 
 
+def test_readme_manifest_example_parses(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    entries = parse_manifest(write_manifest(tmp_path, block))
+    assert entries["my-k3"].descriptor == ManifoldDescriptor(
+        "my-k3", "compact", b0=1, b1=0, bplus_l2=3, bminus_l2=19)
+    pair = MultiTaubNut(0.25, ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)))
+    assert entries["off-axis-pair"].backend == pair
+    assert entries["off-axis-pair"].descriptor == ManifoldDescriptor(
+        "off-axis-pair", **pair.topology)
+    assert pair.topology["bminus_l2"] == 2
+
+
 def test_manifest_defaults_are_the_constructors(tmp_path):
-    # a section passes only the keys it gives
-    heads = {False: "kind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 0\n"
-                    "bminus_l2 = 0\n",
-             True: "kind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\n"
-                   "bminus_l2 = 1\nb0_d = derive\nb1_d = derive\n"
-                   "h1_neck_trivial = yes\n"}
+    # a section passes only the keys it gives, and its descriptor is the
+    # topology of the backend it builds
     classes = GeometryBackend.__subclasses__()
-    body = "".join(f"[{c.id}-x]\n{heads[c.alf]}geometry = {c.id}\n"
-                   for c in classes)
+    body = "".join(f"[{c.id}-x]\ngeometry = {c.id}\n" for c in classes)
     entries = parse_manifest(write_manifest(tmp_path, body))
     for cls in classes:
         entry = entries[f"{cls.id}-x"]
         assert entry.backend == cls() and entry.geometry == cls.id
+        assert entry.descriptor == ManifoldDescriptor(f"{cls.id}-x",
+                                                      **cls().topology)
+
+
+def test_builtin_chart_descriptors_are_the_backend_topology():
+    charts = [get_entry(n) for n in builtin_names() if n != "k3-analytic"]
+    assert all(e.backend is not None for e in charts) and len(charts) == 5
+    for entry in charts:
+        assert entry.descriptor == ManifoldDescriptor(
+            entry.name, **entry.backend.topology), entry.name
+    # the counts the literature gives (see `backends`)
+    assert [(e.descriptor.b1, e.descriptor.bplus_l2, e.descriptor.bminus_l2,
+             e.descriptor.h1_neck_trivial) for e in charts] == [
+        (4, 3, 3, None), (0, 0, 0, None), (0, 0, 1, True), (0, 0, 2, True),
+        (0, 1, 1, False)]
+
+
+def test_coincident_centres_state_no_descriptor():
+    # an orbifold point; the library still integrates such a backend
+    nut = MultiTaubNut(0.5, ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)))
+    with pytest.raises(DescriptorError) as err:
+        nut.topology
+    assert err.value.slug == "centers-coincident"
+
+
+def test_bare_chart_section_is_the_builtin(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    path = write_manifest(tmp_path, "[pair]\ngeometry = multi-taub-nut\n"
+                                    "centers = 0 0 -1, 0 0 1\n")
+    builtin = get_entry("taub-nut-2")
+    pair = parse_manifest(path)["pair"]
+    assert pair.backend == builtin.backend
+    assert pair.descriptor == dataclasses.replace(builtin.descriptor,
+                                                  name="pair")
+    results = []
+    for extra in (["--manifold", "taub-nut-2"],
+                  ["--manifold", "pair", "--manifest", path]):
+        code, out, _ = run_cli(capsys, ["weights", "--resolution", "2",
+                                        "--json", *extra])
+        assert code == 0
+        results.append(out.split('"results": ', 1)[1].split(', "error_')[0])
+    assert results[0] == results[1] and '"beta"' in results[0]
+
+
+# a section that restates its geometry's topology wrongly, and what the
+# geometry states; each is refused when the manifest is read
+CONTRADICTIONS = {
+    # the two-centre pair has b-_L2 = 2, which gives beta = 14/15
+    "pair-bminus": ("geometry = multi-taub-nut\ncenters = 0 0 -1, 0 0 1\n"
+                    "bminus_l2 = 1\n", "bminus_l2 = 2, not 1"),
+    "torus-b1": ("geometry = flat-torus\nb1 = 0\n", "b1 = 4, not 0"),
+    "torus-betti": ("geometry = flat-torus\nb1 = 0\nbplus_l2 = 0\n"
+                    "bminus_l2 = 0\n", "bminus_l2 = 3, not 0"),
+    "nut-kind": ("geometry = multi-taub-nut\nkind = compact\n",
+                 "kind = 'alf', not 'compact'"),
+    "s4-kind": ("geometry = round-s4\nkind = alf\n",
+                "kind = 'compact', not 'alf'"),
+    "nut-neck": ("geometry = multi-taub-nut\nh1_neck_trivial = no\n",
+                 "h1_neck_trivial = True, not False"),
+    "bolt-neck": ("geometry = schwarzschild\nh1_neck_trivial = yes\n",
+                  "h1_neck_trivial = False, not True"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRADICTIONS))
+def test_manifest_contradicting_its_geometry_is_refused(tmp_path, case):
+    body, stated = CONTRADICTIONS[case]
+    with pytest.raises(DescriptorError) as err:
+        parse_manifest(write_manifest(tmp_path, "[x]\n" + body))
+    assert err.value.slug == "descriptor-contradicts-geometry"
+    assert stated in str(err.value)
+
+
+def test_manifest_sets_what_the_geometry_leaves_open(tmp_path):
+    # an explicit Dirichlet count, torsion and volume factor are the user's
+    body = ("[bolt]\ngeometry = schwarzschild\nb1_d = 0\nb0_d = 0\n"
+            "torsion_order = 2\nvol_flat_torus_factor = 0.5\n")
+    d = parse_manifest(write_manifest(tmp_path, body))["bolt"].descriptor
+    assert (d.b0_D, d.b1_D, d.torsion_order, d.vol_flat_torus_factor) == (
+        0, 0, 2, 0.5)
+    assert d.bplus_l2 == d.bminus_l2 == 1 and d.h1_neck_trivial is False
+
+
+@pytest.mark.parametrize("body,slug", [
+    ("[x]\ngeometry = multi-taub-nut\ncenters = 0 0 -1, 0 0 1\n"
+     "bminus_l2 = 1\n", "descriptor-contradicts-geometry"),
+    ("[x]\ngeometry = flat-torus\nb1 = 0\n",
+     "descriptor-contradicts-geometry"),
+    ("[x]\ngeometry = multi-taub-nut\ncenters = 0 0 1, 0 0 1\n",
+     "centers-coincident"),
+])
+@pytest.mark.parametrize("command", [["weights"], ["verify", "modularity"]])
+def test_refused_section_computes_no_integral(tmp_path, capsys, monkeypatch,
+                                              body, slug, command):
+    def no_integral(*args):
+        raise AssertionError("integrals sought for a refused section")
+
+    monkeypatch.setattr(catalog, "entry_integrals", no_integral)
+    path = write_manifest(tmp_path, body)
+    code, out, err = run_cli(capsys, [*command, "--manifold", "x",
+                                      "--manifest", path, "--json"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {slug}: ")
 
 
 def test_manifest_feeds_get_entry(tmp_path):
@@ -200,7 +313,7 @@ def test_manifest_unreadable(tmp_path):
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\nbminus_l2 = 1\n"
      "geometry = round-s4\nflavor = mild\n", "manifest-key-unknown"),
     ("[x]\nkind = compact\nb0 = 1\nb1 = 0\nbplus_l2 = 1\n"
-     "geometry = round-s4\n", "manifest-key-missing"),
+     "geometry = analytic\n", "manifest-key-missing"),
     ("[x]\nkind = compact\nb0 = three\nb1 = 0\nbplus_l2 = 1\n"
      "bminus_l2 = 1\ngeometry = round-s4\n", "manifest-value"),
     ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
@@ -256,6 +369,15 @@ def test_manifest_unreadable(tmp_path):
     # shapes the backend constructors check
     ("[x]\nkind = compact\nb0 = 1\nb1 = 4\nbplus_l2 = 3\nbminus_l2 = 3\n"
      "geometry = flat-torus\nradii = 1 1 1\n", "radii-shape"),
+    # the descriptor checks, under the geometry's kind, come before any
+    # comparison with the geometry
+    ("[x]\ngeometry = round-s4\nb1 = -1\n", "betti-nonnegative"),
+    ("[x]\ngeometry = round-s4\nb0 = 0\n", "connected-b0"),
+    ("[x]\ngeometry = round-s4\nkind = alf\nb0_d = 0\nb1_d = 0\n"
+     "h1_neck_trivial = yes\n", "dirichlet-data-compact"),
+    ("[x]\ngeometry = multi-taub-nut\nb1_d = 1\n", "dirichlet-betti-bound"),
+    ("[x]\ngeometry = multi-taub-nut\nmass = -1\nbminus_l2 = 5\n",
+     "mass-positive"),
     ("[x]\nkind = alf\nb0 = 1\nb1 = 0\nbplus_l2 = 0\nbminus_l2 = 1\n"
      "b0_d = derive\nb1_d = derive\nh1_neck_trivial = yes\n"
      "geometry = multi-taub-nut\ncenters = 0 0\n", "centers-shape"),
@@ -545,7 +667,7 @@ def test_every_raised_slug_is_named_by_a_test():
     tests = "".join(p.read_text(encoding="utf-8")
                     for p in (root / "tests").rglob("*")
                     if p.suffix in (".py", ".json"))
-    assert len(raised) >= 67
+    assert len(raised) >= 69
     assert sorted(s for s in raised
                   if f'"{s}"' not in tests and f"'{s}'" not in tests) == []
 

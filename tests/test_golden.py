@@ -288,9 +288,15 @@ def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
                      "--json"]) == 0
     light = [[a for a in CASES[c] if a != "--no-cache"] for c in LIGHT]
     heavy = CASES["curvature/round-s4"]
-    (_, _, at_import, _), *rows, version, curv = _child_rows(
-        [*light, ["--version"], heavy])
+    # a chart section builds its backend to read the topology it states
+    manifest = tmp_path / "pair.ini"
+    manifest.write_text("[pair]\ngeometry = multi-taub-nut\n"
+                        "centers = 0 0 -1, 0 0 1\n", encoding="ascii")
+    (_, _, at_import, _), *rows, show, version, curv = _child_rows(
+        [*light, ["catalog", "show", "pair", "--manifest", str(manifest),
+                  "--json"], ["--version"], heavy])
     assert at_import == []
+    assert show[0] == 0 and show[2] == [] and '"bminus_l2": 2' in show[1]
     for case, (code, out, loaded, _) in zip(LIGHT, rows):
         want = golden[case]["stdout"]
         if case.startswith("integrate/"):       # recorded with --no-cache
