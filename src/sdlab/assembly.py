@@ -2,9 +2,10 @@
 
 A manifold enters as a small topological record (Betti data, torsion,
 kind) plus curvature integrals from the geometry engine or supplied
-analytically.  From these the holomorphic and anti-holomorphic modular
-weights, the coupling-dependent partition value, and the modular-law
-residuals are assembled.
+analytically, both named tuples like sdlab's other result records, whose
+classes generate no code at import.  From these the holomorphic and
+anti-holomorphic modular weights, the coupling-dependent partition
+value, and the modular-law residuals are assembled.
 
 Two norm conventions for the quartic curvature correction are carried
 everywhere: "paper-endo" consumes the curvature operator norm on
@@ -15,8 +16,8 @@ same geometry).  Reports always state which one produced a number.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
+from collections import namedtuple
 
 from . import _lazy
 from .errors import ConsistencyError, DescriptorError, DomainError
@@ -27,23 +28,18 @@ modular_forms = _lazy("sdlab.modular_forms")
 _KINDS = ("compact", "alf")
 
 
-@dataclasses.dataclass(frozen=True)
-class ManifoldDescriptor:
-    """Topological and normalization data of one manifold."""
+class ManifoldDescriptor(namedtuple(
+        "ManifoldDescriptor", "name kind b0 b1 bplus_l2 bminus_l2 "
+        "torsion_order b0_D b1_D h1_neck_trivial vol_flat_torus_factor",
+        defaults=(1, None, None, None, 1.0))):
+    """Topological and normalization data of one manifold.  `b0_D`, `b1_D`
+    (each an int or "derive") and the bool `h1_neck_trivial` are ALF only;
+    the constructor, which `_replace` goes through, checks every field."""
 
-    name: str
-    kind: str
-    b0: int
-    b1: int
-    bplus_l2: int
-    bminus_l2: int
-    torsion_order: int = 1
-    b0_D: int | str | None = None        # int or "derive"; ALF only
-    b1_D: int | str | None = None
-    h1_neck_trivial: bool | None = None  # ALF only
-    vol_flat_torus_factor: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kw):
+        self = super().__new__(cls, *args, **kw)
         n = self.name
         if self.kind not in _KINDS:
             raise DescriptorError("kind-unknown", f"{n}: kind {self.kind!r}")
@@ -76,27 +72,27 @@ class ManifoldDescriptor:
                 raise DescriptorError(
                     "dirichlet-data-compact",
                     f"{n}: Dirichlet fields are ALF-only")
-            return
+            return self
         if self.b0_D is None or self.b1_D is None:
             raise DescriptorError("dirichlet-data-missing",
                                   f"{n}: ALF descriptor needs b0_D and b1_D")
         if not isinstance(self.h1_neck_trivial, bool):
             raise DescriptorError("neck-flag-missing",
                                   f"{n}: ALF descriptor needs h1_neck_trivial")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclasses.dataclass(frozen=True)
-class ModularWeights:
-    alpha: float
-    beta: float
-    sigma_phase: float  # half the signature-like integer in the phase
-    convention: str
+class ModularWeights(namedtuple("ModularWeights",
+                                "alpha beta sigma_phase convention")):
+    """`sigma_phase` is half the signature-like integer in the phase."""
+
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class PartitionEvaluation:
-    value: complex
-    factors: dict
+class PartitionEvaluation(namedtuple("PartitionEvaluation", "value factors")):
+    __slots__ = ()
 
 
 def neck_check(desc: ManifoldDescriptor) -> dict:

@@ -11,10 +11,10 @@ table from a section's `geometry` to what builds it and the keys it reads.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
+from collections import namedtuple
 
 from . import cache
 from .assembly import ManifoldDescriptor
@@ -31,11 +31,10 @@ _exact_integrals = functools.partial(
     node_count=0)
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogEntry:
-    descriptor: ManifoldDescriptor
-    backend: GeometryBackend | None = None
-    integrals: CurvatureIntegrals | None = None  # stored, exact
+class CatalogEntry(namedtuple("CatalogEntry", "descriptor backend integrals",
+                              defaults=(None, None))):
+    # a chart `backend`, or stored, exact `integrals`
+    __slots__ = ()
 
     @property
     def name(self) -> str:

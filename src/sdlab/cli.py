@@ -186,7 +186,7 @@ def cmd_curvature(args):
                           f"{cap}x geometry scale {scale}")
     s = curvature.curvature_at(backend, point)
     return ({"manifold": entry.name, "point": list(point)},
-            {f: v for f, v in vars(s).items() if f != "point"}, {})
+            {f: v for f, v in s._asdict().items() if f != "point"}, {})
 
 
 def cmd_integrate(args):

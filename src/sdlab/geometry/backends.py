@@ -46,14 +46,17 @@ Each also states its ``topology``, the descriptor data the geometry fixes.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .. import _lazy
 from ..errors import DescriptorError, DomainError
 from . import quadrature as quad
 
 np = _lazy("numpy")
+
+# half-separation below which `MultiTaubNut.reduction` merges two centres
+# into one of charge 2, and below which `topology` calls them coincident
+_COINCIDENT = 1e-9
 
 
 def _component_rows(n: int):
@@ -74,8 +77,7 @@ def _check_lengths(lengths, coords=()) -> None:
             f"1e30] and coordinates {tuple(coords)} within 1e30")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "edges order embed backend")):
     """One piece of a symmetry-reduced volume integral.
 
     `edges` holds the panel edges of each axis of a tensor-product mesh
@@ -84,15 +86,23 @@ class Segment:
     chart points (n, 4) of `backend` and the reduced volume weight (n,).
     """
 
-    edges: tuple
-    order: int
-    embed: Callable
-    backend: "GeometryBackend"
+    __slots__ = ()
+
+
+def _hashable(value):
+    """`value` with each list or tuple in it a tuple, all the way down."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_hashable, value))
+    return value
 
 
 class GeometryBackend:
     """Common backend interface; subclasses fill in the metric, the chart
-    scales and the symmetry reduction."""
+    scales and the symmetry reduction.
+
+    A backend is immutable once its constructor returns.  Two backends are
+    equal, and hash alike, when they are of one class with equal `params`,
+    the identity that their cache keys use."""
 
     id: str = ""
     # ChartError slug for points too near the chart's excluded set
@@ -107,6 +117,19 @@ class GeometryBackend:
     @property
     def params(self) -> dict:
         raise NotImplementedError
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params
+
+    def __hash__(self):
+        return hash((type(self), _hashable(list(self.params.items()))))
+
+    def __setattr__(self, name, _value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name}")
+
+    __delattr__ = __setattr__
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         """Batch metric, (n, 4) -> (n, 4, 4), positive definite and
@@ -138,21 +161,20 @@ class GeometryBackend:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FlatTorus(GeometryBackend):
-    radii: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    id: str = field(default="flat-torus", init=False)
+    id = "flat-torus"
     cyclic_axes = (0, 1, 2, 3)
     # T^4: b1 = 4, and the Hodge star splits b2 = 6 into 3 + 3
     topology = {"kind": "compact", "b0": 1, "b1": 4, "bplus_l2": 3,
                 "bminus_l2": 3}
 
-    def __post_init__(self):
-        if len(self.radii) != 4:
-            raise DescriptorError("radii-shape", f"need 4 radii: {self.radii}")
-        if any(not r > 0 for r in self.radii):
-            raise DescriptorError("radii-positive", f"torus radii {self.radii}")
-        _check_lengths(self.radii)
+    def __init__(self, radii=(1.0, 1.0, 1.0, 1.0)):
+        if len(radii) != 4:
+            raise DescriptorError("radii-shape", f"need 4 radii: {radii}")
+        if any(not r > 0 for r in radii):
+            raise DescriptorError("radii-positive", f"torus radii {radii}")
+        _check_lengths(radii)
+        self.__dict__["radii"] = radii
 
     @property
     def params(self) -> dict:
@@ -181,18 +203,17 @@ class FlatTorus(GeometryBackend):
         return [Segment((), 1, embed, self)], None
 
 
-@dataclass(frozen=True)
 class RoundS4(GeometryBackend):
-    a: float = 1.0
-    id: str = field(default="round-s4", init=False)
+    id = "round-s4"
     excluded = "pole-excluded"
     topology = {"kind": "compact", "b0": 1, "b1": 0, "bplus_l2": 0,
                 "bminus_l2": 0}
 
-    def __post_init__(self):
-        if not self.a > 0:
-            raise DescriptorError("radius-positive", f"sphere radius {self.a}")
-        _check_lengths((self.a,))
+    def __init__(self, a: float = 1.0):
+        if not a > 0:
+            raise DescriptorError("radius-positive", f"sphere radius {a}")
+        _check_lengths((a,))
+        self.__dict__["a"] = a
 
     @property
     def params(self) -> dict:
@@ -235,35 +256,34 @@ class RoundS4(GeometryBackend):
         return [Segment((edges,), 10, embed, self)], None
 
 
-@dataclass(frozen=True)
 class MultiTaubNut(GeometryBackend):
-    mass: float = 0.5
-    centers: tuple[tuple[float, float, float], ...] = ((0.0, 0.0, 0.0),)
-    # +1 hangs the Dirac string below the centre, -1 above: a pure gauge,
-    # all +1 here, that only `facing_away` sets on its copies
-    string_signs: tuple[int, ...] = field(init=False)
-    id: str = field(default="multi-taub-nut", init=False)
+    id = "multi-taub-nut"
     excluded = "string-excluded"
     alf = True
     cyclic_axes = (3,)
 
-    def __post_init__(self):
-        if not self.mass > 0:
-            raise DescriptorError("mass-positive", f"NUT mass {self.mass}")
-        if not self.centers:
+    def __init__(self, mass: float = 0.5, centers=((0.0, 0.0, 0.0),)):
+        if not mass > 0:
+            raise DescriptorError("mass-positive", f"NUT mass {mass}")
+        if not centers:
             raise DescriptorError("centers-nonempty", "need at least one center")
-        if any(len(c) != 3 for c in self.centers):
+        if any(len(c) != 3 for c in centers):
             raise DescriptorError("centers-shape", "need 3 coordinates per center")
-        _check_lengths((self.mass,), [x for c in self.centers for x in c])
-        object.__setattr__(self, "string_signs", (1,) * len(self.centers))
+        _check_lengths((mass,), [x for c in centers for x in c])
+        # string_signs: +1 hangs a Dirac string below its centre, -1 above;
+        # a pure gauge, all +1 but on the copies that `facing_away` makes
+        self.__dict__.update(mass=mass, centers=centers,
+                             string_signs=(1,) * len(centers))
 
     @property
     def topology(self) -> dict:
         # b-_L2 = n (Hausel, Hunsicker and Mazzeo, Duke Math. J. 122, 2004);
         # the neck, a lens space, has H^1 = 0.  Coincident centres make an
-        # orbifold point, which no integer descriptor states
+        # orbifold point, which no integer descriptor states; so do centres
+        # closer than `reduction` tells apart
         n = len(self.centers)
-        if len(set(map(tuple, self.centers))) < n:
+        if any(math.dist(p, q) < 2 * _COINCIDENT for i, p in
+               enumerate(self.centers) for q in self.centers[:i]):
             raise DescriptorError("centers-coincident",
                                   f"centers {self.centers}: an orbifold point")
         return {"kind": "alf", "b0": 1, "b1": 0, "bplus_l2": 0,
@@ -368,7 +388,7 @@ class MultiTaubNut(GeometryBackend):
         (x0, y0, z0), (x1, y1, z1) = self.centers
         zc = 0.5 * (z0 + z1)
         c = 0.5 * abs(z0 - z1)
-        if c < 1e-9:
+        if c < _COINCIDENT:
             return self._radial(resolution, cutoff, np.array([x0, y0, zc]), 2)
         m = self.mass
         fiber = self.fiber_period()
@@ -443,10 +463,8 @@ class MultiTaubNut(GeometryBackend):
         return out
 
 
-@dataclass(frozen=True)
 class Schwarzschild(GeometryBackend):
-    mass: float = 1.0
-    id: str = field(default="schwarzschild", init=False)
+    id = "schwarzschild"
     excluded = "pole-excluded"
     cyclic_axes = (3,)
     alf = True
@@ -456,10 +474,11 @@ class Schwarzschild(GeometryBackend):
                 "bminus_l2": 1, "b0_D": "derive", "b1_D": "derive",
                 "h1_neck_trivial": False}
 
-    def __post_init__(self):
-        if not self.mass > 0:
-            raise DescriptorError("mass-positive", f"mass {self.mass}")
-        _check_lengths((self.mass,))
+    def __init__(self, mass: float = 1.0):
+        if not mass > 0:
+            raise DescriptorError("mass-positive", f"mass {mass}")
+        _check_lengths((mass,))
+        self.__dict__["mass"] = mass
 
     @property
     def params(self) -> dict:

@@ -33,7 +33,7 @@ relative on TN-1, TN-2 and Schwarzschild at rho = 20 to 320.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 
 from .. import _lazy
 from ..errors import DomainError
@@ -46,19 +46,15 @@ from .integrals import CUTOFF_SCALE_MAX, check_resolution
 np = _lazy("numpy")
 
 
-@dataclasses.dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(namedtuple(
+        "TruncationReport", "rho pi_sup v40_integral v41_integral "
+        "boundary_area error_estimate")):
     """Boundary data of the truncated space at radius rho."""
 
-    rho: float
-    pi_sup: float
-    v40_integral: float
-    v41_integral: float
-    boundary_area: float
-    error_estimate: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def _second_fundamental_form(backend, pts, jac, main, rho):

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .. import _lazy
 from ..errors import ChartError
@@ -143,18 +143,12 @@ def _frame_components(r6: np.ndarray, legs: np.ndarray) -> np.ndarray:
     return np.swapaxes(w, 1, 2) @ r6 @ w
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    point: tuple[float, float, float, float]
-    scalar: float
-    inv_R_full: float
-    inv_R_endo: float
-    inv_r: float
-    inv_s2: float
-    gb_density: float
-    pontryagin_density: float
-    bianchi_residual: float
-    step: float
+class CurvatureSample(namedtuple(
+        "CurvatureSample", "point scalar inv_R_full inv_R_endo inv_r inv_s2 "
+        "gb_density pontryagin_density bianchi_residual step")):
+    """The invariants at one chart `point`, a 4-tuple."""
+
+    __slots__ = ()
 
 
 # the batch invariants a sample copies, in the order of its fields

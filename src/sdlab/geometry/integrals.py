@@ -26,10 +26,9 @@ of each kernel call starts to show.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-import typing
+from collections import namedtuple
 
 from .. import _lazy
 from ..errors import DomainError, ResourceError
@@ -49,33 +48,31 @@ CUTOFF_SCALE_MIN = 10.0
 CUTOFF_SCALE_MAX = 1000.0
 
 
-@dataclasses.dataclass(frozen=True)
-class CurvatureIntegrals:
+# each field of `CurvatureIntegrals`, in order, and the types it may take
+_FIELD_TYPES = {
+    "I_R_full": float, "I_R_endo": float, "I_r": float, "I_s2": float,
+    "I_gb": float, "I_p": float, "error_estimate": float, "resolution": int,
+    "cutoff_rho": (float, type(None)), "node_count": int,
+    "tail_exponent": (float, type(None))}
+
+
+class CurvatureIntegrals(namedtuple("CurvatureIntegrals", _FIELD_TYPES,
+                                    defaults=(None,))):
     """Integrated curvature invariants with a combined error estimate."""
 
-    I_R_full: float
-    I_R_endo: float
-    I_r: float
-    I_s2: float
-    I_gb: float
-    I_p: float
-    error_estimate: float
-    resolution: int
-    cutoff_rho: float | None
-    node_count: int
-    tail_exponent: float | None = None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_record(cls, record) -> CurvatureIntegrals:
         """Inverse of `as_dict`.  A record without exactly these fields,
-        each of its declared type (a bool is not an int here) and finite
-        where it is a float, is a ValueError."""
-        types = typing.get_type_hints(cls)
-        if not (isinstance(record, dict) and record.keys() == types.keys()
-                and all(isinstance(v, types[k]) and type(v) is not bool
+        each of a type `_FIELD_TYPES` gives it (a bool is not an int here)
+        and finite where it is a float, is a ValueError."""
+        if not (isinstance(record, dict)
+                and record.keys() == _FIELD_TYPES.keys()
+                and all(isinstance(v, _FIELD_TYPES[k]) and type(v) is not bool
                         and (not isinstance(v, float) or math.isfinite(v))
                         for k, v in record.items())):
             raise ValueError("does not hold curvature integrals")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _lazy
 from .errors import BranchError, DomainError, ResourceError
@@ -36,11 +36,8 @@ quad = _lazy("sdlab.geometry.quadrature")  # only the contour route needs it
 THETA_TERM_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: complex
-    tail_bound: float
-    terms_used: int
+class ThetaValue(namedtuple("ThetaValue", "value tail_bound terms_used")):
+    __slots__ = ()
 
 
 def _as_tau(tau: complex) -> complex:

@@ -12,8 +12,8 @@ tori the two routes must agree, which is one of the package's cross-checks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import namedtuple
 
 from . import _lazy
 from .assembly import harmonic_count
@@ -33,14 +33,14 @@ _RGAMMA = (0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
            0.0001280502823881162)
 
 
-@dataclasses.dataclass(frozen=True)
-class SpectralZetaResult:
-    zeta_at_zero: float
-    method: str  # epstein-continuation | heat-kernel-formula
-    truncation_error: float
+class SpectralZetaResult(namedtuple("SpectralZetaResult",
+                                    "zeta_at_zero method truncation_error")):
+    """`method` is epstein-continuation or heat-kernel-formula."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:

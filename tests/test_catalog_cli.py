@@ -1,6 +1,5 @@
 """Catalog entries, manifest parsing, canonical JSON, cache, CLI surface."""
 
-import dataclasses
 import inspect
 import json
 import math
@@ -214,6 +213,20 @@ def test_coincident_centres_state_no_descriptor():
     assert err.value.slug == "centers-coincident"
 
 
+@pytest.mark.parametrize("half", [0.0, 1e-10, 0.9e-9, 1.1e-9, 1e-6])
+def test_coincident_centres_are_those_the_reduction_merges(half):
+    # below a half-separation of 1e-9 the reduction integrates one charge-2
+    # centre, whose integrals are not those of the pair a descriptor states
+    nut = MultiTaubNut(0.5, ((0.0, 0.0, -half), (0.0, 0.0, half)))
+    merged = half < 1e-9
+    assert len(nut.reduction(2, 20.0)[0]) == (1 if merged else 2)
+    if merged:
+        with pytest.raises(DescriptorError, match="^centers-coincident: "):
+            nut.topology
+    else:
+        assert nut.topology["bminus_l2"] == 2
+
+
 def test_bare_chart_section_is_the_builtin(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
     path = write_manifest(tmp_path, "[pair]\ngeometry = multi-taub-nut\n"
@@ -221,8 +234,7 @@ def test_bare_chart_section_is_the_builtin(tmp_path, capsys, monkeypatch):
     builtin = get_entry("taub-nut-2")
     pair = parse_manifest(path)["pair"]
     assert pair.backend == builtin.backend
-    assert pair.descriptor == dataclasses.replace(builtin.descriptor,
-                                                  name="pair")
+    assert pair.descriptor == builtin.descriptor._replace(name="pair")
     results = []
     for extra in (["--manifold", "taub-nut-2"],
                   ["--manifold", "pair", "--manifest", path]):
@@ -278,6 +290,8 @@ def test_manifest_sets_what_the_geometry_leaves_open(tmp_path):
     ("[x]\ngeometry = flat-torus\nb1 = 0\n",
      "descriptor-contradicts-geometry"),
     ("[x]\ngeometry = multi-taub-nut\ncenters = 0 0 1, 0 0 1\n",
+     "centers-coincident"),
+    ("[x]\ngeometry = multi-taub-nut\ncenters = 0 0 -1e-10, 0 0 1e-10\n",
      "centers-coincident"),
 ])
 @pytest.mark.parametrize("command", [["weights"], ["verify", "modularity"]])

@@ -9,7 +9,6 @@ on the exact metrics) before the engine existed:
   schwarzschild m   Ricci-flat, |R|^2 = 48 m^2 / r^6 with r = 2m + u^2
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -499,8 +498,7 @@ def test_kernel_holds_no_four_index_tensor():
     sample = curvature._sample_from_batch(batch, 0)
     held = {f"batch.{a}": getattr(batch, a) for a in dir(batch)
             if not a.startswith("_")}
-    held.update((f"sample.{f.name}", getattr(sample, f.name))
-                for f in dataclasses.fields(sample))
+    held.update((f"sample.{f}", v) for f, v in sample._asdict().items())
     for name, value in held.items():
         assert np.shape(value)[-4:] != (4, 4, 4, 4), name
 

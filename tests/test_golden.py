@@ -17,6 +17,7 @@ with the key path of its number, and say in CHANGES.md which outputs
 moved and why.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -241,8 +242,8 @@ LIGHT = ("weights/round-s4", "integrate/round-s4", "partition/taub-nut-1",
          "catalog-list", "catalog-show/taub-nut-2",
          "verify-modularity/round-s4", "verify-gauss-bonnet/taub-nut-1")
 
-# Each row: exit code, stdout, the heavy libraries loaded and the sdlab
-# modules executed so far.  A module that `sdlab.cli` registered lazily
+# Each row: exit code, stdout, the heavy libraries and the code-generating
+# standard modules loaded, and the sdlab modules executed so far.  A module that `sdlab.cli` registered lazily
 # and nothing has touched is still a `_LazyModule`, not a ModuleType, and
 # asking its type runs nothing.
 _CHILD = """
@@ -250,7 +251,8 @@ import contextlib, io, json, sys, types
 from sdlab import cli
 
 def loaded():
-    return [m for m in ("numpy._core", "scipy") if m in sys.modules]
+    return [m for m in ("numpy._core", "scipy", "dataclasses", "inspect")
+            if m in sys.modules]
 
 def executed():
     return sorted(n for n, m in sys.modules.items()
@@ -305,7 +307,8 @@ def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
     assert version[:3] == [0, f"{sdlab.__version__}\n", []]
     assert curv[:2] == [golden["curvature/round-s4"]["code"],
                         golden["curvature/round-s4"]["stdout"]]
-    assert "numpy._core" in curv[2]
+    # numpy imports inspect itself, but nothing imports dataclasses
+    assert "numpy._core" in curv[2] and "dataclasses" not in curv[2]
     # no light command, cache hits included, runs the curvature kernel,
     # the boundary reports or the lattice sums
     kernels = {"sdlab.geometry.curvature", "sdlab.geometry.boundary",
@@ -322,6 +325,21 @@ _PARSER = {"sdlab", "sdlab.cli", "sdlab.errors", "sdlab.geometry",
 _CLOSED_FORM = (("theta", {"sdlab.modular_forms"}),
                 ("pathology", {"sdlab.assembly"}),
                 ("verify-theta", {"sdlab.geometry.quadrature"}))
+
+
+def test_no_module_imports_code_generating_modules():
+    # `typing` too, which `loaded()` cannot see where `site` imports it
+    banned = {"dataclasses", "inspect", "typing"}
+    root = pathlib.Path(sdlab.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module}
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & banned, path
 
 
 def test_closed_form_commands_execute_no_geometry(golden):

@@ -17,7 +17,6 @@ Oracles
   R = sqrt(cut / pi), around the origin of the basis as given.
 """
 
-import dataclasses
 import math
 import time
 
@@ -239,7 +238,7 @@ def test_dirichlet_constants_need_no_neck_condition(schw_integrals):
     entry = get_entry("schwarzschild")
     rep = boundary_report(entry.backend, 30.0, resolution=2)
     res = heat_zeta_zero(entry.descriptor, schw_integrals, 0, boundary=rep)
-    explicit = dataclasses.replace(entry.descriptor, b0_D=0)
+    explicit = entry.descriptor._replace(b0_D=0)
     assert res == heat_zeta_zero(explicit, schw_integrals, 0, boundary=rep)
 
 
