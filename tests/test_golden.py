@@ -1,5 +1,6 @@
 """Golden corpus: the exact `--json` stdout and exit code of one invocation
-per subcommand, over every catalog entry, at resolution 2.
+per subcommand, over every catalog entry, at resolution 2, and of
+`integrate` at the CLI default resolution 4 on every entry with a chart.
 
 The recorded bytes live in `tests/golden/cli_json.json`.  A refactor that
 must not change any number is checked against them byte for byte.  Each
@@ -38,6 +39,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_json.json"
 
 ENTRIES = ("flat-torus", "round-s4", "k3-analytic", "taub-nut-1",
            "taub-nut-2", "schwarzschild")
+CHARTS = tuple(name for name in ENTRIES if name != "k3-analytic")
 POINTS = {"flat-torus": "0.1,0.2,0.3,0.4", "round-s4": "1.0,1.2,0.8,0.5",
           "k3-analytic": "0.1,0.2,0.3,0.4", "taub-nut-1": "1.5,0.4,0.7,0.3",
           "taub-nut-2": "1.5,0.4,0.7,0.3",
@@ -78,6 +80,10 @@ def _cases() -> dict:
             f"verify-decay/{name}": ["verify", "decay", *res,
                                      "--rho", "20,40,80"],
         })
+    # the CLI default, whose meshes fall into other kernel batches
+    cases.update({f"integrate-r4/{name}": ["integrate", "--manifold", name,
+                                           "--resolution", "4", "--no-cache"]
+                  for name in CHARTS})
     return {case: argv + ["--json"] for case, argv in cases.items()}
 
 
