@@ -13,7 +13,7 @@ Conventions: e4 = dF/|dF|_g is the outward unit normal and Pi_ij =
 g(grad_{e_i} e_j, e4) on tangent frame indices, so a round sphere in flat
 space carries Pi = -(1/rho) * identity.  The part of grad e4 along dF drops
 out on tangent legs, hence Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F)
-/ |dF|_g.  g, Gam and Riemann come from one curvature batch per mesh, on
+/ |dF|_g.  g, Gam and Riemann come from one curvature batch per block, on
 the surface; e1..e4 are Gram-Schmidt on the chart tangents and e4 by the
 kernel's Cholesky rule; R_i4j4 is the (3, 3) block of pairs (03, 13, 23)
 of the batch's bivector Riemann rotated onto those legs
@@ -83,7 +83,8 @@ def boundary_report(backend: GeometryBackend, rho: float,
                     resolution: int = 8) -> TruncationReport:
     """Second fundamental form and heat-coefficient boundary integrals on
     the truncation sphere of chart radius rho, one curvature batch per
-    mesh of max(1, resolution // 2) order-8 panels in x = -cos theta; the
+    block of a mesh of max(1, resolution // 2) order-8 panels in x = -cos
+    theta (a block, up to 256 nodes, is the whole mesh to resolution 33); the
     metric must be Ricci-flat (see the module docstring).  rho lies in
     (2, CUTOFF_SCALE_MAX] times the geometry scale.  `error_estimate` is
     the larger doubled-mesh relative difference of the area and of v40."""

@@ -27,8 +27,8 @@ evaluates exactly the points it is given in one vectorized pass, with the
 point axis last in elementwise stages; its working arrays grow with the
 batch (about 12 KiB per Taub-NUT point at peak, nearly all of it the
 metric stencil), so callers with many points bound the batch themselves:
-``integrals._columns`` feeds it 256 points at a time, a size whose arrays
-stay near one core's L2 cache (see the scan in ``integrals``).
+``integrals._columns`` feeds it 256 x 61 stencil points at most, a size
+whose arrays stay near one core's L2 cache (see ``integrals``).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -87,6 +87,11 @@ def _stencil(cyclic_axes: tuple[int, ...]):
         offsets[rows, b] = np.tile(_OFFS, 4)
         w2[a, b, rows] = w2[b, a, rows] = np.outer(_W1, _W1).ravel()
     return offsets, w
+
+
+def stencil_size(backend: GeometryBackend) -> int:
+    """Metric evaluations per point of a `curvature_batch` on `backend`."""
+    return len(_stencil(backend.cyclic_axes)[0])
 
 
 def _five_point(f, pts: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:

@@ -10,18 +10,19 @@ estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
 The integrand, `_columns`, is where the integration path meets the
-curvature kernel: it evaluates `_CHUNK` nodes per `curvature_batch` call
-and keeps only the six invariant columns of each chunk, so peak memory
-does not grow with the mesh.  Sums are numpy pairwise reductions in
-fixed node order, so values do not depend on evaluation chunking.
-
-`_CHUNK` is 256 nodes so that each kernel stage works in cache: at 256
-TN-2 nodes the metric stencil block is 256 x 61 x 16 doubles (2 MB, the
-size of one core's L2 cache), where 4096-node chunks streamed about 100
-MiB of working arrays through memory.  In a scan of 64 to 4096 nodes
-per chunk the TN-2 integral was fastest near 256, about 30% faster than
-at 4096, and round S4 did not move; below about 128 nodes the fixed cost
-of each kernel call starts to show.
+curvature kernel.  The quadrature hands it blocks of whole mesh rows, 256
+nodes at most (`quadrature._BLOCK`), and it splits a block evenly into
+kernel calls of whole 8-node groups and at most `_CHUNK_POINTS` = 256 x 61
+metric evaluations: 256 nodes on the 61-point Taub-NUT and Schwarzschild
+stencils, 136 on round S4's 113.  So one call's stencil block, 256 x 61 x
+16 doubles (2 MB, one core's L2 cache), sets the peak memory of every
+integral, not the mesh: TN-2's traced peak is 3.2 MiB at resolution 4 and
+3.7 MiB at 16.  Per call, 256 nodes was fastest on TN-2 in a scan of 64 to
+4096, about 30% faster than 4096; below 128 the cost of each call shows.
+The sums do not depend on the blocks, but a node's invariants may, by
+rounding, on the size of its call (OpenBLAS picks kernels by size; a call
+under about 80 nodes rounds the Ricci map differently), and even calls
+keep the bytes of the whole-mesh evaluation at every tested resolution.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ curvature = _lazy("sdlab.geometry.curvature")
 
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
          "gb_density", "pontryagin_density")
-_CHUNK = 256  # nodes per curvature_batch call; see the module docstring
+_CHUNK_POINTS = 256 * 61  # metric evaluations per curvature_batch call
 
 MAX_RESOLUTION = 64
 CUTOFF_SCALE_MIN = 10.0
@@ -80,11 +81,16 @@ class CurvatureIntegrals(namedtuple("CurvatureIntegrals", _FIELD_TYPES,
 
 
 def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
-    """The `_COLS` invariants at (n, 4) points, shape (n, 6)."""
+    """The `_COLS` invariants at (n, 4) points, shape (n, 6), from kernel
+    calls of at most `_CHUNK_POINTS` metric evaluations and a multiple of
+    8 nodes (see the module docstring)."""
     out = np.empty((len(pts), len(_COLS)))
-    for i in range(0, len(pts), _CHUNK):
-        b = curvature.curvature_batch(backend, pts[i:i + _CHUNK])
-        out[i:i + _CHUNK] = np.stack([getattr(b, c) for c in _COLS], axis=1)
+    cap = _CHUNK_POINTS // curvature.stencil_size(backend) // 8 * 8
+    calls = max(1, -(-len(pts) // cap))
+    step = -(-len(pts) // (8 * calls)) * 8     # equal calls: 288 = 144 + 144
+    for i in range(0, len(pts), step):
+        b = curvature.curvature_batch(backend, pts[i:i + step])
+        out[i:i + step] = np.stack([getattr(b, c) for c in _COLS], axis=1)
     return out
 
 
@@ -104,16 +110,9 @@ def _tail(window_f, cutoff: float):
     r = np.geomspace(0.62 * cutoff, 0.98 * cutoff, 12)
     W = window_f(r)
     floor = 1e-6 * float(np.max(np.abs(W)))
-    tails = np.zeros(6)
-    terrs = np.zeros(6)
-    p_gb = None
-    for j in range(6):
-        t, te, p = quad.fit_power_tail(r, W[:, j], cutoff, floor=floor)
-        tails[j] = t
-        terrs[j] = te
-        if j == 4:
-            p_gb = p
-    return tails, terrs, p_gb
+    tails, terrs, exponents = zip(*(
+        quad.fit_power_tail(r, W[:, j], cutoff, floor) for j in range(6)))
+    return np.array(tails), np.array(terrs), exponents[4]
 
 
 def check_resolution(resolution) -> None:
@@ -180,9 +179,7 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
             f"combined error estimate {error_estimate:.2e} at resolution "
             f"{resolution}; worst column {_COLS[int(np.argmax(rel))]}")
     return CurvatureIntegrals(
-        I_R_full=float(vals[0]), I_R_endo=float(vals[1]),
-        I_r=float(vals[2]), I_s2=float(vals[3]),
-        I_gb=float(vals[4]), I_p=float(vals[5]),
-        error_estimate=error_estimate, resolution=int(resolution),
+        *map(float, vals), error_estimate=error_estimate,
+        resolution=int(resolution),
         cutoff_rho=cutoff_rho, node_count=sum(f.nodes for f in fs),
         tail_exponent=p_gb)

@@ -3,11 +3,14 @@
 Nodes are always interior to their panels, so integrands may be singular
 (but integrable) at panel edges.  Error estimates come from comparing a
 mesh against the same mesh with every panel split in half.  Power-law
-tails extrapolate decaying radial integrands past a finite cutoff.
+tails extrapolate decaying radial integrands past a finite cutoff.  A
+tensor mesh is evaluated in blocks of whole rows, so that one block, not
+the mesh, sets peak memory; ``integrals`` says why a block is 256 nodes.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .. import _lazy
@@ -15,11 +18,12 @@ from ..errors import AccuracyError, DomainError
 
 np = _lazy("numpy")
 
+_BLOCK = 256  # nodes per call of an integrand: one curvature kernel chunk
+
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_rule(edges: np.ndarray, order: int):
@@ -39,10 +43,7 @@ def split_edges(edges: np.ndarray) -> np.ndarray:
     """Insert the midpoint of every panel."""
     edges = np.asarray(edges, dtype=float)
     mids = 0.5 * (edges[1:] + edges[:-1])
-    out = np.empty(edges.size + mids.size)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
+    return np.insert(edges, range(1, edges.size), mids)
 
 
 def uniform_edges(a: float, b: float, panels: int) -> np.ndarray:
@@ -81,14 +82,27 @@ def _tensor_sum(f, axes, weights) -> np.ndarray:
     `weights` over the trailing axes, last axis first.
 
     `f` takes one flattened coordinate array per axis (first axis
-    slowest) and returns values (n,) or (n, k).  The reduction is numpy
-    pairwise summation in node order, independent of chunking.
+    slowest) and returns values (n,) or (n, k).  It sees one block at a
+    time: whole first-axis rows, `_BLOCK` nodes at most or one longer
+    row.  Each block's trailing sums are those of the whole mesh, and
+    the first axis's weights, if any, sum all rows at once, so the sums
+    do not depend on `_BLOCK`.
     """
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = np.asarray(f(*(g.ravel() for g in grids)), dtype=float)
-    vals = vals.reshape(tuple(len(x) for x in axes) + (-1,))
-    for w in reversed(weights):
-        vals = np.sum(w[:, None] * vals, axis=-2)
+    if not axes:
+        return np.asarray(f(), dtype=float).reshape(-1)
+    rows = max(1, _BLOCK // math.prod(len(x) for x in axes[1:]))
+    trailing = weights[len(weights) - len(axes) + 1:]
+    parts = []
+    for i in range(0, len(axes[0]), rows):
+        grids = np.meshgrid(axes[0][i:i + rows], *axes[1:], indexing="ij")
+        vals = np.asarray(f(*(g.ravel() for g in grids)), dtype=float)
+        vals = vals.reshape(grids[0].shape + (-1,))
+        for w in reversed(trailing):
+            vals = np.sum(w[:, None] * vals, axis=-2)
+        parts.append(vals)
+    vals = np.concatenate(parts)
+    if len(weights) == len(axes):
+        vals = np.sum(weights[0][:, None] * vals, axis=-2)
     return vals
 
 

@@ -458,15 +458,15 @@ def _riemann_by_dgamma(backend, pts, h):
 
 
 def _integrand_chunks():
-    """The first integrand chunk of each TN-2 segment (near, then far) at
-    the CLI's default resolution."""
+    """The first integrand block of each TN-2 segment (near, then far) at
+    the CLI's default resolution: four whole rows, one kernel chunk."""
     tn2 = get_entry("taub-nut-2").backend
     segments, _ = tn2.reduction(4, integrals.effective_cutoff(tn2, None))
     for seg in segments:
         axes = [quad.panel_rule(e, seg.order)[0] for e in seg.edges]
         grids = np.meshgrid(*axes, indexing="ij")
         pts, _ = seg.embed(*(g.ravel() for g in grids))
-        yield seg.backend, pts[:integrals._CHUNK]
+        yield seg.backend, pts[:quad._BLOCK]
 
 
 ORACLE_CASES = ([(name, b, sample_points(b, 24))

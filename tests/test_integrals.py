@@ -252,7 +252,25 @@ def test_chunked_columns_match_one_batch():
     assert np.array_equal(integrals._columns(b, pts), expect)
 
 
-def test_integrand_batches_are_bounded(monkeypatch):
+CHARTS = ("flat-torus", "round-s4", "taub-nut-1", "taub-nut-2",
+          "schwarzschild")
+
+
+def _kernel_chunk(b):
+    """Nodes per kernel call on `b`: 256 x 61 metric evaluations, rounded
+    down to a multiple of 8 nodes."""
+    return 256 * 61 // curvature.stencil_size(b) // 8 * 8
+
+
+def test_kernel_chunk_is_sized_by_metric_evaluations():
+    assert [curvature.stencil_size(backend(n)) for n in CHARTS] == [
+        1, 113, 61, 61, 61]
+    assert _kernel_chunk(backend("round-s4")) == 136
+    assert _kernel_chunk(backend("taub-nut-2")) == quad._BLOCK == 256
+
+
+@pytest.mark.parametrize("name", ["round-s4", "taub-nut-2"])
+def test_integrand_batches_are_bounded(monkeypatch, name):
     sizes = []
 
     def spy(backend, pts):
@@ -260,27 +278,40 @@ def test_integrand_batches_are_bounded(monkeypatch):
         return curvature_batch(backend, pts)
 
     monkeypatch.setattr(curvature, "curvature_batch", spy)
-    integrate_invariants(backend("taub-nut-2"), resolution=2)
-    # the refined outer mesh has more nodes than one chunk
-    assert sum(sizes) > integrals._CHUNK
-    assert max(sizes) == integrals._CHUNK == 256
+    b = backend(name)
+    integrate_invariants(b, resolution=4)
+    # the refined meshes have more nodes than one chunk; no call holds
+    # more than 256 x 61 stencil points, and at the CLI's default
+    # resolution every call is a whole number of 8-node groups
+    assert sum(sizes) > _kernel_chunk(b)
+    assert max(sizes) * curvature.stencil_size(b) <= 256 * 61
+    assert all(n % 8 == 0 for n in sizes), sizes
 
 
-def test_chunk_size_does_not_change_integrals(monkeypatch):
-    # every node is computed on its own and sums run in node order, so
-    # any chunk, one that divides no mesh (1000) included, gives equal
-    # values
+@pytest.mark.parametrize("name", CHARTS)
+def test_chunk_size_does_not_change_integrals(monkeypatch, name):
+    # The streamed sums do not depend on the block, but a node's kernel
+    # values may depend on the batch it is evaluated in: on OpenBLAS 0.3.31
+    # a batch under about 80 nodes, or one whose count leaves 1 to 4 over
+    # a multiple of 8, rounds the Ricci contraction differently (100- or
+    # 138-node chunks moved I_gb by up to 2.3e-14).  The chunk sizes the
+    # rule picks, and blocks and chunks of 1000 or 4096 nodes, give equal
+    # integrals on every chart backend.
+    b = backend(name)
     results = []
-    for chunk in (integrals._CHUNK, 4096, 1000):
-        monkeypatch.setattr(integrals, "_CHUNK", chunk)
-        results.append(integrate_invariants(backend("taub-nut-2"),
-                                            resolution=2).as_dict())
+    for chunk in (_kernel_chunk(b), 1000, 4096):
+        monkeypatch.setattr(quad, "_BLOCK", chunk)
+        monkeypatch.setattr(integrals, "_CHUNK_POINTS",
+                            chunk * curvature.stencil_size(b))
+        results.append(integrate_invariants(
+            b, resolution=2 if name == "taub-nut-2" else 4).as_dict())
     assert results[0] == results[1] == results[2]
 
 
 def test_integral_peak_memory_is_bounded():
-    # a chunk's working set, not the mesh, sets the peak: about 5.9 MiB
-    # at 256 nodes a chunk, against 104 MiB at 4096
+    # one kernel chunk's working set, not the mesh, sets the peak: about
+    # 3.2 MiB at 256 nodes a chunk, where building the whole mesh first
+    # peaked at 5.9 MiB here, 14.3 MiB at resolution 8 and 57 MiB at 16
     b = backend("taub-nut-2")
     integrate_invariants(b, resolution=1)     # lazy imports and tables
     tracemalloc.start()
@@ -289,7 +320,67 @@ def test_integral_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 5 * 2**20
+
+
+# ------------------------------------------------------------- streamed mesh
+
+
+def _whole_mesh_sum(f, axes, weights):
+    """The quadrature sum with every node built at once, as `_tensor_sum`
+    ran before it streamed."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    vals = np.asarray(f(*(g.ravel() for g in grids)), dtype=float)
+    vals = vals.reshape(tuple(len(x) for x in axes) + (-1,))
+    for w in reversed(weights):
+        vals = np.sum(w[:, None] * vals, axis=-2)
+    return vals
+
+
+def _bump(*coords):
+    r2 = sum(c * c for c in coords)
+    return np.exp(-r2)
+
+
+def _columns3(*coords):
+    r2 = sum(c * c for c in coords)
+    return np.stack([np.exp(-r2), np.cos(coords[0]) * r2,
+                     np.ones_like(r2)], axis=1)
+
+
+@pytest.mark.parametrize("f", [_bump, _columns3], ids=["scalar", "columns"])
+@pytest.mark.parametrize("panels", [(12500,), (40, 40)], ids=["1d", "2d"])
+def test_streamed_sums_equal_the_whole_mesh(f, panels):
+    # 1e5 and 102,400 nodes on the given mesh, four times that refined
+    edges = [quad.uniform_edges(-1.0, 2.0, p) for p in panels]
+    coarse, fine = ([quad.panel_rule(e, 8) for e in es]
+                    for es in (edges, [quad.split_edges(e) for e in edges]))
+    want = [_whole_mesh_sum(f, [x for x, _ in rules], [w for _, w in rules])
+            for rules in (coarse, fine)]
+    value, err = quad.integrate_refined(f, edges, 8)
+    assert np.array_equal(value, want[1])
+    assert np.array_equal(err, np.abs(want[1] - want[0]))
+    r = np.linspace(0.5, 1.5, 12)
+    assert np.array_equal(quad.first_axis_profile(f, r, edges, 8),
+                          _whole_mesh_sum(f, [r] + [x for x, _ in coarse[1:]],
+                                          [w for _, w in coarse[1:]]))
+
+
+@pytest.mark.parametrize("panels", [40, 125])
+def test_streamed_peak_memory_does_not_grow_with_the_mesh(panels):
+    # 2-D meshes of 102,400 and 1e6 nodes (four times that refined): one
+    # block of rows, not the mesh, sets the traced peak
+    edges = [quad.uniform_edges(-1.0, 2.0, panels)] * 2
+    r = np.linspace(0.5, 1.5, 12)
+    quad.integrate_refined(_columns3, edges[:1], 8)     # the Gauss rule
+    tracemalloc.start()
+    try:
+        quad.integrate_refined(_columns3, edges, 8)
+        quad.first_axis_profile(_columns3, r, edges, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _NO_MA_CHILD = """
