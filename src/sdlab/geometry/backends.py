@@ -49,7 +49,7 @@ import math
 from collections import namedtuple
 
 from .. import _lazy
-from ..errors import DescriptorError, DomainError
+from ..errors import AccuracyError, DescriptorError, DomainError
 from . import quadrature as quad
 
 np = _lazy("numpy")
@@ -57,6 +57,10 @@ np = _lazy("numpy")
 # half-separation below which `MultiTaubNut.reduction` merges two centres
 # into one of charge 2, and below which `topology` calls them coincident
 _COINCIDENT = 1e-9
+# half-separation over mass below which the reduction's mass-graded mesh
+# does not resolve a pair: up to 7e-4, I_gb was 1.4-1.6 against 2 with a
+# smaller estimate; from 2.5e-3 the estimate bounded the error
+_CLOSE = 3e-3
 
 
 def _component_rows(n: int):
@@ -391,6 +395,10 @@ class MultiTaubNut(GeometryBackend):
         if c < _COINCIDENT:
             return self._radial(resolution, cutoff, np.array([x0, y0, zc]), 2)
         m = self.mass
+        if c < _CLOSE * m:
+            raise AccuracyError("centers-too-close", f"half-separation {c:g} "
+                                f"below {_CLOSE:g} x the mass {m:g}, which "
+                                "the reduction does not resolve")
         fiber = self.fiber_period()
         # the invariants do not depend on the string gauge, so each segment
         # samples a copy whose strings miss it: the inner one, between the

@@ -25,7 +25,13 @@ from sdlab.catalog import (
     parse_manifest,
 )
 from sdlab.cli import main, parse_complex
-from sdlab.errors import DescriptorError, DomainError, SdlabError, UsageError
+from sdlab.errors import (
+    AccuracyError,
+    DescriptorError,
+    DomainError,
+    SdlabError,
+    UsageError,
+)
 from sdlab.geometry import GeometryBackend, MultiTaubNut, integrals
 from sdlab.geometry import quadrature as quad
 from sdlab.lattice_sum import brute_force_partition, theta_product
@@ -216,15 +222,43 @@ def test_coincident_centres_state_no_descriptor():
 @pytest.mark.parametrize("half", [0.0, 1e-10, 0.9e-9, 1.1e-9, 1e-6])
 def test_coincident_centres_are_those_the_reduction_merges(half):
     # below a half-separation of 1e-9 the reduction integrates one charge-2
-    # centre, whose integrals are not those of the pair a descriptor states
+    # centre, whose integrals are not those of the pair a descriptor states;
+    # above it, a pair this close is one the reduction does not resolve
     nut = MultiTaubNut(0.5, ((0.0, 0.0, -half), (0.0, 0.0, half)))
-    merged = half < 1e-9
-    assert len(nut.reduction(2, 20.0)[0]) == (1 if merged else 2)
-    if merged:
+    if half < 1e-9:
+        assert len(nut.reduction(2, 20.0)[0]) == 1
         with pytest.raises(DescriptorError, match="^centers-coincident: "):
             nut.topology
     else:
+        with pytest.raises(AccuracyError) as err:
+            nut.reduction(2, 20.0)
+        assert err.value.slug == "centers-too-close"
         assert nut.topology["bminus_l2"] == 2
+
+
+@pytest.mark.parametrize("mass", [0.5, 2.0])
+@pytest.mark.parametrize("ratio", [1e-6, 2e-4, 6e-4, 1e-2, 0.3])
+def test_close_centres_are_refused_before_any_node(tmp_path, capsys,
+                                                   monkeypatch, ratio, mass):
+    # at half-separations c up to 7e-4 x the mass, resolutions 2 and 4
+    # gave I_gb near 1.4-1.6 against chi = 2 with a smaller estimate
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    c = ratio * mass
+    path = write_manifest(tmp_path, f"[x]\ngeometry = multi-taub-nut\n"
+                                    f"mass = {mass!r}\n"
+                                    f"centers = 0 0 {-c!r}, 0 0 {c!r}\n")
+    refused = ratio < 3e-3
+    if refused:
+        monkeypatch.setattr(integrals, "_integrand", None)
+    code, out, err = run_cli(capsys, ["weights", "--manifold", "x",
+                                      "--manifest", path, "--resolution",
+                                      "2", "--json"])
+    if refused:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: centers-too-close: ")
+    else:
+        assert code == 0, err   # alpha is -n/30 for n centres
+        assert abs(json.loads(out)["results"]["alpha"] + 1 / 15) < 1e-4
 
 
 def test_bare_chart_section_is_the_builtin(tmp_path, capsys, monkeypatch):
@@ -681,7 +715,7 @@ def test_every_raised_slug_is_named_by_a_test():
     tests = "".join(p.read_text(encoding="utf-8")
                     for p in (root / "tests").rglob("*")
                     if p.suffix in (".py", ".json"))
-    assert len(raised) >= 69
+    assert len(raised) >= 70
     assert sorted(s for s in raised
                   if f'"{s}"' not in tests and f"'{s}'" not in tests) == []
 
