@@ -57,9 +57,8 @@ np = _lazy("numpy")
 # half-separation below which `MultiTaubNut.reduction` merges two centres
 # into one of charge 2, and below which `topology` calls them coincident
 _COINCIDENT = 1e-9
-# half-separation over mass below which the reduction's mass-graded mesh
-# does not resolve a pair: up to 7e-4, I_gb was 1.4-1.6 against 2 with a
-# smaller estimate; from 2.5e-3 the estimate bounded the error
+# half-separation over mass below which the mass-graded mesh misses a pair:
+# up to 7e-4 I_gb read 1.4-1.6 for 2; from 2.5e-3 the estimate bounded it
 _CLOSE = 3e-3
 
 
@@ -397,8 +396,7 @@ class MultiTaubNut(GeometryBackend):
         m = self.mass
         if c < _CLOSE * m:
             raise AccuracyError("centers-too-close", f"half-separation {c:g} "
-                                f"below {_CLOSE:g} x the mass {m:g}, which "
-                                "the reduction does not resolve")
+                                f"below {_CLOSE:g} x the mass {m:g}")
         fiber = self.fiber_period()
         # the invariants do not depend on the string gauge, so each segment
         # samples a copy whose strings miss it: the inner one, between the

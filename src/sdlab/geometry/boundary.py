@@ -84,9 +84,8 @@ def boundary_report(backend: GeometryBackend, rho: float,
     """Second fundamental form and heat-coefficient boundary integrals on
     the truncation sphere of chart radius rho, one curvature batch per
     block of a mesh of max(1, resolution // 2) order-8 panels in x = -cos
-    theta (a block, up to 256 nodes, is the whole mesh to resolution 33); the
-    metric must be Ricci-flat (see the module docstring).  rho lies in
-    (2, CUTOFF_SCALE_MAX] times the geometry scale.  `error_estimate` is
+    theta; the metric must be Ricci-flat (see the module docstring).  rho
+    lies in (2, CUTOFF_SCALE_MAX] x the geometry scale.  `error_estimate` is
     the larger doubled-mesh relative difference of the area and of v40."""
     if not getattr(backend, "alf", False):
         raise DomainError("boundary-needs-alf",

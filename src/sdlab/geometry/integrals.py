@@ -10,19 +10,16 @@ estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
 The integrand, `_columns`, is where the integration path meets the
-curvature kernel.  The quadrature hands it blocks of whole mesh rows, 256
-nodes at most (`quadrature._BLOCK`), and it splits a block evenly into
-kernel calls of whole 8-node groups and at most `_CHUNK_POINTS` = 256 x 61
+curvature kernel.  The quadrature hands it blocks of whole mesh rows (256
+nodes at most, `quadrature._BLOCK`), and it splits a block evenly into
+kernel calls of 8-node groups and at most `_CHUNK_POINTS` = 256 x 61
 metric evaluations: 256 nodes on the 61-point Taub-NUT and Schwarzschild
-stencils, 136 on round S4's 113.  So one call's stencil block, 256 x 61 x
-16 doubles (2 MB, one core's L2 cache), sets the peak memory of every
-integral, not the mesh: TN-2's traced peak is 3.2 MiB at resolution 4 and
-3.7 MiB at 16.  Per call, 256 nodes was fastest on TN-2 in a scan of 64 to
-4096, about 30% faster than 4096; below 128 the cost of each call shows.
-The sums do not depend on the blocks, but a node's invariants may, by
-rounding, on the size of its call (OpenBLAS picks kernels by size; a call
-under about 80 nodes rounds the Ricci map differently), and even calls
-keep the bytes of the whole-mesh evaluation at every tested resolution.
+stencils, 136 on round S4's 113.  One call's stencil block, 256 x 61 x 16
+doubles (2 MB, one core's L2 cache), sets the peak memory, not the mesh;
+256 nodes a call was fastest on TN-2 in a scan of 64 to 4096.  The sums
+do not depend on the blocks, but a node's invariants may, by rounding, on
+the size of its call (OpenBLAS picks kernels by size), and even calls of
+8-node groups keep the bytes of the whole-mesh evaluation.
 """
 
 from __future__ import annotations
@@ -81,9 +78,7 @@ class CurvatureIntegrals(namedtuple("CurvatureIntegrals", _FIELD_TYPES,
 
 
 def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
-    """The `_COLS` invariants at (n, 4) points, shape (n, 6), from kernel
-    calls of at most `_CHUNK_POINTS` metric evaluations and a multiple of
-    8 nodes (see the module docstring)."""
+    """The `_COLS` invariants at (n, 4) points, shape (n, 6)."""
     out = np.empty((len(pts), len(_COLS)))
     cap = _CHUNK_POINTS // curvature.stencil_size(backend) // 8 * 8
     calls = max(1, -(-len(pts) // cap))
@@ -110,9 +105,16 @@ def _tail(window_f, cutoff: float):
     r = np.geomspace(0.62 * cutoff, 0.98 * cutoff, 12)
     W = window_f(r)
     floor = 1e-6 * float(np.max(np.abs(W)))
-    tails, terrs, exponents = zip(*(
-        quad.fit_power_tail(r, W[:, j], cutoff, floor) for j in range(6)))
-    return np.array(tails), np.array(terrs), exponents[4]
+    tails = np.zeros(6)
+    terrs = np.zeros(6)
+    p_gb = None
+    for j in range(6):
+        t, te, p = quad.fit_power_tail(r, W[:, j], cutoff, floor=floor)
+        tails[j] = t
+        terrs[j] = te
+        if j == 4:
+            p_gb = p
+    return tails, terrs, p_gb
 
 
 def check_resolution(resolution) -> None:

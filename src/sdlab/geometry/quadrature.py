@@ -17,7 +17,6 @@ from .. import _lazy
 from ..errors import AccuracyError, DomainError
 
 np = _lazy("numpy")
-
 _BLOCK = 256  # nodes per call of an integrand: one curvature kernel chunk
 
 
@@ -43,7 +42,10 @@ def split_edges(edges: np.ndarray) -> np.ndarray:
     """Insert the midpoint of every panel."""
     edges = np.asarray(edges, dtype=float)
     mids = 0.5 * (edges[1:] + edges[:-1])
-    return np.insert(edges, range(1, edges.size), mids)
+    out = np.empty(edges.size + mids.size)
+    out[0::2] = edges
+    out[1::2] = mids
+    return out
 
 
 def uniform_edges(a: float, b: float, panels: int) -> np.ndarray:
@@ -82,11 +84,10 @@ def _tensor_sum(f, axes, weights) -> np.ndarray:
     `weights` over the trailing axes, last axis first.
 
     `f` takes one flattened coordinate array per axis (first axis
-    slowest) and returns values (n,) or (n, k).  It sees one block at a
-    time: whole first-axis rows, `_BLOCK` nodes at most or one longer
-    row.  Each block's trailing sums are those of the whole mesh, and
-    the first axis's weights, if any, sum all rows at once, so the sums
-    do not depend on `_BLOCK`.
+    slowest) and returns values (n,) or (n, k).  It sees one block of
+    whole first-axis rows at a time (`_BLOCK` nodes, or one longer row);
+    the blocks' trailing sums, and the first-axis sum over all rows, are
+    those of the whole mesh, so the sums do not depend on `_BLOCK`.
     """
     if not axes:
         return np.asarray(f(), dtype=float).reshape(-1)

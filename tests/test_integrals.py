@@ -291,11 +291,11 @@ def test_integrand_batches_are_bounded(monkeypatch, name):
 @pytest.mark.parametrize("name", CHARTS)
 def test_chunk_size_does_not_change_integrals(monkeypatch, name):
     # The streamed sums do not depend on the block, but a node's kernel
-    # values may depend on the batch it is evaluated in: on OpenBLAS 0.3.31
-    # a batch under about 80 nodes, or one whose count leaves 1 to 4 over
-    # a multiple of 8, rounds the Ricci contraction differently (100- or
-    # 138-node chunks moved I_gb by up to 2.3e-14).  The chunk sizes the
-    # rule picks, and blocks and chunks of 1000 or 4096 nodes, give equal
+    # values may depend on the size of its kernel call: on OpenBLAS 0.3.31
+    # a call under about 80 nodes, or one whose count is 1 to 4 above a
+    # multiple of 8, rounds some invariants differently (100- or 138-node
+    # chunks moved I_gb by up to 2.3e-14).  The chunk sizes the rule
+    # picks, and blocks and chunks of 1000 or 4096 nodes, give equal
     # integrals on every chart backend.
     b = backend(name)
     results = []
@@ -349,9 +349,11 @@ def _columns3(*coords):
 
 
 @pytest.mark.parametrize("f", [_bump, _columns3], ids=["scalar", "columns"])
-@pytest.mark.parametrize("panels", [(12500,), (40, 40)], ids=["1d", "2d"])
+@pytest.mark.parametrize("panels", [(12500,), (40, 40), (267, 6)],
+                         ids=["1d", "2d", "2d-short-rows"])
 def test_streamed_sums_equal_the_whole_mesh(f, panels):
-    # 1e5 and 102,400 nodes on the given mesh, four times that refined
+    # about 1e5 nodes on the given mesh, four times that refined; rows of
+    # 320 nodes are a block each, rows of 48 go five to a block
     edges = [quad.uniform_edges(-1.0, 2.0, p) for p in panels]
     coarse, fine = ([quad.panel_rule(e, 8) for e in es]
                     for es in (edges, [quad.split_edges(e) for e in edges]))
