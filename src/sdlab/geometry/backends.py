@@ -57,8 +57,7 @@ np = _lazy("numpy")
 # half-separation below which `MultiTaubNut.reduction` merges two centres
 # into one of charge 2, and below which `topology` calls them coincident
 _COINCIDENT = 1e-9
-# half-separation over mass below which the mass-graded mesh misses a pair:
-# up to 7e-4 I_gb read 1.4-1.6 for 2; from 2.5e-3 the estimate bounded it
+# half-separation over mass below which the mass-graded mesh misses a pair
 _CLOSE = 3e-3
 
 

@@ -10,16 +10,14 @@ estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
 The integrand, `_columns`, is where the integration path meets the
-curvature kernel.  The quadrature hands it blocks of whole mesh rows (256
-nodes at most, `quadrature._BLOCK`), and it splits a block evenly into
-kernel calls of 8-node groups and at most `_CHUNK_POINTS` = 256 x 61
-metric evaluations: 256 nodes on the 61-point Taub-NUT and Schwarzschild
-stencils, 136 on round S4's 113.  One call's stencil block, 256 x 61 x 16
-doubles (2 MB, one core's L2 cache), sets the peak memory, not the mesh;
-256 nodes a call was fastest on TN-2 in a scan of 64 to 4096.  The sums
-do not depend on the blocks, but a node's invariants may, by rounding, on
-the size of its call (OpenBLAS picks kernels by size), and even calls of
-8-node groups keep the bytes of the whole-mesh evaluation.
+curvature kernel.  It gets blocks of whole mesh rows (`quadrature._BLOCK`,
+256 nodes) and splits each evenly into kernel calls of 8-node groups and
+at most `_CHUNK_POINTS` = 256 x 61 metric evaluations (256 Taub-NUT or
+Schwarzschild nodes, 136 on round S4).  One call's 2 MB stencil block (one
+core's L2 cache) sets the peak memory, and 256 nodes a call was fastest on
+TN-2 in a scan of 64 to 4096.  The sums do not depend on the blocks; a
+node's invariants may, by rounding, on the size of its call (OpenBLAS
+picks kernels by size), and even 8-node calls keep the whole-mesh bytes.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Nodes are always interior to their panels, so integrands may be singular
 (but integrable) at panel edges.  Error estimates come from comparing a
 mesh against the same mesh with every panel split in half.  Power-law
-tails extrapolate decaying radial integrands past a finite cutoff.  A
-tensor mesh is evaluated in blocks of whole rows, so that one block, not
-the mesh, sets peak memory; ``integrals`` says why a block is 256 nodes.
+tails extrapolate decaying radial integrands past a finite cutoff.
+Tensor meshes run in blocks of rows, so a block sets peak memory.
 """
 
 from __future__ import annotations
@@ -86,18 +85,22 @@ def _tensor_sum(f, axes, weights) -> np.ndarray:
     `f` takes one flattened coordinate array per axis (first axis
     slowest) and returns values (n,) or (n, k).  It sees one block of
     whole first-axis rows at a time (`_BLOCK` nodes, or one longer row);
-    the blocks' trailing sums, and the first-axis sum over all rows, are
-    those of the whole mesh, so the sums do not depend on `_BLOCK`.
+    every sum runs as on the whole mesh, so none depends on `_BLOCK`.
     """
     if not axes:
         return np.asarray(f(), dtype=float).reshape(-1)
-    rows = max(1, _BLOCK // math.prod(len(x) for x in axes[1:]))
+    shape = [len(x) for x in axes[1:]]
+    row = math.prod(shape)
+    rows = max(1, _BLOCK // row)
+    # other axes' coordinates for a whole block: one meshgrid, not one a block
+    others = [np.tile(g.ravel(), rows)
+             for g in np.meshgrid(*axes[1:], indexing="ij")]
     trailing = weights[len(weights) - len(axes) + 1:]
     parts = []
     for i in range(0, len(axes[0]), rows):
-        grids = np.meshgrid(axes[0][i:i + rows], *axes[1:], indexing="ij")
-        vals = np.asarray(f(*(g.ravel() for g in grids)), dtype=float)
-        vals = vals.reshape(grids[0].shape + (-1,))
+        first = np.repeat(axes[0][i:i + rows], row)
+        vals = np.asarray(f(first, *(t[:first.size] for t in others)),
+                          dtype=float).reshape(first.size // row, *shape, -1)
         for w in reversed(trailing):
             vals = np.sum(w[:, None] * vals, axis=-2)
         parts.append(vals)
