@@ -156,24 +156,19 @@ def _riemann_norm(curv, convention: str) -> tuple[float, float]:
 _RICCI_COEF, _SCALAR_COEF = -87.0 / 2880.0, 1.0 / 128.0
 
 
-def _correction(curv, convention: str) -> float:
-    """Quartic-curvature bracket shared by the weights and the exponent."""
-    i_R, divisor = _riemann_norm(curv, convention)
-    return i_R / divisor + _RICCI_COEF * curv.I_r + _SCALAR_COEF * curv.I_s2
-
-
 def imtau_exponent(desc: ManifoldDescriptor, curv,
                    convention: str = "paper-endo") -> float:
-    """Exponent of Im(tau)/8pi^2 in the one-loop partition value."""
-    b0, b1 = harmonic_count(desc, 0), harmonic_count(desc, 1)
-    return 0.5 * (b1 - b0 + _correction(curv, convention) / math.pi ** 2)
+    """Exponent b+/2 - alpha of Im(tau)/8pi^2 in the partition value."""
+    return 0.5 * desc.bplus_l2 - weights_for(desc, curv, convention).alpha
 
 
 def weights_for(desc: ManifoldDescriptor, curv,
                 convention: str = "paper-endo") -> ModularWeights:
     """Modular weights (alpha, beta) and the phase of the inversion law."""
     base = 2.0 * harmonic_count(desc, 0) - 2.0 * harmonic_count(desc, 1)
-    corr = 2.0 * _correction(curv, convention) / math.pi ** 2
+    i_R, divisor = _riemann_norm(curv, convention)
+    corr = 2.0 * (i_R / divisor + _RICCI_COEF * curv.I_r
+                  + _SCALAR_COEF * curv.I_s2) / math.pi ** 2
     alpha = 0.25 * (base + 2.0 * desc.bplus_l2 - corr)
     beta = 0.25 * (base + 2.0 * desc.bminus_l2 - corr)
     return ModularWeights(alpha=alpha, beta=beta,
@@ -275,7 +270,7 @@ def anomaly_counterterms(desc: ManifoldDescriptor, curv,
             f"density integral")
     else:
         c_p = sigma_top / (4.0 * curv.I_p)
-    # alpha and beta carry -1/(2 pi^2) times the bracket of `_correction`
+    # alpha and beta carry -1/(2 pi^2) times the bracket of `weights_for`
     i_R, divisor = _riemann_norm(curv, convention)
     c_R, c_r, c_s2 = (-coef / (2.0 * math.pi ** 2)
                       for coef in (1.0 / divisor, _RICCI_COEF, _SCALAR_COEF))

@@ -179,11 +179,10 @@ def cmd_lattice(args):
 def cmd_curvature(args):
     entry, backend = _chart(args)
     point = parse_floats(args.point, 4, "--point")
-    scale = backend.geometry_scale()
-    cap = integrals.CUTOFF_SCALE_MAX
-    if backend.alf and not backend.radius(point) <= cap * scale:
+    reach = integrals.alf_reach(backend) if backend.alf else None
+    if reach is not None and not backend.radius(point) <= reach:
         raise DomainError("point-too-far", f"--point {point} lies beyond "
-                          f"{cap}x geometry scale {scale}")
+                          f"the reach {reach} of the truncated space")
     s = curvature.curvature_at(backend, point)
     return ({"manifold": entry.name, "point": list(point)},
             {f: v for f, v in s._asdict().items() if f != "point"}, {})

@@ -83,7 +83,7 @@ class Segment(namedtuple("Segment", "edges order embed backend")):
     """One piece of a symmetry-reduced volume integral.
 
     `edges` holds the panel edges of each axis of a tensor-product mesh
-    (no axes: a single sample) and `order` the Gauss order per panel.
+    and `order` the Gauss order per panel.
     `embed` maps the flattened mesh coordinates, one array per axis, to
     chart points (n, 4) of `backend` and the reduced volume weight (n,).
     """
@@ -199,10 +199,10 @@ class FlatTorus(GeometryBackend):
         return (2 * math.pi) ** 4 * math.prod(self.radii)
 
     def reduction(self, resolution: int, cutoff: float | None):
-        # homogeneous: one sample times the volume
-        def embed():
-            return np.array([[0.1, 0.2, 0.3, 0.4]]), np.array([self.volume()])
-        return [Segment((), 1, embed, self)], None
+        # homogeneous: one Gauss node of weight 1 on [0, 1] has the volume
+        def embed(s):
+            return np.full((len(s), 4), 0.25), np.full(len(s), self.volume())
+        return [Segment(((0.0, 1.0),), 1, embed, self)], None
 
 
 class RoundS4(GeometryBackend):
@@ -364,25 +364,25 @@ class MultiTaubNut(GeometryBackend):
         # truncation surface is centred on, so translation changes nothing
         return self.mass + max(map(self.radius, self.centers))
 
+    def centroid(self) -> tuple[float, ...]:
+        """The mean of the centres, on which the truncation sphere sits."""
+        return tuple(sum(v) / len(self.centers) for v in zip(*self.centers))
+
     def radius(self, x) -> float:
         """Distance of a chart point from the centroid of the centres."""
-        c = [sum(v) / len(self.centers) for v in zip(*self.centers)]
-        return math.dist(x[:3], c)
+        return math.dist(x[:3], self.centroid())
 
-    def _on_axis(self) -> np.ndarray:
-        """Centers as an (n, 3) array; the axisymmetric reductions need
-        them on one vertical axis."""
+    def _on_axis(self) -> None:
+        """Axisymmetric reductions need the centers on one vertical axis."""
         c = np.asarray(self.centers, dtype=float)
         if np.ptp(c[:, 0]) > 1e-12 or np.ptp(c[:, 1]) > 1e-12:
             raise DomainError("reduction-needs-axis",
                               "axisymmetric reduction needs centers on a "
                               "shared vertical axis")
-        return c
 
     def reduction(self, resolution: int, cutoff: float | None):
         if len(self.centers) == 1:
-            return self._radial(resolution, cutoff,
-                                np.asarray(self.centers[0], dtype=float), 1)
+            return self._radial(resolution, cutoff, self.centers[0], 1)
         if len(self.centers) != 2:
             raise DomainError("reduction-unsupported",
                               "no symmetry reduction beyond 2 centers")
@@ -391,7 +391,7 @@ class MultiTaubNut(GeometryBackend):
         zc = 0.5 * (z0 + z1)
         c = 0.5 * abs(z0 - z1)
         if c < _COINCIDENT:
-            return self._radial(resolution, cutoff, np.array([x0, y0, zc]), 2)
+            return self._radial(resolution, cutoff, (x0, y0, zc), 2)
         m = self.mass
         if c < _CLOSE * m:
             raise AccuracyError("centers-too-close", f"half-separation {c:g} "
@@ -445,7 +445,8 @@ class MultiTaubNut(GeometryBackend):
         Returns the points (n, 4), the tangents d(point)/d(theta, phi, t)
         (n, 4, 3) and the product of the two symmetry-circle lengths.
         """
-        c = self._on_axis().mean(axis=0)
+        self._on_axis()
+        c = self.centroid()
         n = len(theta)
         st, ct = np.sin(theta), np.cos(theta)
         pts = np.stack([c[0] + rho * st, np.full(n, c[1]), c[2] + rho * ct,
@@ -460,8 +461,7 @@ class MultiTaubNut(GeometryBackend):
     def level_gradient(self, x: np.ndarray) -> np.ndarray:
         """Chart gradient of the truncation level function, the distance
         from the centroid of the centers."""
-        c = np.asarray(self.centers, dtype=float).mean(axis=0)
-        rel = x[:, :3] - c[None, :]
+        rel = x[:, :3] - np.asarray(self.centroid())
         r = np.linalg.norm(rel, axis=1)
         out = np.zeros_like(x)
         out[:, :3] = rel / r[:, None]

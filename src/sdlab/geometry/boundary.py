@@ -41,7 +41,7 @@ from . import quadrature as quad
 from .backends import GeometryBackend
 from .curvature import (_cholesky_legs, _five_point, _frame_components,
                         curvature_batch)
-from .integrals import CUTOFF_SCALE_MAX, check_resolution
+from .integrals import alf_reach, check_resolution
 
 np = _lazy("numpy")
 
@@ -85,15 +85,15 @@ def boundary_report(backend: GeometryBackend, rho: float,
     the truncation sphere of chart radius rho, one curvature batch per
     block of a mesh of max(1, resolution // 2) order-8 panels in x = -cos
     theta; the metric must be Ricci-flat (see the module docstring).  rho
-    lies in (2, CUTOFF_SCALE_MAX] x the geometry scale.  `error_estimate` is
+    lies in (2 x the geometry scale, `alf_reach`].  `error_estimate` is
     the larger doubled-mesh relative difference of the area and of v40."""
     if not getattr(backend, "alf", False):
         raise DomainError("boundary-needs-alf",
                           f"no truncation boundary for {type(backend).__name__}")
+    if not rho <= alf_reach(backend):     # NaN fails too
+        raise DomainError("rho-too-large", f"rho {rho} above the reach "
+                          f"{alf_reach(backend)} of the truncated space")
     scale = backend.geometry_scale()
-    if not rho <= CUTOFF_SCALE_MAX * scale:     # NaN fails too
-        raise DomainError("rho-too-large", f"rho {rho} above "
-                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
     if not rho > 2.0 * scale:
         raise DomainError("rho-inside-core", f"rho {rho} must exceed the "
                           f"compact core radius {2.0 * scale}")

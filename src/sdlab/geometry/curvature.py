@@ -161,7 +161,9 @@ _SAMPLED = ("scalar", "inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
             "gb_density", "pontryagin_density")
 
 
-class CurvatureBatch:
+class CurvatureBatch(namedtuple("CurvatureBatch", "points h g ginv gamma "
+        "bivector_low bivector_frame scalar inv_R_full inv_R_endo inv_r "
+        "inv_s2 gb_density pontryagin_density")):
     """Raw assembled geometry for a batch of points (internal plumbing).
 
     Riemann is held as (n, 6, 6) bivector matrices, in chart components
@@ -169,13 +171,7 @@ class CurvatureBatch:
     Every derived invariant has its home here: ``inv_R_endo`` is
     inv_R_full / 4 and ``inv_s2`` is scalar^2."""
 
-    __slots__ = ("points", "h", "g", "ginv", "gamma", "bivector_low",
-                 "bivector_frame", "scalar", "inv_R_full", "inv_R_endo",
-                 "inv_r", "inv_s2", "gb_density", "pontryagin_density")
-
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
+    __slots__ = ()
 
 
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):

@@ -1,7 +1,7 @@
 """Volume integrals of curvature invariants over the metric backends.
 
 Every backend states its own symmetry reduction (``reduction`` in
-``backends``): the flat torus is a single sample times the volume, the
+``backends``): the flat torus is one Gauss node carrying the volume, the
 round sphere and the single-NUT and Schwarzschild spaces reduce to one
 radial coordinate, and the 2-NUT space to an axisymmetric half-plane.
 `integrate_invariants` treats every reduction the same way: composite
@@ -125,11 +125,16 @@ def check_resolution(resolution) -> None:
                           f"{MAX_RESOLUTION}")
 
 
+def alf_reach(backend: GeometryBackend) -> float:
+    """Farthest cutoff, rho or curvature point an ALF backend admits."""
+    return CUTOFF_SCALE_MAX * backend.geometry_scale()
+
+
 def effective_cutoff(backend: GeometryBackend,
                      cutoff_rho: float | None) -> float | None:
     """The truncation radius an integral over `backend` uses: None if it
-    is compact, else `cutoff_rho` within [CUTOFF_SCALE_MIN,
-    CUTOFF_SCALE_MAX] x the geometry scale, the lower bound if omitted."""
+    is compact, else `cutoff_rho` within CUTOFF_SCALE_MIN x the geometry
+    scale and the `alf_reach`, the lower bound if omitted."""
     if not backend.alf:
         return None
     scale = backend.geometry_scale()
@@ -138,9 +143,9 @@ def effective_cutoff(backend: GeometryBackend,
     if cutoff_rho < CUTOFF_SCALE_MIN * scale - 1e-9:
         raise DomainError("cutoff-too-small", f"cutoff {cutoff_rho} below "
                           f"{CUTOFF_SCALE_MIN}x geometry scale {scale}")
-    if not cutoff_rho <= CUTOFF_SCALE_MAX * scale:     # NaN fails too
-        raise DomainError("cutoff-too-large", f"cutoff {cutoff_rho} above "
-                          f"{CUTOFF_SCALE_MAX}x geometry scale {scale}")
+    if not cutoff_rho <= alf_reach(backend):     # NaN fails too
+        raise DomainError("cutoff-too-large", f"cutoff {cutoff_rho} above the "
+                          f"reach {alf_reach(backend)} of the truncated space")
     return float(cutoff_rho)
 
 
@@ -148,8 +153,9 @@ def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
                          cutoff_rho: float | None = None) -> CurvatureIntegrals:
     """Integrate the six curvature invariants over the whole space.
 
-    `resolution` scales the panel count of every mesh; ALF volumes are
-    truncated at the `effective_cutoff` of `cutoff_rho`.
+    `resolution` scales the panel count of every mesh but the flat torus's
+    one node; ALF volumes are truncated at the `effective_cutoff` of
+    `cutoff_rho`.
     """
     check_resolution(resolution)
     if not callable(getattr(backend, "reduction", None)):

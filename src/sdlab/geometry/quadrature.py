@@ -87,8 +87,6 @@ def _tensor_sum(f, axes, weights) -> np.ndarray:
     whole first-axis rows at a time (`_BLOCK` nodes, or one longer row);
     every sum runs as on the whole mesh, so none depends on `_BLOCK`.
     """
-    if not axes:
-        return np.asarray(f(), dtype=float).reshape(-1)
     shape = [len(x) for x in axes[1:]]
     row = math.prod(shape)
     rows = max(1, _BLOCK // row)
@@ -112,7 +110,7 @@ def _tensor_sum(f, axes, weights) -> np.ndarray:
 
 def integrate_columns(f, edges, order: int) -> np.ndarray:
     """Integrate a vectorized column-valued integrand over a tensor mesh
-    with one panel-edge array per axis in `edges` (none: one sample)."""
+    with one panel-edge array per axis in `edges`."""
     rules = [panel_rule(e, order) for e in edges]
     return _tensor_sum(f, [x for x, _ in rules], [w for _, w in rules])
 
@@ -120,8 +118,6 @@ def integrate_columns(f, edges, order: int) -> np.ndarray:
 def integrate_refined(f, edges, order: int):
     """(fine value, |fine - coarse|) per column, coarse = given mesh."""
     coarse = integrate_columns(f, edges, order)
-    if not edges:
-        return coarse, np.zeros_like(coarse)
     fine = integrate_columns(f, [split_edges(e) for e in edges], order)
     return fine, np.abs(fine - coarse)
 

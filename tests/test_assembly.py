@@ -27,7 +27,7 @@ from sdlab.assembly import (
     verify_modularity,
     weights_for,
 )
-from sdlab.catalog import get_entry
+from sdlab.catalog import builtin_names, entry_integrals, get_entry
 from sdlab.errors import ConsistencyError, DescriptorError, DomainError
 from sdlab.geometry.integrals import CurvatureIntegrals
 from sdlab.modular_forms import theta
@@ -169,6 +169,24 @@ def test_weight_identities_all_entries():
                 0.5 * (d.bplus_l2 - d.bminus_l2), abs=5e-15)
             assert w.alpha == pytest.approx(0.5 * d.bplus_l2 - e, abs=5e-15)
             assert w.sigma_phase == 0.5 * (d.bplus_l2 - d.bminus_l2)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_imtau_exponent_is_half_bplus_minus_alpha(name):
+    # the exponent is read off the weights, bit for bit; an entry without
+    # weights has no exponent either
+    entry = get_entry(name)
+    curv = entry_integrals(entry, resolution=2)[0]
+    for conv in ("paper-endo", "gilkey-full"):
+        try:
+            w = weights_for(entry.descriptor, curv, conv)
+        except DescriptorError as exc:
+            with pytest.raises(DescriptorError) as err:
+                imtau_exponent(entry.descriptor, curv, conv)
+            assert err.value.slug == exc.slug == "dirichlet-underived"
+            continue
+        e = imtau_exponent(entry.descriptor, curv, conv)
+        assert e == 0.5 * entry.descriptor.bplus_l2 - w.alpha
 
 
 def test_convention_factor_two_on_ricci_flat():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sdlab.catalog import get_entry
+from sdlab.cli import main
 from sdlab.errors import DomainError
 from sdlab.geometry import boundary, curvature, integrals
 from sdlab.geometry.boundary import (TruncationReport, _second_fundamental_form,
@@ -190,16 +191,34 @@ def test_rho_inside_core_rejected():
 
 @pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2",
                                   "schwarzschild"])
-def test_rho_capped_like_the_cutoff(name):
-    # the cap a volume cutoff has; the report at the cap is finite
+def test_rho_capped_like_the_cutoff(name, capsys):
+    # one reach caps a volume cutoff, a boundary rho and a curvature point:
+    # each passes at it exactly and is refused just above it
     b = get_entry(name).backend
-    cap = integrals.CUTOFF_SCALE_MAX * b.geometry_scale()
+    cap = integrals.alf_reach(b)
+    assert cap == integrals.CUTOFF_SCALE_MAX * b.geometry_scale()
+    assert integrals.effective_cutoff(b, cap) == cap
+    with pytest.raises(DomainError) as err:
+        integrals.effective_cutoff(b, math.nextafter(cap, math.inf))
+    assert err.value.slug == "cutoff-too-large"
     rep = boundary_report(b, cap, resolution=2)
     assert all(math.isfinite(v) for v in rep.as_dict().values())
     for rho in (math.nextafter(cap, math.inf), 1e100, 1e200, math.nan):
         with pytest.raises(DomainError) as err:
             boundary_report(b, rho, resolution=2)
         assert err.value.slug == "rho-too-large"
+    # on the x axis about the centroid, the origin; Schwarzschild's radius
+    # is 2m + X^2 + Y^2, off the poles theta = 0 and pi
+    x, *rest = ((math.sqrt(cap - 2.0 * b.mass), 0.0, 1.1, 0.8)
+                if name == "schwarzschild" else (cap, 0.0, 0.0, 0.3))
+    at, above = (x, *rest), (math.nextafter(x, math.inf), *rest)
+    assert b.radius(at) == cap < b.radius(above)
+    for point, code in ((at, 0), (above, 1)):
+        argv = ["curvature", "--manifold", name,
+                "--point", ",".join(map(repr, point))]
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: point-too-far:") and err.count("\n") == 1
 
 
 def test_compact_backend_rejected():

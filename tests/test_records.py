@@ -15,7 +15,7 @@ from sdlab.catalog import CatalogEntry
 from sdlab.geometry.backends import (FlatTorus, GeometryBackend, MultiTaubNut,
                                      RoundS4, Schwarzschild, Segment)
 from sdlab.geometry.boundary import TruncationReport
-from sdlab.geometry.curvature import CurvatureSample
+from sdlab.geometry.curvature import CurvatureBatch, CurvatureSample
 from sdlab.geometry.integrals import CurvatureIntegrals
 from sdlab.modular_forms import ThetaValue
 from sdlab.spectral_zeta import SpectralZetaResult
@@ -47,6 +47,8 @@ RECORDS = {
                            inv_s2=144.0, gb_density=0.01,
                            pontryagin_density=0.0, bianchi_residual=0.0,
                            step=1e-3), "scalar", 0.0),
+    CurvatureBatch: (dict.fromkeys(CurvatureBatch._fields, 0.0), "scalar",
+                     1.0),
     CurvatureIntegrals: (_INTEGRALS, "resolution", 4),
     Segment: (dict(edges=((0.0, 1.0),), order=8, embed=math.sin,
                    backend=RoundS4()), "order", 10),
