@@ -21,6 +21,7 @@ LATTICE_BOX_CAP = 20_000_000
 
 
 def _coordinate_weights(sigma: complex, box: int) -> np.ndarray:
+    sigma = complex(math.fmod(sigma.real, 2.0), sigma.imag)  # as in `theta`
     n = np.arange(-box, box + 1, dtype=float)
     return np.exp(1j * math.pi * sigma * n * n)
 

@@ -59,19 +59,23 @@ def _tail_bound(t: float, n: int) -> float:
 
 
 def theta(tau: complex, tol: float = 1e-12) -> ThetaValue:
-    """Evaluate the theta series with tail bound certified <= tol."""
+    """Evaluate the theta series with tail bound certified <= tol.  Re(tau)
+    is reduced modulo 2 first, exactly: theta(tau + 2) = theta(tau)."""
     v = _as_tau(tau)
     if not tol > 0:
         raise DomainError("tol-positive", f"tol = {tol} must be > 0")
     t = v.imag
-    n = max(1, int(math.sqrt(max(math.log(4.0 / tol), 1.0) / (math.pi * t))))
-    while _tail_bound(t, n) > tol:
+    v = complex(math.fmod(v.real, 2.0), t)
+    # finite or inf, not an OverflowError, at a subnormal tol or Im(tau)
+    n = math.sqrt(max(math.log(4.0) - math.log(tol), 1.0) / (math.pi * t))
+    n = max(1, int(min(n, THETA_TERM_CAP + 1)))
+    while n <= THETA_TERM_CAP and _tail_bound(t, n) > tol:
         n += 1
-        if n > THETA_TERM_CAP:
-            raise ResourceError(
-                "theta-term-cap",
-                f"series needs more than {THETA_TERM_CAP} terms for "
-                f"Im(tau) = {t:.3e}, tol = {tol:.3e}")
+    if n > THETA_TERM_CAP:
+        raise ResourceError(
+            "theta-term-cap",
+            f"series needs more than {THETA_TERM_CAP} terms for "
+            f"Im(tau) = {t:.3e}, tol = {tol:.3e}")
     # Compensated summation of real and imaginary parts keeps the result
     # deterministic and accurate below 1e-13 tolerances.
     terms = [cmath.exp(1j * math.pi * v * k * k) for k in range(1, n + 1)]
@@ -128,10 +132,13 @@ def cot_contour_theta(u: complex, eps: float,
                           f"eps = {eps} outside (0, 1/2); cot poles sit at integers")
     if not tol > 0:
         raise DomainError("tol-positive", f"tol = {tol} must be > 0")
-    half_width = math.ceil(math.sqrt((math.log(1.0 / tol) + math.log(4.0))
-                                     / (math.pi * u.imag))) + 2
+    width = math.sqrt((math.log(4.0) - math.log(tol)) / (math.pi * u.imag))
     # widen for the phase drift introduced by Re(u) and the shift itself
-    half_width += 2.0 * abs(u.real) * eps + eps
+    drift = 2.0 * abs(u.real) * eps + eps
+    if not math.isfinite(width + drift):
+        raise ResourceError("quadrature-non-convergence",
+                            f"contour half-width {width + drift} for u = {u}")
+    half_width = math.ceil(width) + 2 + drift
 
     results = []
     for sign in (+1.0, -1.0):

@@ -677,6 +677,33 @@ def test_cli_meaningless_request_is_one_error_line(argv, slug, tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--tau", "0.1+1e-320i"],
+    ["lattice", "--tau", "0.1+1e-320i", "--bplus", "1", "--bminus", "1",
+     "--box", "3"],
+    ["partition", "--manifold", "k3-analytic", "--tau", "0.1+1e-320i"],
+    ["verify", "modularity", "--manifold", "k3-analytic",
+     "--taus", "0.1+1e-320i"],
+], ids=["theta", "lattice", "partition", "verify-modularity"])
+def test_cli_subnormal_im_tau_hits_the_term_cap(argv, capsys):
+    # the starting term count was infinite, and int() of it an OverflowError
+    code, out, err = run_cli(capsys, [*argv, "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta-term-cap:") and err.count("\n") == 1
+
+
+def test_cli_theta_reduces_a_large_real_part(capsys):
+    # 1e12 is even, so theta takes its value at i, which is real; the
+    # series once printed an imaginary part of -2.33e-5
+    code, out, _ = run_cli(capsys, ["theta", "--tau", "1e12+1i", "--json"])
+    value = jsonio.canonical_loads(out)["results"]["value"]
+    assert code == 0 and abs(value - theta(1j).value) <= 1e-12
+    code, out, _ = run_cli(capsys, ["theta", "--tau", "0.1+1i", "--tol",
+                                    "1e-320", "--json"])
+    value = jsonio.canonical_loads(out)["results"]["value"]
+    assert code == 0 and abs(value - theta(0.1 + 1j).value) <= 1e-12
+
+
 @pytest.mark.parametrize("point", ["0.3,0,-1,0.1", "0.1,0,-1,0.1",
                                    "0.03,0,-1,0.1", "0.01,0,-1,0.1",
                                    "0.3,0,-3,0.1", "0.1,0,-3,0.1"])
@@ -727,7 +754,7 @@ def test_every_raised_slug_is_named_by_a_test():
 PROVOKE = {
     "box-positive": lambda: brute_force_partition(1, 0, 0, 1j),
     "lattice-box-cap": lambda: brute_force_partition(3, 3, 30, 1j),
-    # raises at the first term past the cap, before any term is summed
+    # the starting term count is past the cap: raises before any term
     "theta-term-cap": lambda: theta(1e-10j),
     "power-of-zero": lambda: principal_power(0, 0.5),
     "principal-branch-cut": lambda: principal_power(-1, 0.5),

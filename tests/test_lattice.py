@@ -23,6 +23,17 @@ def test_brute_force_equals_theta_product(bplus, bminus):
     assert abs(brute - prod) < 1e-12 * max(1.0, abs(prod))
 
 
+@pytest.mark.parametrize("k", [10**6, 10**12])
+def test_brute_force_reduces_the_real_part_like_theta(k):
+    # exp(i pi n^2 tau) rounded the phase away at a large real part, where
+    # the theta route reduces Re(tau) modulo 2
+    tau = TAU + 2.0 * k
+    near = complex(tau.real - 2.0 * k, tau.imag)  # exact, and near TAU
+    brute = brute_force_partition(1, 1, 12, tau)
+    assert abs(brute - theta_product(1, 1, tau)) < 1e-12
+    assert abs(brute - brute_force_partition(1, 1, 12, near)) < 1e-12
+
+
 def test_empty_lattice_is_one():
     assert brute_force_partition(0, 0, 5, TAU) == 1.0
     assert theta_product(0, 0, TAU) == 1.0

@@ -56,6 +56,28 @@ def test_tail_bound_is_infinite_when_the_ratio_rounds_to_one():
     assert _tail_bound(1e-20, 1) == math.inf
 
 
+@pytest.mark.parametrize("k", [1, 10**3, 10**6, 10**12, 5 * 10**15])
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.7, -0.9])
+def test_shift_by_two_holds_at_large_real_part(x, k):
+    # exp(i pi n^2 tau) once rounded the phase away: theta(1e12 + i) had an
+    # imaginary part of -2.3e-5 and theta(1e16 + i) an error of 0.033.
+    # r is the real part x + 2k rounds to, less 2k, exactly
+    re = x + 2.0 * k
+    r = re - 2.0 * k
+    assert abs(theta(complex(re, 1.0)).value - theta(complex(r, 1.0)).value) \
+        <= 1e-12
+
+
+def test_subnormal_im_tau_or_tol_is_counted_not_overflowed():
+    # int() of an infinite starting term count once raised OverflowError
+    for tau in (complex(0.1, 1e-320), complex(0.1, 1e-300)):
+        with pytest.raises(ResourceError) as err:
+            theta(tau)
+        assert err.value.slug == "theta-term-cap"
+    # a subnormal tol alone needs few terms: exp(-pi n^2) underflows
+    assert abs(theta(1j, tol=1e-320).value - theta(1j).value) <= 1e-15
+
+
 def test_domain_rejections():
     with pytest.raises(DomainError):
         theta(complex(0.5, -1.0))
@@ -123,6 +145,12 @@ def test_contour_route_matches_series(u):
 
 
 def test_contour_domain_checks():
+    # a subnormal Im(u) or tol once made the half-width overflow; the
+    # first has no finite half-width, the second is a tol no sum can meet
+    for u, tol in ((complex(0.1, 1e-320), 1e-8), (1j, 5e-324)):
+        with pytest.raises(ResourceError) as err:
+            cot_contour_theta(u, 0.1, tol=tol)
+        assert err.value.slug == "quadrature-non-convergence"
     with pytest.raises(DomainError):
         cot_contour_theta(1j, 0.0)
     with pytest.raises(DomainError):
