@@ -67,8 +67,8 @@ def theta(tau: complex, tol: float = 1e-12) -> ThetaValue:
     t = v.imag
     v = complex(math.fmod(v.real, 2.0), t)
     # finite or inf, not an OverflowError, at a subnormal tol or Im(tau)
-    n = math.sqrt(max(math.log(4.0) - math.log(tol), 1.0) / (math.pi * t))
-    n = max(1, int(min(n, THETA_TERM_CAP + 1)))
+    start = math.sqrt(max(math.log(4.0) - math.log(tol), 1.0) / (math.pi * t))
+    n = max(1, int(min(start, THETA_TERM_CAP + 1)))
     while n <= THETA_TERM_CAP and _tail_bound(t, n) > tol:
         n += 1
     if n > THETA_TERM_CAP:
