@@ -38,9 +38,10 @@ Each backend also owns the geometry-specific halves of the integrals:
 ``reduction`` splits its volume integral into segments of a
 tensor-product mesh, each with a chart embedding and a reduced volume
 weight, which ``integrals.integrate_invariants`` refines and sums; the
-ALF backends (``alf = True``) add the truncation surface and the
-gradient of its level function that ``boundary`` works on, and the
-``radius`` of a chart point, which the CLI caps like rho and the cutoff.
+ALF backends (``alf = True``) add the ``radius`` of a chart point, which
+the CLI caps like rho and the cutoff, its exact chart gradient and
+Hessian, and the truncation surface radius = rho that ``boundary`` works
+on: one level function in three methods.
 Each also states its ``topology``, the descriptor data the geometry fixes.
 """
 from __future__ import annotations
@@ -369,7 +370,8 @@ class MultiTaubNut(GeometryBackend):
         return tuple(sum(v) / len(self.centers) for v in zip(*self.centers))
 
     def radius(self, x) -> float:
-        """Distance of a chart point from the centroid of the centres."""
+        """Distance of a chart point from the centroid of the centres: the
+        level function of `truncation_surface`."""
         return math.dist(x[:3], self.centroid())
 
     def _on_axis(self) -> None:
@@ -439,8 +441,8 @@ class MultiTaubNut(GeometryBackend):
         return [Segment((edges,), 8, embed, self)], cutoff
 
     def truncation_surface(self, rho: float, theta: np.ndarray):
-        """Coordinate sphere of radius rho about the centroid of the
-        centers at polar angles `theta` in the phi = 0 half-plane.
+        """The sphere `radius` = rho about the centroid of the centers, at
+        polar angles `theta` in the phi = 0 half-plane.
 
         Returns the points (n, 4), the tangents d(point)/d(theta, phi, t)
         (n, 4, 3) and the product of the two symmetry-circle lengths.
@@ -458,14 +460,16 @@ class MultiTaubNut(GeometryBackend):
         jac[:, 3, 2] = 1.0               # d/dt
         return pts, jac, 2.0 * math.pi * self.fiber_period()
 
-    def level_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Chart gradient of the truncation level function, the distance
-        from the centroid of the centers."""
+    def radius_derivatives(self, x: np.ndarray):
+        """Chart gradient (n, 4) and Hessian (n, 4, 4) of `radius` at (n, 4)
+        points: n = (x - c)/r and (I - n n^T)/r on the spatial block."""
         rel = x[:, :3] - np.asarray(self.centroid())
-        r = np.linalg.norm(rel, axis=1)
-        out = np.zeros_like(x)
-        out[:, :3] = rel / r[:, None]
-        return out
+        r = np.linalg.norm(rel, axis=1)[:, None, None]
+        unit = rel / r[:, 0]
+        grad, hess = np.zeros_like(x), np.zeros((len(x), 4, 4))
+        grad[:, :3] = unit
+        hess[:, :3, :3] = (np.eye(3) - unit[:, :, None] * unit[:, None]) / r
+        return grad, hess
 
 
 class Schwarzschild(GeometryBackend):
@@ -515,7 +519,8 @@ class Schwarzschild(GeometryBackend):
         return 2 * self.mass
 
     def radius(self, x) -> float:
-        """Area radius 2m + X^2 + Y^2 of a chart point."""
+        """Area radius 2m + X^2 + Y^2 of a chart point: the level function
+        of `truncation_surface`."""
         return 2 * self.mass + x[0] * x[0] + x[1] * x[1]
 
     def reduction(self, resolution: int, cutoff: float | None):
@@ -535,7 +540,7 @@ class Schwarzschild(GeometryBackend):
         return [Segment((edges,), 8, embed, self)], u_max
 
     def truncation_surface(self, rho: float, theta: np.ndarray):
-        """Area sphere r = rho at polar angles `theta`; same returns as
+        """Area sphere `radius` = rho at polar angles `theta`; same returns as
         MultiTaubNut.truncation_surface with tangents along (theta, psi,
         phi), psi the angle of the disc."""
         u = math.sqrt(rho - 2.0 * self.mass)
@@ -548,10 +553,11 @@ class Schwarzschild(GeometryBackend):
         jac[:, 3, 2] = 1.0               # d/dphi
         return pts, jac, (2.0 * math.pi) ** 2
 
-    def level_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Chart gradient of the truncation level function u^2 = r - 2m."""
-        out = np.zeros_like(x)
-        out[:, 0] = 2.0 * x[:, 0]
-        out[:, 1] = 2.0 * x[:, 1]
-        return out
+    def radius_derivatives(self, x: np.ndarray):
+        """Chart gradient (2X, 2Y, 0, 0) (n, 4) and Hessian diag(2, 2, 0, 0)
+        (n, 4, 4) of `radius` at (n, 4) points."""
+        grad = np.zeros_like(x)
+        grad[:, :2] = 2.0 * x[:, :2]
+        return grad, np.broadcast_to(np.diag([2.0, 2.0, 0.0, 0.0]),
+                                     (len(x), 4, 4))
 

@@ -1,9 +1,10 @@
 """Truncation-boundary reports for the ALF backends.
 
-The boundary is a level set of the radial chart function F (coordinate
-sphere around the NUT centroid, or u^2 = r - 2m for the black-hole chart);
-each ALF backend supplies the surface (``truncation_surface``) and dF
-(``level_gradient``).  All our ALF boundaries are surfaces of revolution,
+The boundary is the level set F = rho of the backend's ``radius`` F (the
+distance from the NUT centroid, or the area radius r = 2m + u^2 of the
+black-hole chart); each ALF backend supplies the surface
+(``truncation_surface``) and the exact chart gradient and Hessian of F
+(``radius_derivatives``).  All our ALF boundaries are surfaces of revolution,
 so every field depends on the polar angle theta alone and the two symmetry
 circles integrate out.  The theta rule is Gauss-Legendre in x = -cos theta
 (sin theta dtheta = dx) on panels of (-1, 1), through the volume integrals'
@@ -17,8 +18,7 @@ out on tangent legs, hence Pi_ij = -e_i^m e_j^k (d_m d_k F - Gam^l_mk d_l F)
 the surface; e1..e4 are Gram-Schmidt on the chart tangents and e4 by the
 kernel's Cholesky rule; R_i4j4 is the (3, 3) block of pairs (03, 13, 23)
 of the batch's bivector Riemann rotated onto those legs
-(`curvature._frame_components`); the chart Hessian of F is
-`curvature._five_point` on ``level_gradient`` (step 1e-3 rho, no metric).
+(`curvature._frame_components`); no derivative of F is taken numerically.
 
 Every ALF backend is Ricci-flat (Gibbons-Hawking metrics are hyperkaehler,
 Euclidean Schwarzschild is a vacuum solution; acceptance criterion 04
@@ -39,8 +39,7 @@ from .. import _lazy
 from ..errors import DomainError
 from . import quadrature as quad
 from .backends import GeometryBackend
-from .curvature import (_cholesky_legs, _five_point, _frame_components,
-                        curvature_batch)
+from .curvature import _cholesky_legs, _frame_components, curvature_batch
 from .integrals import alf_reach, check_resolution
 
 np = _lazy("numpy")
@@ -57,18 +56,16 @@ class TruncationReport(namedtuple(
         return self._asdict()
 
 
-def _second_fundamental_form(backend, pts, jac, main, rho):
+def _second_fundamental_form(backend, pts, jac, main):
     """Pi (n, 3, 3) at surface points with chart tangents `jac` and the
     curvature batch `main` there, and the adapted legs (n, 4, 4): columns
     e1..e3 tangent, e4 the outward unit normal."""
-    df = backend.level_gradient(pts)
+    df, hess = backend.radius_derivatives(pts)
     norm = np.sqrt(np.einsum("nab,na,nb->n", main.ginv, df, df))
     normal = np.einsum("nab,nb->na", main.ginv, df) / norm[:, None]
     vecs = np.concatenate([jac, normal[:, :, None]], axis=2)
     legs = vecs @ _cholesky_legs(np.swapaxes(vecs, 1, 2) @ main.g @ vecs)
-    axes = np.broadcast_to(np.eye(4), (len(pts), 4, 4))
-    hess = _five_point(backend.level_gradient, pts, axes, 1e-3 * rho)
-    hess -= np.einsum("nlmk,nl->nmk", main.gamma, df)
+    hess = hess - np.einsum("nlmk,nl->nmk", main.gamma, df)
     t = legs[:, :, :3]
     pi = -np.einsum("nmi,nkj,nmk->nij", t, t, hess / norm[:, None, None])
     return 0.5 * (pi + np.swapaxes(pi, 1, 2)), legs
@@ -105,7 +102,7 @@ def boundary_report(backend: GeometryBackend, rho: float,
         theta = np.arccos(-x)
         pts, jac, circumference = backend.truncation_surface(rho, theta)
         main = curvature_batch(backend, pts)
-        pi, legs = _second_fundamental_form(backend, pts, jac, main, rho)
+        pi, legs = _second_fundamental_form(backend, pts, jac, main)
         lam = np.linalg.eigvalsh(pi)  # tr(Pi^p) is the sum of lam^p
         sups.append(np.max(np.abs(lam)))
         tr1, tr2, tr3 = (np.sum(lam ** p, axis=1) for p in (1, 2, 3))

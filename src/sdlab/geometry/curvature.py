@@ -94,19 +94,6 @@ def stencil_size(backend: GeometryBackend) -> int:
     return len(_stencil(backend.cyclic_axes)[0])
 
 
-def _five_point(f, pts: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative of f at (n, 4) points along (n, k, 4)
-    directions with step h (the `_W1` rule at `_OFFS`).  f maps (m, 4)
-    points to (m, ...) values and is called once, on all 4nk shifted
-    points; the result is (n, k, ...)."""
-    n, k = dirs.shape[:2]
-    offs = h * np.asarray(_OFFS)
-    moved = pts[:, None, None] + offs[:, None] * dirs[:, :, None]
-    vals = f(moved.reshape(-1, 4))
-    vals = vals.reshape(n, k, len(_OFFS), *vals.shape[1:])
-    return np.moveaxis(vals, 2, -1) @ _W1 / h
-
-
 def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
     """(L^T)^-1 for the Cholesky factor L of each Gram matrix: it maps the
     vectors behind the Gram matrix to their Gram-Schmidt legs, in order."""

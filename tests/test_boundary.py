@@ -67,7 +67,8 @@ def test_schwarzschild_report():
 @pytest.mark.parametrize("rho", [20.0, 30.0, 80.0])
 def test_schwarzschild_pi_eigenvalues_exact(rho):
     # the sphere bends like -f/rho and the circle like -m/(rho^2 f), with
-    # f = sqrt(1 - 2m/rho); F = u^2 makes the chart Hessian exact
+    # f = sqrt(1 - 2m/rho); the kernel's Christoffels set the error, since
+    # the Hessian of the level function comes in closed form
     b = get_entry("schwarzschild").backend
     m = b.mass
     f = math.sqrt(1.0 - 2.0 * m / rho)
@@ -75,9 +76,46 @@ def test_schwarzschild_pi_eigenvalues_exact(rho):
     theta = (np.arange(32) + 0.5) * math.pi / 32
     pts, jac, _ = b.truncation_surface(rho, theta)
     pi, _ = _second_fundamental_form(b, pts, jac,
-                                     curvature.curvature_batch(b, pts), rho)
+                                     curvature.curvature_batch(b, pts))
     err = np.abs(np.linalg.eigvalsh(pi) - exact)
     assert np.max(err) <= 1e-9 * np.max(np.abs(exact))
+
+
+_OFFS = (-2.0, -1.0, 1.0, 2.0)
+_W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)
+
+
+def _five_point(f, pts, h):
+    """Fourth-order central differences of f at (n, 4) points along each
+    chart axis with step h: f maps (m, 4) points to (m, ...) values, and the
+    result is (n, 4, ...), the axis of the derivative first."""
+    offs = h * np.array(_OFFS)
+    moved = pts[:, None, None] + offs[:, None] * np.eye(4)[:, None]
+    vals = f(moved.reshape(-1, 4))
+    vals = vals.reshape(len(pts), 4, len(_OFFS), *vals.shape[1:])
+    return np.moveaxis(vals, 2, -1) @ np.array(_W1) / h
+
+
+@pytest.mark.parametrize("rho", [20.0, 80.0, 320.0])
+@pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2",
+                                  "schwarzschild"])
+def test_radius_derivatives_match_finite_differences(name, rho):
+    # radius, its closed-form derivatives and the truncation surface are one
+    # function: the surface is radius = rho, the gradient the oracle's
+    # derivative of radius and the Hessian the oracle's of the gradient, to
+    # 1e-8 of the largest entry (the step 1e-3 rho leaves about 1e-12)
+    b = get_entry(name).backend
+    theta = (np.arange(16) + 0.5) * math.pi / 16
+    pts, _, _ = b.truncation_surface(rho, theta)
+    grad, hess = b.radius_derivatives(pts)
+    radius = [b.radius(p) for p in pts]
+    assert radius == pytest.approx([rho] * len(pts), rel=1e-14)
+    h = 1e-3 * rho
+    oracle = _five_point(lambda x: np.array([b.radius(p) for p in x]), pts, h)
+    assert np.max(np.abs(oracle - grad)) <= 1e-8 * np.max(np.abs(grad))
+    oracle = _five_point(lambda x: b.radius_derivatives(x)[0], pts, h)
+    assert np.max(np.abs(oracle - hess)) <= 1e-8 * np.max(np.abs(hess))
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
 
 
 def _closed_form_area(name, rho):
