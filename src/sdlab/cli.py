@@ -162,7 +162,7 @@ def cmd_theta(args):
     return ({"tau": tau, "tol": args.tol},
             {"value": tv.value, "tail_bound": tv.tail_bound,
              "terms_used": tv.terms_used},
-            {"error_estimate": tv.tail_bound})
+            {"error_estimate": tv.error_estimate})
 
 
 def cmd_lattice(args):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -690,6 +691,17 @@ def test_cli_subnormal_im_tau_hits_the_term_cap(argv, capsys):
     code, out, err = run_cli(capsys, [*argv, "--json"])
     assert (code, out) == (2, "")
     assert err.startswith("error: theta-term-cap:") and err.count("\n") == 1
+
+
+def test_cli_theta_error_estimate_bounds_the_error(capsys):
+    # the golden case: the value is off by 5.55e-17, and the tail bound the
+    # envelope once reported alone is 6.87e-18
+    code, out, _ = run_cli(capsys, ["theta", "--tau", "0.3+0.8i", "--json"])
+    env = jsonio.canonical_loads(out)
+    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(0.3, 0.8))
+    err = abs(env["results"]["value"] - complex(mpmath.jtheta(3, 0, q)))
+    assert code == 0 and 0 < err <= env["error_estimate"]
+    assert env["error_estimate"] > env["results"]["tail_bound"]
 
 
 def test_cli_theta_reduces_a_large_real_part(capsys):

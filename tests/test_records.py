@@ -35,8 +35,8 @@ RECORDS = {
                           convention="paper-endo"), "alpha", -1.0),
     PartitionEvaluation: (dict(value=1j, factors={"theta": 1.0}),
                           "value", 2j),
-    ThetaValue: (dict(value=1 + 0j, tail_bound=1e-13, terms_used=3),
-                 "terms_used", 4),
+    ThetaValue: (dict(value=1 + 0j, tail_bound=1e-13, terms_used=3,
+                      error_estimate=2e-13), "terms_used", 4),
     SpectralZetaResult: (dict(zeta_at_zero=-1.0, method="heat-kernel-formula",
                               truncation_error=0.0), "zeta_at_zero", 1.0),
     TruncationReport: (dict(rho=10.0, pi_sup=0.1, v40_integral=1.0,

@@ -3,6 +3,8 @@ plus the algebraic laws the series must satisfy identically."""
 
 import cmath
 import math
+import random
+import warnings
 
 import mpmath as mp
 import pytest
@@ -50,6 +52,28 @@ def test_tail_bound_certified(tol):
     tv = theta(tau, tol=tol)
     assert tv.tail_bound <= tol
     assert abs(tv.value - mp_theta(tau)) <= tv.tail_bound + 1e-14
+
+
+def _tau_grid(seed, count):
+    # log-uniform Im(tau) in [0.01, 4], Re(tau) uniform in (-2, 2)
+    rng = random.Random(seed)
+    return [complex(rng.uniform(-2.0, 2.0),
+                    math.exp(rng.uniform(math.log(0.01), math.log(4.0))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_error_estimate_bounds_the_error(seed):
+    # the tail bound alone leaves out the rounding, which grows with the
+    # phase pi |tau| k^2 of each term; on this grid it misses some points
+    missed = 0
+    for tau in _tau_grid(seed, 150):
+        tv = theta(tau)
+        err = abs(tv.value - mp_theta(tau))
+        assert err <= tv.error_estimate, tau
+        assert tv.error_estimate >= tv.tail_bound
+        missed += err > tv.tail_bound
+    assert missed > 0
 
 
 def test_tail_bound_is_infinite_when_the_ratio_rounds_to_one():
@@ -142,6 +166,18 @@ def test_contour_route_matches_series(u):
         values.append(minus)
     # epsilon independence within the quadrature tolerance
     assert max(abs(a - values[0]) for a in values) < 1e-6
+
+
+@pytest.mark.parametrize("u", [complex(0.1, 1e-300), complex(0.1, 1e-9)])
+def test_contour_panel_count_is_capped(u):
+    # a finite half-width of 2.5e150 once ended in a ValueError from
+    # np.linspace, and 7.9e4 in overflow warnings and an OverflowError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ResourceError) as err:
+            cot_contour_theta(u, 0.1)
+    assert err.value.slug == "quadrature-non-convergence"
+    assert caught == []
 
 
 def test_contour_domain_checks():
