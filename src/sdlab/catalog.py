@@ -98,7 +98,7 @@ def get_entry(name: str, extra: dict | None = None) -> CatalogEntry:
     raise UsageError("manifold-unknown", f"{name!r}; known: {known}")
 
 
-def entry_integrals(entry: CatalogEntry, resolution: int = 4,
+def entry_integrals(entry: CatalogEntry, resolution: int,
                     cutoff_rho: float | None = None, no_cache: bool = False):
     """(integrals, cache key or None, hit): stored integrals when the
     entry has them, else integrals over its chart, cached under the

@@ -77,7 +77,7 @@ def _r_i4j4(r6: np.ndarray, legs: np.ndarray) -> np.ndarray:
 
 
 def boundary_report(backend: GeometryBackend, rho: float,
-                    resolution: int = 8) -> TruncationReport:
+                    resolution: int) -> TruncationReport:
     """Second fundamental form and heat-coefficient boundary integrals on
     the truncation sphere of chart radius rho, one curvature batch per
     block of a mesh of max(1, resolution // 2) order-8 panels in x = -cos

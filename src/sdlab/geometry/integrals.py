@@ -149,7 +149,7 @@ def effective_cutoff(backend: GeometryBackend,
     return float(cutoff_rho)
 
 
-def integrate_invariants(backend: GeometryBackend, resolution: int = 8,
+def integrate_invariants(backend: GeometryBackend, resolution: int,
                          cutoff_rho: float | None = None) -> CurvatureIntegrals:
     """Integrate the six curvature invariants over the whole space.
 

@@ -261,7 +261,7 @@ def test_rho_capped_like_the_cutoff(name, capsys):
 
 def test_compact_backend_rejected():
     with pytest.raises(DomainError) as err:
-        boundary_report(get_entry("round-s4").backend, 20.0)
+        boundary_report(get_entry("round-s4").backend, 20.0, resolution=2)
     assert err.value.slug == "boundary-needs-alf"
 
 

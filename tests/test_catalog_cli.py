@@ -25,7 +25,7 @@ from sdlab.catalog import (
     get_entry,
     parse_manifest,
 )
-from sdlab.cli import main, parse_complex
+from sdlab.cli import build_parser, main, parse_complex
 from sdlab.errors import (
     AccuracyError,
     DescriptorError,
@@ -35,6 +35,7 @@ from sdlab.errors import (
 )
 from sdlab.geometry import GeometryBackend, MultiTaubNut, integrals
 from sdlab.geometry import quadrature as quad
+from sdlab.geometry.boundary import boundary_report
 from sdlab.lattice_sum import brute_force_partition, theta_product
 from sdlab.modular_forms import cot_contour_theta, principal_power, theta
 from sdlab.spectral_zeta import epstein_zeta_at_zero, torus_zeta_zero
@@ -65,8 +66,18 @@ def test_analytic_integrals_take_precedence():
 def test_entry_without_integrals_or_chart():
     bare = CatalogEntry(get_entry("flat-torus").descriptor, backend=None)
     with pytest.raises(DescriptorError) as err:
-        entry_integrals(bare)
+        entry_integrals(bare, resolution=2)
     assert err.value.slug == "integrals-missing"
+
+
+def test_the_cli_holds_the_only_resolution_default():
+    # the library entry points take `resolution` as a required argument
+    for func in (entry_integrals, integrals.integrate_invariants,
+                 boundary_report):
+        param = inspect.signature(func).parameters["resolution"]
+        assert param.default is inspect.Parameter.empty, func.__name__
+    args = build_parser().parse_args(["integrate", "--manifold", "round-s4"])
+    assert args.resolution == 4
 
 
 def test_backend_entry_integrates(tmp_path, monkeypatch):
