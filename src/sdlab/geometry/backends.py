@@ -38,10 +38,9 @@ Each backend also owns the geometry-specific halves of the integrals:
 ``reduction`` splits its volume integral into segments of a
 tensor-product mesh, each with a chart embedding and a reduced volume
 weight, which ``integrals.integrate_invariants`` refines and sums; the
-ALF backends (``alf = True``) add the ``radius`` of a chart point, which
-the CLI caps like rho and the cutoff, its exact chart gradient and
-Hessian, and the truncation surface radius = rho that ``boundary`` works
-on: one level function in three methods.
+ALF backends (``alf = True``) add a chart point's ``radius``, capped like
+rho and the cutoff, its exact gradient and Hessian, and the truncation
+surface radius = rho that ``boundary`` works on: one level function.
 Each also states its ``topology``, the descriptor data the geometry fixes.
 """
 from __future__ import annotations
@@ -462,7 +461,7 @@ class MultiTaubNut(GeometryBackend):
 
     def radius_derivatives(self, x: np.ndarray):
         """Chart gradient (n, 4) and Hessian (n, 4, 4) of `radius` at (n, 4)
-        points: n = (x - c)/r and (I - n n^T)/r on the spatial block."""
+        points: e = (x - c)/r and (I - e e^T)/r on the spatial block."""
         rel = x[:, :3] - np.asarray(self.centroid())
         r = np.linalg.norm(rel, axis=1)[:, None, None]
         unit = rel / r[:, 0]

@@ -34,15 +34,11 @@ quad = _lazy("sdlab.geometry.quadrature")  # only the contour route needs it
 # Hard cap on theta series length; reaching it means Im(tau) is far too
 # small for the requested tolerance.
 THETA_TERM_CAP = 200_000
-# Hard cap on the panels of one contour line, 16 nodes each.
-CONTOUR_PANEL_CAP = 20_000
+CONTOUR_PANEL_CAP = 20_000  # panels of one contour line, 16 nodes each
 
 
 class ThetaValue(namedtuple("ThetaValue",
                             "value tail_bound terms_used error_estimate")):
-    """A theta value, the bound on its series tail, its term count and the
-    bound on its whole error: the tail plus the rounding of the sum."""
-
     __slots__ = ()
 
 
@@ -65,9 +61,8 @@ def _tail_bound(t: float, n: int) -> float:
 
 
 def theta(tau: complex, tol: float = 1e-12) -> ThetaValue:
-    """Evaluate the theta series with tail bound certified <= tol, and an
-    `error_estimate` that adds the rounding to the tail.  Re(tau) is
-    reduced modulo 2 first, exactly: theta(tau + 2) = theta(tau)."""
+    """The theta series, its tail bound certified <= tol, and the tail plus
+    the rounding as `error_estimate`; Re(tau) is reduced mod 2, exactly."""
     v = _as_tau(tau)
     if not tol > 0:
         raise DomainError("tol-positive", f"tol = {tol} must be > 0")
@@ -88,15 +83,13 @@ def theta(tau: complex, tol: float = 1e-12) -> ThetaValue:
     terms = [cmath.exp(1j * math.pi * v * k * k) for k in range(1, n + 1)]
     re = math.fsum(term.real for term in terms)
     im = math.fsum(term.imag for term in terms)
-    # rounding: a term is off by eps (1 + pi |tau| k^2) of itself, its phase
-    # being a product, and the sum by eps; against mpmath the error reached
-    # 0.92 of eps (1 + 2 spread) over 6,000 random tau, hence the margin 4
+    # a term rounds to eps (1 + pi |tau| k^2) of itself, its phase being a
+    # product; against mpmath errors reach 0.92 eps (1 + 2 spread): margin 4
     spread = math.fsum(abs(z) + abs(z) * math.pi * abs(v) * k * k
                        for k, z in enumerate(terms, 1))
     tail = _tail_bound(t, n)
-    return ThetaValue(value=complex(1.0 + 2.0 * re, 2.0 * im),
-                      tail_bound=tail, terms_used=n, error_estimate=tail
-                      + 4.0 * math.ulp(1.0) * (1.0 + 2.0 * spread))
+    return ThetaValue(complex(1.0 + 2.0 * re, 2.0 * im), tail, n,
+                      tail + 4.0 * math.ulp(1.0) * (1.0 + 2.0 * spread))
 
 
 def principal_power(z: complex, w: complex) -> complex:
@@ -149,12 +142,10 @@ def cot_contour_theta(u: complex, eps: float,
     width = math.sqrt((math.log(4.0) - math.log(tol)) / (math.pi * u.imag))
     # widen for the phase drift introduced by Re(u) and the shift itself
     drift = 2.0 * abs(u.real) * eps + eps
-    # the finest line has 32 panels a unit on (-half_width, half_width); a
-    # count past the cap, inf or NaN is refused before any array is built
-    if not 32.0 * (width + 3.0 + drift) <= CONTOUR_PANEL_CAP:
+    panels = 32.0 * (width + 3.0 + drift)   # on the finest line, at most
+    if not panels <= CONTOUR_PANEL_CAP:     # inf and NaN fail too
         raise ResourceError("quadrature-non-convergence",
-                            f"contour half-width {width + drift:.3g} for "
-                            f"u = {u} needs over {CONTOUR_PANEL_CAP} panels")
+                            f"{panels:.3g} contour panels for u = {u}")
     half_width = math.ceil(width) + 2 + drift
 
     results = []
