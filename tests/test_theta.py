@@ -54,20 +54,16 @@ def test_tail_bound_certified(tol):
     assert abs(tv.value - mp_theta(tau)) <= tv.tail_bound + 1e-14
 
 
-def _tau_grid(seed, count):
-    # log-uniform Im(tau) in [0.01, 4], Re(tau) uniform in (-2, 2)
-    rng = random.Random(seed)
-    return [complex(rng.uniform(-2.0, 2.0),
-                    math.exp(rng.uniform(math.log(0.01), math.log(4.0))))
-            for _ in range(count)]
-
-
 @pytest.mark.parametrize("seed", [5, 17])
 def test_error_estimate_bounds_the_error(seed):
-    # the tail bound alone leaves out the rounding, which grows with the
-    # phase pi |tau| k^2 of each term; on this grid it misses some points
+    # 150 tau, Re(tau) uniform in (-2, 2) and Im(tau) log-uniform in
+    # [0.01, 4]; the tail bound alone leaves out the rounding, which grows
+    # with the phase pi |tau| k^2 of each term, and misses some of them
+    rng = random.Random(seed)
     missed = 0
-    for tau in _tau_grid(seed, 150):
+    for _ in range(150):
+        tau = complex(rng.uniform(-2.0, 2.0),
+                      math.exp(rng.uniform(math.log(0.01), math.log(4.0))))
         tv = theta(tau)
         err = abs(tv.value - mp_theta(tau))
         assert err <= tv.error_estimate, tau
@@ -168,25 +164,20 @@ def test_contour_route_matches_series(u):
     assert max(abs(a - values[0]) for a in values) < 1e-6
 
 
-@pytest.mark.parametrize("u", [complex(0.1, 1e-300), complex(0.1, 1e-9)])
-def test_contour_panel_count_is_capped(u):
-    # a finite half-width of 2.5e150 once ended in a ValueError from
-    # np.linspace, and 7.9e4 in overflow warnings and an OverflowError
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ResourceError) as err:
-            cot_contour_theta(u, 0.1)
-    assert err.value.slug == "quadrature-non-convergence"
-    assert caught == []
-
-
 def test_contour_domain_checks():
     # a subnormal Im(u) or tol once made the half-width overflow; the
-    # first has no finite half-width, the second is a tol no sum can meet
-    for u, tol in ((complex(0.1, 1e-320), 1e-8), (1j, 5e-324)):
-        with pytest.raises(ResourceError) as err:
-            cot_contour_theta(u, 0.1, tol=tol)
+    # first has no finite half-width, the second is a tol no sum can meet.
+    # Half-widths of 2.5e150 and 7.9e4 (Im(u) = 1e-300 and 1e-9) once ended
+    # in a ValueError from np.linspace, and in overflow warnings and an
+    # OverflowError; they pass the panel cap, and no case warns
+    for u, tol in ((complex(0.1, 1e-320), 1e-8), (1j, 5e-324),
+                   (complex(0.1, 1e-300), 1e-8), (complex(0.1, 1e-9), 1e-8)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ResourceError) as err:
+                cot_contour_theta(u, 0.1, tol=tol)
         assert err.value.slug == "quadrature-non-convergence"
+        assert caught == [], u
     with pytest.raises(DomainError):
         cot_contour_theta(1j, 0.0)
     with pytest.raises(DomainError):
