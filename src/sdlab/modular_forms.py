@@ -34,7 +34,7 @@ quad = _lazy("sdlab.geometry.quadrature")  # only the contour route needs it
 # Hard cap on theta series length; reaching it means Im(tau) is far too
 # small for the requested tolerance.
 THETA_TERM_CAP = 200_000
-CONTOUR_PANEL_CAP = 20_000  # panels of one contour line, 16 nodes each
+CONTOUR_PANEL_CAP = 20_000  # panels of one contour line, 12 nodes each
 
 
 class ThetaValue(namedtuple("ThetaValue",
@@ -115,23 +115,14 @@ def s_transform_residual(tau: complex) -> float:
     return abs(lhs - rhs)
 
 
-def _cot_line_integral(u: complex, shift: complex, half_width: float,
-                       panel_width: float, order: int) -> complex:
-    """Gauss-Legendre composite integral of exp(i pi u (c+shift)^2) cot(pi (c+shift)) / i."""
-    n_panels = max(1, int(math.ceil(2.0 * half_width / panel_width)))
-    nodes, weights = quad.panel_rule(
-        np.linspace(-half_width, half_width, n_panels + 1), order)
-    z = nodes + shift
-    w_ = np.exp(1j * math.pi * u * z * z) * (np.cos(math.pi * z) / np.sin(math.pi * z))
-    return complex(np.sum(weights * w_) / 1j)
-
-
 def cot_contour_theta(u: complex, eps: float,
                       tol: float = 1e-8) -> tuple[complex, complex]:
     """Contour integral for both pole shifts; returns (plus_shift, minus_shift).
 
-    The truncation half-width follows the Gaussian decay of the integrand;
-    the quadrature is refined once and must stabilize within tol.
+    The line ends 1 past where the integrand's envelope, coth(pi eps) times
+    exp(pi Im(u) (eps^2 - c^2) + 2 pi |Re(u)| eps |c|), falls to tol.  Each
+    shift runs the shared doubled-mesh driver, split once more where its two
+    meshes differ by more than tol; a line that still differs is refused.
     """
     u = _as_tau(u)
     if not 0 < eps < 0.5:
@@ -139,27 +130,35 @@ def cot_contour_theta(u: complex, eps: float,
                           f"eps = {eps} outside (0, 1/2); cot poles sit at integers")
     if not tol > 0:
         raise DomainError("tol-positive", f"tol = {tol} must be > 0")
-    width = math.sqrt((math.log(4.0) - math.log(tol)) / (math.pi * u.imag))
-    # widen for the phase drift introduced by Re(u) and the shift itself
-    drift = 2.0 * abs(u.real) * eps + eps
-    panels = 32.0 * (width + 3.0 + drift)   # on the finest line, at most
+    # the envelope is tol where pi t c^2 - 2 pi a |c| = log(peak / tol);
+    # finite or inf, never an OverflowError, at a subnormal Im(u) or tol
+    a, t = abs(u.real) * eps, u.imag
+    log_ratio = max(0.0, math.pi * t * eps * eps - math.log(tol)
+                    - math.log(math.tanh(math.pi * eps)))
+    half_width = (a + math.sqrt(a * a + t * log_ratio / math.pi)) / t + 1.0
+    panels = 32.0 * half_width              # on the finest line, width 1/16
     if not panels <= CONTOUR_PANEL_CAP:     # inf and NaN fail too
         raise ResourceError("quadrature-non-convergence",
                             f"{panels:.3g} contour panels for u = {u}")
-    half_width = math.ceil(width) + 2 + drift
+    n = math.ceil(8.0 * half_width)         # panels of width 1/4
+    edges = quad.uniform_edges(-n / 8.0, n / 8.0, n)
 
     results = []
-    for sign in (+1.0, -1.0):
-        shift = 1j * sign * eps
-        coarse = _cot_line_integral(u, shift, half_width, 0.25, 12)
-        fine = _cot_line_integral(u, shift, half_width, 0.125, 12)
-        if abs(fine - coarse) > tol:
-            finer = _cot_line_integral(u, shift, half_width, 0.0625, 16)
-            if abs(finer - fine) > tol:
-                raise ResourceError(
-                    "quadrature-non-convergence",
-                    f"contour quadrature stalled at residual {abs(finer - fine):.3e} "
-                    f"for u = {u}, eps = {eps}")
-            fine = finer
-        results.append(fine)
+    for shift in (1j * eps, -1j * eps):
+        def columns(c, shift=shift):
+            z = c + shift
+            w = np.exp(1j * math.pi * u * z * z) * (np.cos(math.pi * z)
+                                                     / np.sin(math.pi * z))
+            return np.stack([w.imag, -w.real], axis=-1)     # w / i
+        # an envelope peak past the float range refuses as a NaN residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            for line in (edges, quad.split_edges(edges)):
+                (re, im), err = quad.integrate_refined(columns, [line], 12)
+                if math.hypot(*err) <= tol:
+                    break
+            else:
+                raise ResourceError("quadrature-non-convergence",
+                                    f"contour residual {math.hypot(*err):.3e}"
+                                    f" for u = {u}, eps = {eps}")
+        results.append(complex(re, im))
     return results[0], results[1]

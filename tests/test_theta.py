@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlab.errors import BranchError, DomainError, ResourceError
+from sdlab.geometry import quadrature as quad
 from sdlab.modular_forms import (_tail_bound, cot_contour_theta,
                                  principal_power, s_transform_residual, theta)
 
@@ -151,17 +152,65 @@ def test_principal_power_additive(re, im, a, b):
     assert cmath.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-300)
 
 
-@pytest.mark.parametrize("u", [1j, 2j, complex(0.5, 1.0)])
+# at 0.1 + 1e-3i a half-width blind to the drift 2 pi |Re u| eps |c| of the
+# exponent cut the line short: off by 4.8e-5 at eps = 0.3, 0.117 at 0.45
+@pytest.mark.parametrize("u", [1j, 2j, complex(0.5, 1.0), complex(0.1, 1e-3)])
 def test_contour_route_matches_series(u):
     ref = theta(u, tol=1e-12).value
     values = []
-    for eps in (0.1, 0.2, 0.3):
+    for eps in (0.1, 0.2, 0.3, 0.45):
         plus, minus = cot_contour_theta(u, eps, tol=1e-8)
         assert abs(minus - ref) < 1e-6
         assert abs(plus + ref) < 1e-6  # opposite shift flips the sign
         values.append(minus)
     # epsilon independence within the quadrature tolerance
     assert max(abs(a - values[0]) for a in values) < 1e-6
+
+
+@pytest.mark.parametrize("seed, most_refused", [(5, 37), (17, 49)])
+def test_contour_route_is_within_tol_or_refused(seed, most_refused):
+    # 150 (u, eps), Re(u) uniform in (-2, 2), Im(u) log-uniform in [1e-3, 4]
+    # and eps in [0.05, 0.49]; a line cut short once returned 18 values off
+    # by up to 1.13 unrefused, and refused 37 and 49 of the two samples
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(150):
+        u = complex(rng.uniform(-2.0, 2.0),
+                    math.exp(rng.uniform(math.log(1e-3), math.log(4.0))))
+        eps = rng.uniform(0.05, 0.49)
+        try:
+            plus, minus = cot_contour_theta(u, eps, tol=1e-8)
+        except ResourceError as err:
+            assert err.slug == "quadrature-non-convergence"
+            refused += 1
+            continue
+        ref = mp_theta(u)
+        assert abs(minus - ref) <= 1e-8 and abs(plus + ref) <= 1e-8, (u, eps)
+    assert refused <= most_refused
+
+
+def test_contour_route_runs_the_shared_driver(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate_refined(*args)
+
+    integrate_refined = quad.integrate_refined
+    monkeypatch.setattr(quad, "integrate_refined", counting)
+    cot_contour_theta(1j, 0.2)
+    assert len(calls) == 2      # one line a shift, neither split
+
+
+def test_contour_overflow_is_refused_quietly():
+    # the envelope peaks at exp(pi Re(u)^2 eps^2 / Im(u)), past the float
+    # range here, so the integrand overflows on a line that fits the cap
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ResourceError) as err:
+            cot_contour_theta(complex(2.0, 3.27e-3), 0.49)
+    assert err.value.slug == "quadrature-non-convergence"
+    assert caught == []
 
 
 def test_contour_domain_checks():
