@@ -148,6 +148,56 @@ def test_schwarzschild_bolt_is_smooth():
     assert s.inv_R_full == pytest.approx(0.75, rel=1e-7)
 
 
+def _gibbons_hawking_riem2(nut, x):
+    """|Riem|^2 of a multi-Taub-NUT from its harmonic potential V:
+    4 |ddV|^2 / V^4 - 24 dV.ddV.dV / V^5 + 24 |dV|^4 / V^6."""
+    V, dV, ddV = 1.0, 0.0, 0.0
+    for c in nut.centers:
+        d = x[:, :3] - np.asarray(c)
+        r = np.linalg.norm(d, axis=1)[:, None, None]
+        V = V + nut.mass / r[:, 0, 0]
+        dV = dV - nut.mass * d / r[:, 0] ** 3
+        ddV = ddV + nut.mass * (3.0 * d[:, :, None] * d[:, None] / r ** 5
+                                - np.eye(3) / r ** 3)
+    hh = np.einsum("nij,nij->n", ddV, ddV)
+    ghg = np.einsum("ni,nij,nj->n", dV, ddV, dV)
+    gg = np.einsum("ni,ni->n", dV, dV)
+    return 4.0 * hh / V ** 4 - 24.0 * ghg / V ** 5 + 24.0 * gg ** 2 / V ** 6
+
+
+def _schwarzschild_riem2(bh, x):
+    """48 m^2 / r^6 at the area radius r = 2m + X^2 + Y^2."""
+    return 48.0 * bh.mass ** 2 / (2.0 * bh.mass + x[:, 0] ** 2
+                                  + x[:, 1] ** 2) ** 6
+
+
+# the closed form and the bound on the kernel's relative error, at most
+# twice the worst node: 1.04e-6 (TN-1), 1.12e-6 (TN-2), 1.94e-6 (Schw.)
+RIEM2_ORACLES = {"taub-nut-1": (_gibbons_hawking_riem2, 2e-6),
+                 "taub-nut-2": (_gibbons_hawking_riem2, 2e-6),
+                 "schwarzschild": (_schwarzschild_riem2, 3e-6)}
+
+
+@pytest.mark.parametrize("name", RIEM2_ORACLES)
+def test_riemann_norm_matches_closed_form_at_every_node(name):
+    exact, bound = RIEM2_ORACLES[name]
+    backend = get_entry(name).backend
+    cutoff = integrals.effective_cutoff(backend, None)
+    worst = 0.0
+    for resolution in (2, 4):
+        for seg in backend.reduction(resolution, cutoff)[0]:
+            for edges in (seg.edges, [quad.split_edges(e) for e in seg.edges]):
+                axes = [quad.panel_rule(e, seg.order)[0] for e in edges]
+                grids = np.meshgrid(*axes, indexing="ij")
+                pts, _ = seg.embed(*(g.ravel() for g in grids))
+                for i in range(0, len(pts), quad._BLOCK):
+                    x = pts[i:i + quad._BLOCK]
+                    got = curvature_batch(seg.backend, x).inv_R_full
+                    want = exact(seg.backend, x)
+                    worst = max(worst, np.max(np.abs(got / want - 1.0)))
+    assert worst <= bound
+
+
 def test_ricci_flatness_sampled():
     for backend in (MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),)),
                     Schwarzschild(mass=1.0)):
