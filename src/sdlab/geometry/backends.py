@@ -145,7 +145,8 @@ class GeometryBackend:
         raise NotImplementedError
 
     def geometry_scale(self) -> float:
-        """Single length scale used by cutoff preconditions."""
+        """Single length scale used by cutoff preconditions; only ALF
+        backends define it, as compact ones have no cutoff."""
         raise NotImplementedError
 
     def facing_away(self, x) -> "GeometryBackend":
@@ -192,9 +193,6 @@ class FlatTorus(GeometryBackend):
         n = np.atleast_2d(x).shape[0]
         return np.full(n, 1.0), np.full(n, np.inf)  # periodic, nothing excluded
 
-    def geometry_scale(self) -> float:
-        return max(self.radii)
-
     def volume(self) -> float:
         return (2 * math.pi) ** 4 * math.prod(self.radii)
 
@@ -240,9 +238,6 @@ class RoundS4(GeometryBackend):
         polar = x[:, :3]  # chi, theta and phi, with poles at 0 and pi
         return (np.clip(np.abs(dist), 1e-12, None),
                 np.min(np.minimum(polar, math.pi - polar), axis=1))
-
-    def geometry_scale(self) -> float:
-        return self.a
 
     def reduction(self, resolution: int, cutoff: float | None):
         # isotropic about the pole: invariants depend on chi alone
