@@ -121,7 +121,7 @@ def cot_contour_theta(u: complex, eps: float,
 
     The line ends 1 past where the integrand's envelope, coth(pi eps) times
     exp(pi Im(u) (eps^2 - c^2) + 2 pi |Re(u)| eps |c|), falls to tol.  Each
-    shift runs the shared doubled-mesh driver, split once more where its two
+    shift runs `quadrature.integrate_refined`, split once more where its two
     meshes differ by more than tol; a line that still differs is refused.
     """
     u = _as_tau(u)

@@ -189,14 +189,13 @@ def test_contour_route_is_within_tol_or_refused(seed, most_refused):
     assert refused <= most_refused
 
 
-def test_contour_route_runs_the_shared_driver(monkeypatch):
-    calls = []
+def test_contour_route_runs_integrate_refined(monkeypatch):
+    calls, integrate_refined = [], quad.integrate_refined
 
     def counting(*args):
         calls.append(args)
         return integrate_refined(*args)
 
-    integrate_refined = quad.integrate_refined
     monkeypatch.setattr(quad, "integrate_refined", counting)
     cot_contour_theta(1j, 0.2)
     assert len(calls) == 2      # one line a shift, neither split
