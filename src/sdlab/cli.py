@@ -365,7 +365,7 @@ def _add_manifold(p):
 
 
 def _add_resolution(p):
-    p.add_argument("--resolution", type=int, default=4)
+    p.add_argument("--resolution", type=int, default=2)
 
 
 def _add_integral_opts(p):

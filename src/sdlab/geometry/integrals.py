@@ -116,8 +116,10 @@ def _tail(window_f, cutoff: float):
 
 
 def check_resolution(resolution) -> None:
-    """A resolution is a positive integer no larger than MAX_RESOLUTION."""
-    if not isinstance(resolution, numbers.Integral) or resolution < 1:
+    """A resolution is a positive integer no larger than MAX_RESOLUTION;
+    a bool is not one, although Python counts it as an integer."""
+    if (not isinstance(resolution, numbers.Integral)
+            or isinstance(resolution, bool) or resolution < 1):
         raise DomainError("resolution-positive", f"resolution {resolution!r}")
     if resolution > MAX_RESOLUTION:
         raise DomainError("resolution-cap",

@@ -77,7 +77,22 @@ def test_the_cli_holds_the_only_resolution_default():
         param = inspect.signature(func).parameters["resolution"]
         assert param.default is inspect.Parameter.empty, func.__name__
     args = build_parser().parse_args(["integrate", "--manifold", "round-s4"])
-    assert args.resolution == 4
+    assert args.resolution == 2
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_is_not_a_resolution(flag, tmp_path, monkeypatch):
+    # True is a numbers.Integral equal to 1: it ran at resolution 1, and
+    # entry_integrals stored it under resolution 1's cache key
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    entry = get_entry("taub-nut-1")
+    for run in (lambda: integrals.integrate_invariants(entry.backend, flag),
+                lambda: boundary_report(entry.backend, 30.0, resolution=flag),
+                lambda: entry_integrals(entry, resolution=flag)):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert err.value.slug == "resolution-positive"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_backend_entry_integrates(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Golden corpus: the exact `--json` stdout and exit code of one invocation
 per subcommand, over every catalog entry, at resolution 2, and of
-`integrate` at the CLI default resolution 4 on every entry with a chart.
+`integrate` at resolution 4 on every entry with a chart.  Resolution 2 is
+the CLI's default, and `integrate` without `--resolution` must print the
+bytes of its `integrate/*` case; the `integrate-r4/*` cases pin
+resolution 4, which is no longer the default.
 
 The recorded bytes live in `tests/golden/cli_json.json`.  A refactor that
 must not change any number is checked against them byte for byte.  Each
@@ -80,7 +83,8 @@ def _cases() -> dict:
             f"verify-decay/{name}": ["verify", "decay", *res,
                                      "--rho", "20,40,80"],
         })
-    # the CLI default, whose meshes fall into other kernel batches
+    # resolution 4, the CLI default until 2 took its place: its meshes fall
+    # into other kernel batches, so these cases pin it, not the default
     cases.update({f"integrate-r4/{name}": ["integrate", "--manifold", name,
                                            "--resolution", "4", "--no-cache"]
                   for name in CHARTS})
@@ -222,6 +226,17 @@ def test_golden_output(golden, case):
     assert recorded == golden[case]
     # silent, or the one line of an SdlabError: no warning, no traceback
     assert stderr == "" or ERROR_LINE.fullmatch(stderr), stderr
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_integrate_defaults_to_resolution_two(golden, name):
+    # the integrate/* cases pass --resolution 2; without it the bytes match
+    recorded, stderr = invoke(["integrate", "--manifold", name, "--no-cache",
+                               "--json"])
+    want = golden[f"integrate/{name}"]
+    assert (recorded["code"], recorded["stdout"]) == (want["code"],
+                                                      want["stdout"])
+    assert stderr == ""
 
 
 def test_invoke_writes_out_warnings(monkeypatch):
