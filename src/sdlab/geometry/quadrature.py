@@ -115,9 +115,11 @@ def integrate_columns(f, edges, order: int) -> np.ndarray:
     return _tensor_sum(f, [x for x, _ in rules], [w for _, w in rules])
 
 
-def integrate_refined(f, edges, order: int):
-    """(fine value, |fine - coarse|) per column, coarse = given mesh."""
-    coarse = integrate_columns(f, edges, order)
+def integrate_refined(f, edges, order: int, coarse=None):
+    """(fine value, |fine - coarse|) per column, coarse = given mesh; a
+    caller that already holds that mesh's sum passes it as `coarse`."""
+    if coarse is None:
+        coarse = integrate_columns(f, edges, order)
     fine = integrate_columns(f, [split_edges(e) for e in edges], order)
     return fine, np.abs(fine - coarse)
 

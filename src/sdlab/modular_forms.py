@@ -152,13 +152,16 @@ def cot_contour_theta(u: complex, eps: float,
             return np.stack([w.imag, -w.real], axis=-1)     # w / i
         # an envelope peak past the float range refuses as a NaN residual
         with np.errstate(over="ignore", invalid="ignore"):
+            coarse = None
             for line in (edges, quad.split_edges(edges)):
-                (re, im), err = quad.integrate_refined(columns, [line], 12)
+                fine, err = quad.integrate_refined(columns, [line], 12,
+                                                   coarse)
                 if math.hypot(*err) <= tol:
                     break
+                coarse = fine       # the split line's coarse mesh
             else:
                 raise ResourceError("quadrature-non-convergence",
                                     f"contour residual {math.hypot(*err):.3e}"
                                     f" for u = {u}, eps = {eps}")
-        results.append(complex(re, im))
+        results.append(complex(*fine))
     return results[0], results[1]
