@@ -1,3 +1,4 @@
+import functools
 import os
 
 import pytest
@@ -16,22 +17,27 @@ def _isolated_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def tn1_integrals():
-    from sdlab.catalog import get_entry
+def integrals_at():
+    """`integrate_invariants(backend, resolution)`, each pair computed once
+    a session (backends hash by their parameters).  Pass both positionally,
+    and never under a patch of the integration path."""
     from sdlab.geometry import integrate_invariants
-    return integrate_invariants(get_entry("taub-nut-1").backend, resolution=4)
+    return functools.lru_cache(maxsize=None)(integrate_invariants)
 
 
 @pytest.fixture(scope="session")
-def s4_integrals():
+def tn1_integrals(integrals_at):
     from sdlab.catalog import get_entry
-    from sdlab.geometry import integrate_invariants
-    return integrate_invariants(get_entry("round-s4").backend, resolution=3)
+    return integrals_at(get_entry("taub-nut-1").backend, 4)
 
 
 @pytest.fixture(scope="session")
-def schw_integrals():
+def s4_integrals(integrals_at):
     from sdlab.catalog import get_entry
-    from sdlab.geometry import integrate_invariants
-    return integrate_invariants(get_entry("schwarzschild").backend,
-                                resolution=4)
+    return integrals_at(get_entry("round-s4").backend, 3)
+
+
+@pytest.fixture(scope="session")
+def schw_integrals(integrals_at):
+    from sdlab.catalog import get_entry
+    return integrals_at(get_entry("schwarzschild").backend, 4)

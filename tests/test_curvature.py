@@ -198,6 +198,34 @@ def test_riemann_norm_matches_closed_form_at_every_node(name):
     assert worst <= bound
 
 
+@pytest.mark.parametrize("name", RIEM2_ORACLES)
+def test_kernel_share_of_alf_integrals_is_below_the_estimate(
+        integrals_at, monkeypatch, name):
+    # The same integration (meshes, tail fit) over the closed form in place
+    # of the kernel's I_R_full and I_gb columns; on a Ricci-flat space the
+    # Gauss-Bonnet density is |Riem|^2 / 32 pi^2.  The kernel moved either
+    # integral by at most 1.6e-9 of max(1, |I|), against estimates of 8.3e-6
+    # to 1.4e-4 (at most 2.9e-5 of the estimate), so the estimate comes from
+    # the quadrature and the tail; the test allows a thousandth of it.
+    exact, _ = RIEM2_ORACLES[name]
+    backend = get_entry(name).backend
+    kernel = {r: integrals_at(backend, r) for r in (2, 4)}
+
+    def oracle(backend, pts):
+        out = np.zeros((len(pts), len(integrals._COLS)))
+        out[:, 0] = exact(backend, pts)
+        out[:, 4] = out[:, 0] / (32.0 * math.pi ** 2)
+        return out
+
+    monkeypatch.setattr(integrals, "_columns", oracle)
+    for resolution, ci in kernel.items():
+        ref = integrals.integrate_invariants(backend, resolution)
+        for col in ("I_R_full", "I_gb"):
+            got = getattr(ci, col)
+            share = abs(got - getattr(ref, col)) / max(1.0, abs(got))
+            assert share < 1e-3 * ci.error_estimate, (resolution, col)
+
+
 def test_ricci_flatness_sampled():
     for backend in (MultiTaubNut(mass=0.5, centers=((0.0, 0.0, 0.0),)),
                     Schwarzschild(mass=1.0)):
@@ -509,7 +537,7 @@ def _riemann_by_dgamma(backend, pts, h):
 
 def _integrand_chunks():
     """The first integrand block of each TN-2 segment (near, then far) at
-    the CLI's default resolution: four whole rows, one kernel chunk."""
+    resolution 4: four whole rows, one kernel chunk."""
     tn2 = get_entry("taub-nut-2").backend
     segments, _ = tn2.reduction(4, integrals.effective_cutoff(tn2, None))
     for seg in segments:
