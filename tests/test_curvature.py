@@ -211,9 +211,9 @@ def test_kernel_share_of_alf_integrals_is_below_the_estimate(
     backend = get_entry(name).backend
     kernel = {r: integrals_at(backend, r) for r in (2, 4)}
 
-    def oracle(backend, pts):
+    def oracle(seg_backend, pts):
         out = np.zeros((len(pts), len(integrals._COLS)))
-        out[:, 0] = exact(backend, pts)
+        out[:, 0] = exact(seg_backend, pts)
         out[:, 4] = out[:, 0] / (32.0 * math.pi ** 2)
         return out
 
