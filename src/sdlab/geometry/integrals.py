@@ -11,13 +11,17 @@ finished with a power-law tail fitted on the last segment.
 
 The integrand, `_columns`, is where the integration path meets the
 curvature kernel.  It gets blocks of whole mesh rows (`quadrature._BLOCK`,
-256 nodes) and splits each evenly into kernel calls of 8-node groups and
-at most `_CHUNK_POINTS` = 256 x 61 metric evaluations (256 Taub-NUT or
-Schwarzschild nodes, 136 on round S4).  One call's 2 MB stencil block (one
-core's L2 cache) sets the peak memory, and 256 nodes a call was fastest on
-TN-2 in a scan of 64 to 4096.  The sums do not depend on the blocks; a
-node's invariants may, by rounding, on the size of its call (OpenBLAS
-picks kernels by size), and even 8-node calls keep the whole-mesh bytes.
+256 nodes) and splits each into kernel calls of at most `_CHUNK_POINTS` =
+256 x 61 metric evaluations (256 Taub-NUT or Schwarzschild nodes, 136 on
+round S4).  A block that fits is one call of its own size, whatever that
+size is: round S4's 60- and 120-node meshes at resolution 2, or the tail
+fit's 12 radii.  A longer block becomes calls of equal whole 8-node
+groups, the last one taking what is left.  One call's 2 MB stencil block
+(one core's L2 cache) sets the peak memory, and 256 nodes a call was
+fastest on TN-2 in a scan of 64 to 4096.  The sums do not depend on the
+blocks; a node's invariants may, by rounding, on the size of its call
+(OpenBLAS picks kernels by size), and even 8-node calls keep the
+whole-mesh bytes.
 """
 
 from __future__ import annotations
@@ -80,7 +84,9 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
     out = np.empty((len(pts), len(_COLS)))
     cap = _CHUNK_POINTS // curvature.stencil_size(backend) // 8 * 8
     calls = max(1, -(-len(pts) // cap))
-    step = -(-len(pts) // (8 * calls)) * 8     # equal calls: 288 = 144 + 144
+    # equal calls of whole 8-node groups (288 = 144 + 144), the last taking
+    # what is left; a block of at most `cap` nodes is one call of its size
+    step = -(-len(pts) // (8 * calls)) * 8
     for i in range(0, len(pts), step):
         b = curvature.curvature_batch(backend, pts[i:i + step])
         out[i:i + step] = np.stack([getattr(b, c) for c in _COLS], axis=1)

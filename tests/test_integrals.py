@@ -297,23 +297,34 @@ def test_kernel_chunk_is_sized_by_metric_evaluations():
     assert _kernel_chunk(backend("taub-nut-2")) == quad._BLOCK == 256
 
 
+@pytest.mark.parametrize("resolution", [2, 4])
 @pytest.mark.parametrize("name", ["round-s4", "taub-nut-2"])
-def test_integrand_batches_are_bounded(monkeypatch, name):
-    sizes = []
+def test_integrand_batches_are_bounded(monkeypatch, name, resolution):
+    blocks = []                    # [block size, its kernel call sizes]
+    columns = integrals._columns
 
-    def spy(backend, pts):
-        sizes.append(len(pts))
+    def block_spy(backend, pts):
+        blocks.append([len(pts), []])
+        return columns(backend, pts)
+
+    def call_spy(backend, pts):
+        blocks[-1][1].append(len(pts))
         return curvature_batch(backend, pts)
 
-    monkeypatch.setattr(curvature, "curvature_batch", spy)
+    monkeypatch.setattr(integrals, "_columns", block_spy)
+    monkeypatch.setattr(curvature, "curvature_batch", call_spy)
     b = backend(name)
-    integrate_invariants(b, resolution=4)
+    integrate_invariants(b, resolution=resolution)
+    sizes = [n for _, calls in blocks for n in calls]
     # the refined meshes have more nodes than one chunk; no call holds
-    # more than 256 x 61 stencil points, and at resolution 4 every call is
-    # a whole number of 8-node groups (round S4's are not at resolution 2)
+    # more than 256 x 61 stencil points, and each call is a whole number
+    # of 8-node groups or the whole block (round S4's 60-node mesh at
+    # resolution 2 is one call of 60)
     assert sum(sizes) > _kernel_chunk(b)
     assert max(sizes) * curvature.stencil_size(b) <= 256 * 61
-    assert all(n % 8 == 0 for n in sizes), sizes
+    for size, calls in blocks:
+        assert sum(calls) == size
+        assert calls == [size] or all(n % 8 == 0 for n in calls), blocks
 
 
 @pytest.mark.parametrize("name", CHARTS)
