@@ -383,91 +383,64 @@ def _add_convention(p):
                    help="quartic-curvature norm convention")
 
 
-def _add_tau(p):
-    p.add_argument("--tau", required=True)
+def _opt(*flags, **kwargs):
+    """An adder of the one option ``add_argument(*flags, **kwargs)``."""
+    return lambda p: p.add_argument(*flags, **kwargs)
 
 
-def _add_theta_tol(p):
-    p.add_argument("--tol", type=finite_float, default=1e-12)
-
-
-def _add_lattice_opts(p):
-    p.add_argument("--bplus", type=int, required=True)
-    p.add_argument("--bminus", type=int, required=True)
-    p.add_argument("--box", type=int, default=30)
-
-
-def _add_point(p):
-    p.add_argument("--point", required=True, help="x1,x2,x3,x4")
-
-
-def _add_no_cache(p):
-    p.add_argument("--no-cache", action="store_true")
-
-
-def _add_boundary_opts(p):
-    p.add_argument("--rho", required=True, help="comma-separated radii")
-    p.add_argument("--csv", action="store_true")
-
-
-def _add_zeta_opts(p):
-    p.add_argument("--lattice", required=True,
-                   help="16 floats, 4x4 generator rows")
-    p.add_argument("--k", type=int, required=True, choices=range(0, 5))
-
-
-def _add_catalog_opts(p):
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--manifest", default=None)
-
-
-def _add_modularity_opts(p):
-    p.add_argument("--taus", default=None,
-                   help="comma-separated coupling samples")
-    p.add_argument("--tol", type=finite_float, default=None)
-
-
-def _add_decay_rho(p):
-    p.add_argument("--rho", required=True,
-                   help="comma-separated doubling radii, at least three")
-
+_TAU = _opt("--tau", required=True)
 
 # name: (handler, help, the adders of its options after --json), in the
 # order `sdlab --help` lists them; `verify` follows them with `_CHECKS`
 _COMMANDS = {
-    "theta": (cmd_theta, "theta series with certified tail",
-              _add_tau, _add_theta_tol),
-    "lattice": (cmd_lattice, "brute-force flux sum vs theta product",
-                _add_tau, _add_lattice_opts),
+    "theta": (cmd_theta, "theta series with certified tail", _TAU,
+              _opt("--tol", type=finite_float, default=1e-12)),
+    "lattice": (cmd_lattice, "brute-force flux sum vs theta product", _TAU,
+                _opt("--bplus", type=int, required=True),
+                _opt("--bminus", type=int, required=True),
+                _opt("--box", type=int, default=30)),
     "curvature": (cmd_curvature, "pointwise curvature invariants",
-                  _add_manifold, _add_point),
+                  _add_manifold,
+                  _opt("--point", required=True, help="x1,x2,x3,x4")),
     "integrate": (cmd_integrate, "volume curvature integrals",
-                  _add_integral_opts, _add_no_cache),
+                  _add_integral_opts,
+                  _opt("--no-cache", action="store_true")),
     "boundary": (cmd_boundary, "truncation-boundary reports",
-                 _add_manifold, _add_resolution, _add_boundary_opts),
-    "zeta": (cmd_zeta, "flat-torus spectral zeta at s = 0", _add_zeta_opts),
+                 _add_manifold, _add_resolution,
+                 _opt("--rho", required=True, help="comma-separated radii"),
+                 _opt("--csv", action="store_true")),
+    "zeta": (cmd_zeta, "flat-torus spectral zeta at s = 0",
+             _opt("--lattice", required=True,
+                  help="16 floats, 4x4 generator rows"),
+             _opt("--k", type=int, required=True, choices=range(0, 5))),
     "weights": (cmd_weights, "modular weights (alpha, beta)",
                 _add_integral_opts, _add_convention),
     "partition": (cmd_partition, "partition value at a coupling",
-                  _add_integral_opts, _add_convention, _add_tau),
+                  _add_integral_opts, _add_convention, _TAU),
     "anomaly": (cmd_anomaly, "local counterterm coefficients",
                 _add_integral_opts, _add_convention),
     "pathology": (cmd_pathology,
                   "leftover Gaussian factor without the holonomy constraint",
-                  _add_tau),
+                  _TAU),
     "neck": (cmd_neck, "1-form Dirichlet derivability check", _add_manifold),
     "catalog": (cmd_catalog, "list or show catalog entries",
-                _add_catalog_opts),
+                _opt("action", choices=("list", "show")),
+                _opt("name", nargs="?", default=None),
+                _opt("--manifest", default=None)),
 }
 _CHECKS = {
     "theta": (cmd_verify_theta, "inversion law and contour route"),
     "modularity": (cmd_verify_modularity, "partition transformation law",
-                   _add_integral_opts, _add_convention, _add_modularity_opts),
+                   _add_integral_opts, _add_convention,
+                   _opt("--taus", default=None,
+                        help="comma-separated coupling samples"),
+                   _opt("--tol", type=finite_float, default=None)),
     "gauss-bonnet": (cmd_verify_gauss_bonnet,
                      "Euler number vs curvature integral", _add_integral_opts),
     "decay": (cmd_verify_decay, "boundary-term falloff",
-              _add_manifold, _add_resolution, _add_decay_rho),
+              _add_manifold, _add_resolution,
+              _opt("--rho", required=True,
+                   help="comma-separated doubling radii, at least three")),
 }
 
 
@@ -545,7 +518,7 @@ def run() -> int:
     console script and ``python -m sdlab.cli``.
 
     It freezes the heap last, so the interpreter's exit does not walk
-    every object still alive (about 15 ms once numpy is loaded).  `main`
+    every object still alive (15 ms or more once numpy is loaded).  `main`
     never freezes: a caller that goes on would keep its garbage alive.
     """
     try:
