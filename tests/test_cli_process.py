@@ -15,7 +15,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tomllib
 
 import pytest
 
@@ -156,6 +155,7 @@ def test_top_level_help_lists_every_command(capsys):
 # ------------------------------------------------------------- packaging
 
 def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11 and newer
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(
         encoding="utf-8"))["project"]["scripts"]
     module, _, attr = scripts["sdlab"].partition(":")
