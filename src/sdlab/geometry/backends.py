@@ -23,7 +23,8 @@ Charts and conventions:
   The Dirac string of center a is the downward ray {x = x_a, y = y_a,
   z < z_a}; it and the centers themselves are the excluded set.  The
   strings are pure gauge: a backend is built with every string down, and
-  only `facing_away` makes a copy with some strings up.  The fiber
+  only `facing_away` makes a copy with some strings up; `gauges` sorts
+  an integral's nodes by the copy facing away from each.  The fiber
   period is 4 pi m (2 pi at the default m = 1/2), which makes the centers
   smooth points.
 * ``schwarzschild``: global disc chart (X, Y, theta, phi) with
@@ -152,6 +153,11 @@ class GeometryBackend:
     def facing_away(self, x) -> "GeometryBackend":
         """This metric in the gauge whose artifacts lie farthest from x."""
         return self
+
+    def gauges(self, x: np.ndarray) -> list:
+        """(copy, rows) pairs that cover the (n, 4) points x: each copy is
+        the `facing_away` of every point in its rows, a slice or indices."""
+        return [(self, slice(None))]
 
     def reduction(self, resolution: int, cutoff: float | None):
         """Symmetry reduction of the volume integral: (segments, tail_at).
@@ -335,6 +341,15 @@ class MultiTaubNut(GeometryBackend):
             1 if x[2] >= c[2] else -1 for c in self.centers))
         return nut
 
+    def gauges(self, x: np.ndarray) -> list:
+        # a point's gauge is fixed by how many centres lie at or below it
+        below = np.searchsorted(np.sort([c[2] for c in self.centers]),
+                                x[:, 2], side="right")
+        if np.all(below == below[0]):
+            return [(self.facing_away(x[0]), slice(None))]
+        return [(self.facing_away(x[rows[0]]), rows) for rows in
+                (np.flatnonzero(below == k) for k in np.unique(below))]
+
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance (chart euclidean, 3-space) to centers and string rays."""
         x = np.atleast_2d(x)
@@ -393,14 +408,26 @@ class MultiTaubNut(GeometryBackend):
             raise AccuracyError("centers-too-close", f"half-separation {c:g} "
                                 f"below {_CLOSE:g} x the mass {m:g}")
         fiber = self.fiber_period()
-        # the invariants do not depend on the string gauge, so each segment
-        # samples a copy whose strings miss it: the inner one, between the
-        # centres, with the upper string up, the outer one with both down
-        near = self.facing_away((x0, y0, zc))
-        far = self.facing_away((x0, y0, max(z0, z1)))
+        # the ball R <= 2c about the centroid, in prolate spheroidal
+        # coordinates with foci at the centres: with r_lo and r_up the
+        # distances from the lower and the upper one, sigma = (r_lo +
+        # r_up)/2c and tau = (r_lo - r_up)/2c, so that both are linear,
+        # c(sigma -+ tau), and the integrand is smooth up to the centres,
+        # which lie on the mesh's edges.  sigma runs from 1 to the sphere
+        # R = 2c, sigma_max(tau) = sqrt(5 - tau^2), as 1 + s (sigma_max - 1)
+        def ball(s, tau):
+            span = np.sqrt(5.0 - tau * tau) - 1.0
+            sigma = 1.0 + s * span
+            rho = c * np.sqrt((sigma * sigma - 1.0) * (1.0 - tau * tau))
+            pts = np.stack([x0 + rho, np.full_like(rho, y0),
+                            zc + c * sigma * tau,
+                            np.full_like(rho, 0.25 * fiber)], axis=1)
+            # V dvol = (c^3 (sigma^2 - tau^2) + 2 m c^2 sigma) dsigma dtau dphi
+            vol = c ** 3 * (sigma * sigma - tau * tau) + 2.0 * m * c * c * sigma
+            return pts, 2.0 * fiber * 2.0 * math.pi * vol * span
 
-        def embed(rho, theta):
-            # polar grid in the phi = 0 half-plane, upper half doubled
+        # the shell 2c <= R <= cutoff, polar about the centroid
+        def shell(rho, theta):
             st, ct = np.sin(theta), np.cos(theta)
             pts = np.stack([x0 + rho * st, np.full_like(rho, y0),
                             zc + rho * ct,
@@ -410,13 +437,16 @@ class MultiTaubNut(GeometryBackend):
             V = 1.0 + m / d0 + m / d1
             return pts, 2.0 * fiber * 2.0 * math.pi * V * rho * rho * st
 
-        theta_edges = quad.graded_edges(0.0, 0.5 * math.pi, 2 * resolution,
-                                        first_width=0.02)
-        inner = quad.graded_edges(c, 0.0, 2 * resolution, first_width=m / 10.0)
-        outer = quad.graded_edges(c, cutoff, 3 * resolution,
-                                  first_width=m / 10.0)
-        return [Segment((inner, theta_edges), 8, embed, near),
-                Segment((outer, theta_edges), 8, embed, far)], cutoff
+        # tau in [0, 1] is the upper half, doubled; both ball axes are graded
+        # toward the upper centre's corner s = 0, tau = 1
+        panels = -(-3 * resolution // 2)
+        corner = 0.3 * m / c
+        return [Segment((quad.graded_edges(0.0, 1.0, panels, corner),
+                         quad.graded_edges(1.0, 0.0, panels, corner)),
+                        8, ball, self),
+                Segment((quad.graded_edges(2.0 * c, cutoff, panels, c),
+                         quad.uniform_edges(0.0, 0.5 * math.pi, resolution)),
+                        8, shell, self)], cutoff
 
     def _radial(self, resolution, cutoff, center, charge):
         # all charge at one center: spherically symmetric about it

@@ -3,25 +3,33 @@
 Every backend states its own symmetry reduction (``reduction`` in
 ``backends``): the flat torus is one Gauss node carrying the volume, the
 round sphere and the single-NUT and Schwarzschild spaces reduce to one
-radial coordinate, and the 2-NUT space to an axisymmetric half-plane.
+radial coordinate, and the 2-NUT space to an axisymmetric half-plane:
+a prolate spheroidal ball about its centres inside a polar shell.
 `integrate_invariants` treats every reduction the same way: composite
 Gauss-Legendre on each segment's tensor mesh, refined once for the error
 estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
-The integrand, `_columns`, is where the integration path meets the
-curvature kernel.  It gets blocks of whole mesh rows (`quadrature._BLOCK`,
-256 nodes) and splits each into kernel calls of at most `_CHUNK_POINTS` =
-256 x 61 metric evaluations (256 Taub-NUT or Schwarzschild nodes, 136 on
-round S4).  A block that fits is one call of its own size, whatever that
-size is: round S4's 60- and 120-node meshes at resolution 2, or the tail
+The integrand is where the integration path meets the curvature kernel.
+It gets blocks of whole mesh rows (`quadrature._BLOCK`, 256 nodes) and
+evaluates each node in the string gauge `facing_away` gives it
+(`GeometryBackend.gauges`), one `_columns` call a gauge; only the
+two-centre chart puts nodes of two gauges in one block.  `_columns`
+splits its nodes into kernel calls of at most `_CHUNK_POINTS` = 256 x 61
+metric evaluations (256 Taub-NUT or Schwarzschild nodes, 136 on round
+S4).  A block that fits is one call of its own size, whatever that size
+is: round S4's 60- and 120-node meshes at resolution 2, or the tail
 fit's 12 radii.  A longer block becomes calls of equal whole 8-node
 groups, the last one taking what is left.  One call's 2 MB stencil block
 (one core's L2 cache) sets the peak memory, and 256 nodes a call was
 fastest on TN-2 in a scan of 64 to 4096.  The sums do not depend on the
 blocks; a node's invariants may, by rounding, on the size of its call
-(OpenBLAS picks kernels by size), and even 8-node calls keep the
-whole-mesh bytes.
+(OpenBLAS picks kernels by size: on 0.3.31 a call under 77 nodes, or 1
+to 4 above a multiple of 8, rounds some of them differently).  So a
+gauge's share of a block, whose size depends on where the blocks fall,
+is padded with copies of its last node to whole 8-node groups and at
+least `_LEAST_CALL` = 80 nodes, and rounds as in any block; about 15% more
+kernel points on TN-2.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ curvature = _lazy("sdlab.geometry.curvature")
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
          "gb_density", "pontryagin_density")
 _CHUNK_POINTS = 256 * 61  # metric evaluations per curvature_batch call
+_LEAST_CALL = 80  # nodes in a kernel call holding part of a block
 
 MAX_RESOLUTION = 64
 CUTOFF_SCALE_MIN = 10.0
@@ -94,12 +103,25 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
 
 
 def _integrand(seg: Segment):
-    """Weighted `_COLS` at the segment's mesh nodes; `f.nodes` counts the
-    nodes evaluated so far."""
+    """Weighted `_COLS` at the segment's mesh nodes, each node in the gauge
+    `facing_away` gives it, one `_columns` call a gauge; `f.nodes` counts
+    the nodes evaluated so far."""
     def f(*coords):
         pts, w = seg.embed(*coords)
         f.nodes += len(pts)
-        return w[:, None] * _columns(seg.backend, pts)
+        groups = seg.backend.gauges(pts)
+        if len(groups) == 1:
+            return w[:, None] * _columns(groups[0][0], pts)
+        out = np.empty((len(pts), len(_COLS)))
+        for gauge, rows in groups:
+            part = pts[rows]
+            # where the blocks fall sets a gauge's share of one; padded with
+            # its last node to whole 8-node groups and at least
+            # `_LEAST_CALL` nodes, it rounds as in any other block
+            pad = max(_LEAST_CALL, -(-len(part) // 8) * 8) - len(part)
+            out[rows] = _columns(gauge, np.concatenate(
+                [part, np.repeat(part[-1:], pad, axis=0)]))[:len(part)]
+        return w[:, None] * out
     f.nodes = 0
     return f
 

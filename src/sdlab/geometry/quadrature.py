@@ -54,16 +54,21 @@ def uniform_edges(a: float, b: float, panels: int) -> np.ndarray:
 def graded_edges(anchor: float, far: float, panels: int,
                  first_width: float) -> np.ndarray:
     """Edges from `anchor` toward `far` whose widths grow geometrically
-    starting at `first_width`.  Works in either direction."""
+    starting at `first_width`, which one panel cannot honour.  Works in
+    either direction."""
     span = abs(far - anchor)
     if span <= 0 or first_width <= 0 or panels < 1:
         raise DomainError("graded-edges", "degenerate grading request")
-    if first_width * panels >= span:
+    if first_width * panels >= span or panels == 1:
         t = np.linspace(0.0, span, panels + 1)
     else:
-        # solve first_width * (q^panels - 1)/(q - 1) = span for ratio q
-        q_lo, q_hi = 1.0 + 1e-12, 10.0
-        for _ in range(80):
+        # solve first_width * (q^panels - 1)/(q - 1) = span for ratio q.
+        # The last width is below the span, so q^(panels - 1) is below
+        # span/first_width; the bracket keeps 10 as its least upper end,
+        # where a smaller one can land a bit away.  Bisect until it stalls
+        q_lo = 1.0 + 1e-12
+        q_hi = max(10.0, (span / first_width) ** (1.0 / (panels - 1)))
+        while q_lo < 0.5 * (q_lo + q_hi) < q_hi:
             q = 0.5 * (q_lo + q_hi)
             total = first_width * (q ** panels - 1.0) / (q - 1.0)
             if total < span:

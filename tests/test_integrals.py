@@ -123,13 +123,13 @@ def test_coincident_centers_integrate_as_one_charge_two_center():
 
 
 @functools.lru_cache(maxsize=None)
-def two_center_i_gb(centers, facing=None):
-    """I_gb of the pair, in the copy facing away from (0, 0, facing) if
-    that is given, else in the gauge it is built in."""
+def two_center_integrals(centers, facing=None):
+    """`as_dict()` of the pair's integral, in the copy facing away from
+    (0, 0, facing) if that is given, else in the gauge it is built in."""
     nut = MultiTaubNut(0.5, centers)
     if facing is not None:
         nut = nut.facing_away((0.0, 0.0, facing))
-    return integrate_invariants(nut, resolution=1).I_gb
+    return integrate_invariants(nut, resolution=1).as_dict()
 
 
 # the three gauges a copy facing away reaches: (1, 1), then (1, -1) or
@@ -139,8 +139,12 @@ def two_center_i_gb(centers, facing=None):
 @pytest.mark.parametrize("centers", [((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
                                      ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))])
 def test_two_center_string_gauge_invariant(centers, facing):
-    # the Dirac strings are a gauge choice; no mesh may depend on it
-    assert two_center_i_gb(centers, facing) == two_center_i_gb(centers)
+    # the Dirac strings are a gauge choice, and every node is evaluated in
+    # the gauge facing away from it, whatever the given copy's: each copy
+    # integrates to the same bytes.  (The centre order is no gauge: it
+    # orders the sum V = 1 + m/r0 + m/r1, which rounds differently.)
+    assert two_center_integrals(centers, facing) \
+        == two_center_integrals(centers)
 
 
 @pytest.mark.parametrize("centers, shift", [
@@ -173,6 +177,13 @@ SEEDED_TN2 = {"seeded-tn2-m0.25-c2.0": (0.25, 2.0),
               "seeded-tn2-m0.8-c0.3": (0.8, 0.3)}
 
 
+def _seeded_or_entry(name):
+    if name in SEEDED_TN2:
+        mass, c = SEEDED_TN2[name]
+        return MultiTaubNut(mass, ((0.0, 0.0, -c), (0.0, 0.0, c)))
+    return backend(name)
+
+
 # Round S4 is left out: its kernel is far off at the nodes next to the
 # poles, which puts |I_2 - I_4| at 3.6 times its resolution-2 estimate.
 @pytest.mark.parametrize("name", ["taub-nut-1", "taub-nut-2", "schwarzschild",
@@ -181,17 +192,56 @@ def test_resolution_two_has_the_digits_of_four(integrals_at, name):
     # The CLI integrates at resolution 2.  On every ALF space the fitted
     # tail sets the estimate, so resolution 4's four times the nodes move
     # no column by more than 4.5e-5 of that estimate (measured).
-    if name in SEEDED_TN2:
-        mass, c = SEEDED_TN2[name]
-        b = MultiTaubNut(mass, ((0.0, 0.0, -c), (0.0, 0.0, c)))
-    else:
-        b = backend(name)
+    b = _seeded_or_entry(name)
     two, four = integrals_at(b, 2), integrals_at(b, 4)
+    if name == "seeded-tn2-m0.25-c2.0":
+        # The prolate chart took this corner's resolution-2 estimate down
+        # 60-fold, to 3.8e-7, where |I_2 - I_4| (6.5e-10, measured) is the
+        # kernel's own floor and the resolution-4 estimate (7.6e-8) is the
+        # tail's: absolute bounds, tighter than the relative ones were
+        # (2.3e-8 on the columns, 2.26e-5 on the estimate).
+        for col in _COLUMNS:
+            x, y = getattr(two, col), getattr(four, col)
+            assert abs(x - y) <= 1e-8 * max(1.0, abs(x)), col
+        assert two.error_estimate <= 1e-6
+        return
     for col in _COLUMNS:
         x, y = getattr(two, col), getattr(four, col)
         # the estimate is relative to max(1, |I|), column by column
         assert abs(x - y) <= 1e-3 * two.error_estimate * max(1.0, abs(x)), col
     assert four.error_estimate == pytest.approx(two.error_estimate, rel=0.01)
+
+
+# the node counts of the two-centre chart, fixed by the panel counts: a
+# 3 x 3 ball and a 3 x 2 shell of order-8 panels at resolution 2, each
+# refined once, and the tail window's 12 radii on the shell's angles;
+# twice the panels at resolution 4.  The polar chart before it used
+# 13,184 and 51,968 nodes
+TWO_CENTRE_NODES = {2: 4992, 4: 19584}
+
+
+@pytest.mark.parametrize("name", ["taub-nut-2", *SEEDED_TN2])
+def test_two_centre_node_count_is_pinned(integrals_at, name):
+    b = _seeded_or_entry(name)
+    for resolution, nodes in TWO_CENTRE_NODES.items():
+        assert integrals_at(b, resolution).node_count == nodes
+
+
+# perfbench's seeded two-centre manifests span these corners
+@pytest.mark.parametrize("mass", [0.25, 0.8])
+@pytest.mark.parametrize("c", [0.3, 2.0])
+def test_two_centre_quadrature_estimate_at_resolution_two(mass, c):
+    # The quadrature's own doubled-mesh estimate, the tail left out: the
+    # polar chart stalled at 1.5e-6 (c/m = 2) to 2.25e-5 (c/m = 8) at the
+    # centre corners; the prolate ball is smooth up to the centres, and
+    # reads 9.3e-10 on taub-nut-2 and at most 3.1e-7 on these corners
+    # (measured)
+    nut = MultiTaubNut(mass, ((0.0, 0.0, -c), (0.0, 0.0, c)))
+    segments, _ = nut.reduction(2, integrals.effective_cutoff(nut, None))
+    vals, errs = np.sum([quad.integrate_refined(integrals._integrand(seg),
+                                                seg.edges, seg.order)
+                         for seg in segments], axis=0)
+    assert np.max(errs / np.maximum(1.0, np.abs(vals))) <= 1e-6
 
 
 def test_tail_with_a_sign_change_is_bounded_by_the_window():
@@ -204,6 +254,21 @@ def test_tail_with_a_sign_change_is_bounded_by_the_window():
 def test_graded_edges_are_even_when_the_first_width_covers_the_span():
     assert np.array_equal(quad.graded_edges(0.0, 1.0, 4, first_width=0.5),
                           np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("anchor, far, panels, first_width", [
+    (0.0, 1000.0, 2, 1e-3), (1.0, 15.0, 3, 0.05), (0.0, 100.0, 3, 0.5 / 6),
+    (5.0, -95.0, 4, 1e-4), (0.0, 1.0, 6, 0.1)])
+def test_graded_edges_honour_the_first_width(anchor, far, panels,
+                                              first_width):
+    # a ratio above 10 was once cut to 10 and every width rescaled, which
+    # made the first panel 90.9 wide in the first case
+    edges = quad.graded_edges(anchor, far, panels, first_width)
+    widths = np.diff(edges) if far > anchor else np.diff(edges)[::-1]
+    assert edges[[0, -1]] == pytest.approx(sorted((anchor, far)), rel=1e-15)
+    assert widths[0] == pytest.approx(first_width, rel=1e-9)
+    np.testing.assert_allclose(widths[1:] / widths[:-1],
+                               widths[1] / widths[0], rtol=1e-9)
 
 
 # ----------------------------------------------------------------- validation
@@ -300,31 +365,36 @@ def test_kernel_chunk_is_sized_by_metric_evaluations():
 @pytest.mark.parametrize("resolution", [2, 4])
 @pytest.mark.parametrize("name", ["round-s4", "taub-nut-2"])
 def test_integrand_batches_are_bounded(monkeypatch, name, resolution):
-    blocks = []                    # [block size, its kernel call sizes]
+    groups = []              # [gauge group size, its kernel call sizes]
     columns = integrals._columns
 
-    def block_spy(backend, pts):
-        blocks.append([len(pts), []])
+    def group_spy(backend, pts):
+        groups.append([len(pts), []])
         return columns(backend, pts)
 
     def call_spy(backend, pts):
-        blocks[-1][1].append(len(pts))
+        groups[-1][1].append(len(pts))
         return curvature_batch(backend, pts)
 
-    monkeypatch.setattr(integrals, "_columns", block_spy)
+    monkeypatch.setattr(integrals, "_columns", group_spy)
     monkeypatch.setattr(curvature, "curvature_batch", call_spy)
     b = backend(name)
     integrate_invariants(b, resolution=resolution)
-    sizes = [n for _, calls in blocks for n in calls]
+    sizes = [n for _, calls in groups for n in calls]
     # the refined meshes have more nodes than one chunk; no call holds
-    # more than 256 x 61 stencil points, and each call is a whole number
-    # of 8-node groups or the whole block (round S4's 60-node mesh at
-    # resolution 2 is one call of 60)
+    # more than 256 x 61 stencil points, and each gauge group's calls are
+    # a whole number of 8-node groups or the whole group (round S4's
+    # 60-node mesh at resolution 2 is one call of 60)
     assert sum(sizes) > _kernel_chunk(b)
     assert max(sizes) * curvature.stencil_size(b) <= 256 * 61
-    for size, calls in blocks:
+    for size, calls in groups:
         assert sum(calls) == size
-        assert calls == [size] or all(n % 8 == 0 for n in calls), blocks
+        assert calls == [size] or all(n % 8 == 0 for n in calls), groups
+    if name == "taub-nut-2":
+        # one gauge's share of a block is padded to whole 8-node groups
+        # of at least `_LEAST_CALL` nodes, and the blocks are such already
+        assert all(size % 8 == 0 and size >= integrals._LEAST_CALL
+                   for size, _ in groups), groups
 
 
 @pytest.mark.parametrize("name", CHARTS)
