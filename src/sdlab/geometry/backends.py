@@ -343,12 +343,11 @@ class MultiTaubNut(GeometryBackend):
 
     def gauges(self, x: np.ndarray) -> list:
         # a point's gauge is fixed by how many centres lie at or below it
-        below = np.searchsorted(np.sort([c[2] for c in self.centers]),
-                                x[:, 2], side="right")
-        if np.all(below == below[0]):
-            return [(self.facing_away(x[0]), slice(None))]
-        return [(self.facing_away(x[rows[0]]), rows) for rows in
-                (np.flatnonzero(below == k) for k in np.unique(below))]
+        below = sum(x[:, 2] >= c[2] for c in self.centers)
+        groups = (np.flatnonzero(below == k)
+                  for k in range(len(self.centers) + 1))
+        return [(self.facing_away(x[rows[0]]), rows) for rows in groups
+                if len(rows)]
 
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
         """Distance (chart euclidean, 3-space) to centers and string rays."""

@@ -497,7 +497,7 @@ def test_streamed_peak_memory_does_not_grow_with_the_mesh(panels):
 _NO_MA_CHILD = """
 import contextlib, io, sys
 from sdlab.cli import main
-for name in ("taub-nut-1", "schwarzschild"):
+for name in ("taub-nut-1", "taub-nut-2", "schwarzschild"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["integrate", "--manifold", name, "--no-cache",
                      "--resolution", "1"]) == 0, name
@@ -506,8 +506,9 @@ print("numpy.ma" in sys.modules)
 
 
 def test_alf_integrals_do_not_import_numpy_ma(tmp_path):
-    # numpy imports numpy.ma (12-15 ms) for np.median; the tail fit of
-    # every ALF integral must not pay for it
+    # numpy imports numpy.ma (12-15 ms) for np.median, and np.unique
+    # does too; the tail fit of every ALF integral and the gauge groups of
+    # the two-centre one must not pay for it
     env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _NO_MA_CHILD], env=env,
