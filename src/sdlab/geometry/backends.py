@@ -425,7 +425,8 @@ class MultiTaubNut(GeometryBackend):
             vol = c ** 3 * (sigma * sigma - tau * tau) + 2.0 * m * c * c * sigma
             return pts, 2.0 * fiber * 2.0 * math.pi * vol * span
 
-        # the shell 2c <= R <= cutoff, polar about the centroid
+        # the shell 2c <= R <= cutoff, polar about the centroid in the
+        # phi = 0 half-plane, upper half doubled
         def shell(rho, theta):
             st, ct = np.sin(theta), np.cos(theta)
             pts = np.stack([x0 + rho * st, np.full_like(rho, y0),
