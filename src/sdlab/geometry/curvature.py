@@ -10,8 +10,12 @@ coordinates its metric never reads; every derivative along them is
 exactly zero, and `_stencil` builds no row offset along them: 61 points
 when one coordinate is cyclic (the Taub-NUT and Schwarzschild charts), 1
 on the flat torus.  The metric comes back as component rows
-(``backends._component_rows``), and one (20, m) weight table applied to
-them as a single matmul gives all first and second derivatives.
+(``backends._component_rows``).  A first derivative is
+8 (g(h) - g(-h)) - (g(2h) - g(-2h)) over 12 h, and a mixed one is that
+difference of the differences along the other axis.  A point's bits
+depend on that point alone, whatever call holds it: every step is
+fixed-order elementwise arithmetic or a product of one point's small
+matrices, never a product whose shape holds the point count.
 
 Riemann lives on bivectors: in four dimensions it is a symmetric operator
 on 2-forms, an (n, 6, 6) matrix R6[I, J] = R_abcd on the pairs I = (a, b),
@@ -20,9 +24,10 @@ from d2g and the Christoffel symbols of the first kind G (the textbook
 identity in `curvature_batch`), so no derivative of Gam or of g^-1 is
 formed.  The frame rotation is W^T R6 W with W = legs ^ legs, the second
 exterior power of the Cholesky legs; |Riem|^2 is 4 |R6|^2, Ricci a
-(36, 16) +-1 map of R6, and the Pontryagin contraction 8 sum (R6 star) o
-R6, where star, the Levi-Civita symbol on pairs, is a signed (6, 6)
-antidiagonal; no four-index Riemann is formed.  `curvature_batch`
+(36, 16) +-1 map of each point's R6, and the Pontryagin contraction
+8 sum (R6 star) o R6, where star, the Levi-Civita symbol on pairs, is a
+signed (6, 6) antidiagonal; no four-index Riemann is formed.
+`curvature_batch`
 evaluates exactly the points it is given in one vectorized pass, with the
 point axis last in elementwise stages; its working arrays grow with the
 batch (about 12 KiB per Taub-NUT point at peak, nearly all of it the
@@ -56,37 +61,26 @@ from .backends import GeometryBackend
 np = _lazy("numpy")
 
 _OFFS = (-2.0, -1.0, 1.0, 2.0)
-_W1 = (1 / 12, -8 / 12, 8 / 12, -1 / 12)  # d/dx at _OFFS, per unit step
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @functools.lru_cache(maxsize=None)
 def _stencil(cyclic_axes: tuple[int, ...]):
-    """Offset table (m, 4) and weight table (20, m) per unit step: row k < 4
-    of the weights gives d/dx_k, row 4 + 4k + l gives d2/dx_k dx_l.  Rows:
-    the centre, four points on each axis outside `cyclic_axes` and a 4 x 4
-    block on each pair of those.  The d2 row of a cyclic axis keeps its
-    centre weight, which meets the exact zero of the centred values."""
+    """Offset table (m, 4) per unit step, the axes outside `cyclic_axes`
+    and their pairs (a, b) as two index arrays.  Rows: the centre, the
+    points `_OFFS` on each of those axes, and a 4 x 4 block on each pair,
+    row 4i + j at offset _OFFS[i] along a and _OFFS[j] along b."""
     axes = [d for d in range(4) if d not in cyclic_axes]
-    pairs = list(itertools.combinations(axes, 2))
+    pairs = np.array(list(itertools.combinations(axes, 2)), dtype=int)
     base = 1 + 4 * len(axes)            # first row of the pair blocks
-    m = base + 16 * len(pairs)
-    offsets, w = np.zeros((m, 4)), np.zeros((20, m))
-    w2 = w[4:].reshape(4, 4, m)
-    # diagonal second derivatives from the centre and the axis points
-    w2[range(4), range(4), 0] = -30.0 / 12.0
+    offsets = np.zeros((base + 16 * len(pairs), 4))
     for k, d in enumerate(axes):
-        rows = slice(1 + 4 * k, 5 + 4 * k)
-        offsets[rows, d] = _OFFS
-        w[d, rows] = _W1
-        w2[d, d, rows] = (-1 / 12, 16 / 12, 16 / 12, -1 / 12)
-    # mixed second derivatives from the tensor-product pair blocks
+        offsets[1 + 4 * k:5 + 4 * k, d] = _OFFS
     for p, (a, b) in enumerate(pairs):
         rows = slice(base + 16 * p, base + 16 * (p + 1))
         offsets[rows, a] = np.repeat(_OFFS, 4)
         offsets[rows, b] = np.tile(_OFFS, 4)
-        w2[a, b, rows] = w2[b, a, rows] = np.outer(_W1, _W1).ravel()
-    return offsets, w
+    return offsets, np.array(axes, dtype=int), pairs.reshape(-1, 2).T
 
 
 def stencil_size(backend: GeometryBackend) -> int:
@@ -103,8 +97,8 @@ def _cholesky_legs(gram: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _bivector_tables() -> dict:
     """Constant tables of the bivector basis `_PAIRS`, built at first use:
-    flat row/column indices of d2 (256, n) and quad (n, 256) and weights
-    that assemble R6 (`curvature_batch`), flat entries of legs (n, 16)
+    flat row/column indices of d2 (256, n) and quad (n, 256) that
+    assemble R6 (`curvature_batch`), flat entries of legs (n, 16)
     that form W (`_frame_components`), the (36, 16) Ricci map and the
     Hodge star (6, 6), star[I, J] = eps_abcd for I = (a, b), J = (c, d):
     the complementary pair J = 5 - I, signed by the parity of abcd."""
@@ -120,7 +114,6 @@ def _bivector_tables() -> dict:
     basis = (np.eye(36)[:, spread] * signs).reshape(36, 4, 4, 4, 4)
     return {"d2_rows": np.stack([at[a, d, c, b], at[b, d, c, a],
                                  at[a, c, d, b], at[b, c, d, a]]),
-            "d2_weights": np.array([0.5, -0.5, -0.5, 0.5]),
             "quad_cols": np.stack([at[d, a, c, b], at[c, a, d, b]]),
             "legs_at": np.stack([4 * a + c, 4 * b + d, 4 * a + d, 4 * b + c]),
             "ricci": np.einsum("kcacb->kab", basis).reshape(36, 16),
@@ -161,25 +154,47 @@ class CurvatureBatch(namedtuple("CurvatureBatch", "points h g ginv gamma "
     __slots__ = ()
 
 
+def _difference(v: np.ndarray) -> np.ndarray:
+    """12 x the fourth-order first difference of the values `v` holds at
+    `_OFFS` along its second-last axis, in unit steps: 8 (v(1) - v(-1)) -
+    (v(2) - v(-2)).  Each inner difference is of two nearby values, so it
+    is exact."""
+    d = v[..., 2, :] - v[..., 1, :]
+    d *= 8.0
+    d -= v[..., 3, :] - v[..., 0, :]
+    return d
+
+
 def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray):
     """The metric (n, 4, 4) at the points and its derivatives with the point
-    axis last: d1[i, j, k] = d_k g_ij and d2[i, j, k, l] = d_k d_l g_ij."""
+    axis last: d1[i, j, k] = d_k g_ij and d2[i, j, k, l] = d_k d_l g_ij.
+    Each derivative is fixed-order elementwise arithmetic on one point's
+    stencil values, so its bits do not depend on the other points."""
     n = pts.shape[0]
-    offsets, weights = _stencil(backend.cyclic_axes)
-    m = len(offsets)
+    offsets, axes, (a, b) = _stencil(backend.cyclic_axes)
+    m, k = len(offsets), len(axes)
     # coordinate-major points (4, m, n) in, component rows (16, m, n) out
     g = backend.metric((pts.T[:, None] + offsets.T[:, :, None] * h)
                        .reshape(4, m * n).T)
-    g_rel = g.reshape(m * n, 16).T.reshape(16, m, n)
-    g0 = g_rel[:, 0].copy()
-    # stencil weights sum to zero, so subtracting the centre value changes
-    # nothing analytically but kills the O(|g|/h^2) rounding floor
-    g_rel -= g0[:, None]
-    d = weights @ g_rel  # (16, 20, n): d1 rows, then d2 rows
-    del g, g_rel  # a lower peak: glibc trims and refaults the heap less
-    d1 = (d[:, :4] / h).reshape(4, 4, 4, n)
-    d2 = (d[:, 4:] / (h * h)).reshape(4, 4, 4, 4, n)
-    return np.ascontiguousarray(g0.T).reshape(n, 4, 4), d1, d2
+    g = g.reshape(m * n, 16).T.reshape(16, m, n)
+    h12 = 12.0 * h
+    # a mixed derivative is the first difference, along a, of the first
+    # differences along b
+    mixed = _difference(_difference(
+        g[:, 1 + 4 * k:].reshape(16, len(a), 4, 4, n))) / (h12 * h12)
+    # subtracting the centre value (exact, as for any two nearby values)
+    # kills the O(|g|/h^2) rounding floor of the second differences
+    on_axes = g[:, 1:1 + 4 * k].reshape(16, k, 4, n) - g[:, 0, None, None]
+    first = _difference(on_axes) / h12
+    diag = (16.0 * (on_axes[..., 1, :] + on_axes[..., 2, :])
+            - (on_axes[..., 0, :] + on_axes[..., 3, :])) / (h12 * h)
+    g0 = np.ascontiguousarray(g[:, 0].T).reshape(n, 4, 4)
+    del g, on_axes  # a lower peak: glibc trims and refaults the heap less
+    d1, d2 = np.zeros((16, 4, n)), np.zeros((16, 4, 4, n))
+    d1[:, axes] = first
+    d2[:, axes, axes] = diag
+    d2[:, a, b] = d2[:, b, a] = mixed    # each mixed row and its twin
+    return g0, d1.reshape(4, 4, 4, n), d2.reshape(4, 4, 4, 4, n)
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray) -> CurvatureBatch:
@@ -217,12 +232,13 @@ def curvature_batch(backend: GeometryBackend, pts: np.ndarray) -> CurvatureBatch
     t = _bivector_tables()
     quad = (np.swapaxes(first, 1, 2) @ gamma.reshape(n, 4, 16)).reshape(n, 256)
     quad = quad[:, t["quad_cols"]]
-    hess = t["d2_weights"] @ d2.reshape(256, n)[t["d2_rows"]].reshape(4, -1)
+    d2g = d2.reshape(256, n)[t["d2_rows"]]
+    hess = 0.5 * ((d2g[0] - d2g[1]) + (d2g[3] - d2g[2]))
     r6 = hess.reshape(36, n).T.reshape(n, 6, 6) + (quad[:, 0] - quad[:, 1])
     r6_fr = _frame_components(r6, legs)
 
     flat = r6_fr.reshape(n, 36)
-    ric = (flat @ t["ricci"]).reshape(n, 4, 4)
+    ric = (flat[:, None] @ t["ricci"]).reshape(n, 4, 4)
     scal = np.einsum("naa->n", ric)
     inv_R_full = 4.0 * np.einsum("ni,ni->n", flat, flat)
     inv_r = np.einsum("nab,nab->n", ric, ric)

@@ -16,20 +16,11 @@ evaluates each node in the string gauge `facing_away` gives it
 (`GeometryBackend.gauges`), one `_columns` call a gauge; only the
 two-centre chart puts nodes of two gauges in one block.  `_columns`
 splits its nodes into kernel calls of at most `_CHUNK_POINTS` = 256 x 61
-metric evaluations (256 Taub-NUT or Schwarzschild nodes, 136 on round
-S4).  A block that fits is one call of its own size, whatever that size
-is: round S4's 60- and 120-node meshes at resolution 2, or the tail
-fit's 12 radii.  A longer block becomes calls of equal whole 8-node
-groups, the last one taking what is left.  One call's 2 MB stencil block
-(one core's L2 cache) sets the peak memory, and 256 nodes a call was
-fastest on TN-2 in a scan of 64 to 4096.  The sums do not depend on the
-blocks; a node's invariants may, by rounding, on the size of its call
-(OpenBLAS picks kernels by size: on 0.3.31 a call under 77 nodes, or 1
-to 4 above a multiple of 8, rounds some of them differently).  So a
-gauge's share of a block, whose size depends on where the blocks fall,
-is padded with copies of its last node to whole 8-node groups and at
-least `_LEAST_CALL` = 80 nodes, and rounds as in any block; about 15% more
-kernel points on TN-2.
+metric evaluations (256 Taub-NUT or Schwarzschild nodes, 138 on round
+S4).  One call's 2 MB stencil block (one core's L2 cache) sets the peak
+memory, and 256 nodes a call was fastest on TN-2 in a scan of 64 to
+4096.  The sums do not depend on the blocks, and a node's invariants do
+not depend on its call (see `curvature`).
 """
 
 from __future__ import annotations
@@ -50,7 +41,6 @@ curvature = _lazy("sdlab.geometry.curvature")
 _COLS = ("inv_R_full", "inv_R_endo", "inv_r", "inv_s2",
          "gb_density", "pontryagin_density")
 _CHUNK_POINTS = 256 * 61  # metric evaluations per curvature_batch call
-_LEAST_CALL = 80  # nodes in a kernel call holding part of a block
 
 MAX_RESOLUTION = 64
 CUTOFF_SCALE_MIN = 10.0
@@ -89,13 +79,10 @@ class CurvatureIntegrals(namedtuple("CurvatureIntegrals", _FIELD_TYPES,
 
 
 def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
-    """The `_COLS` invariants at (n, 4) points, shape (n, 6)."""
+    """The `_COLS` invariants at (n, 4) points, shape (n, 6), in kernel
+    calls of at most `_CHUNK_POINTS` metric evaluations."""
     out = np.empty((len(pts), len(_COLS)))
-    cap = _CHUNK_POINTS // curvature.stencil_size(backend) // 8 * 8
-    calls = max(1, -(-len(pts) // cap))
-    # equal calls of whole 8-node groups (288 = 144 + 144), the last taking
-    # what is left; a block of at most `cap` nodes is one call of its size
-    step = -(-len(pts) // (8 * calls)) * 8
+    step = _CHUNK_POINTS // curvature.stencil_size(backend)
     for i in range(0, len(pts), step):
         b = curvature.curvature_batch(backend, pts[i:i + step])
         out[i:i + step] = np.stack([getattr(b, c) for c in _COLS], axis=1)
@@ -109,18 +96,9 @@ def _integrand(seg: Segment):
     def f(*coords):
         pts, w = seg.embed(*coords)
         f.nodes += len(pts)
-        groups = seg.backend.gauges(pts)
-        if len(groups) == 1:
-            return w[:, None] * _columns(groups[0][0], pts)
         out = np.empty((len(pts), len(_COLS)))
-        for gauge, rows in groups:
-            part = pts[rows]
-            # where the blocks fall sets a gauge's share of one; padded with
-            # its last node to whole 8-node groups and at least
-            # `_LEAST_CALL` nodes, it rounds as in any other block
-            pad = max(_LEAST_CALL, -(-len(part) // 8) * 8) - len(part)
-            out[rows] = _columns(gauge, np.concatenate(
-                [part, np.repeat(part[-1:], pad, axis=0)]))[:len(part)]
+        for gauge, rows in seg.backend.gauges(pts):
+            out[rows] = _columns(gauge, pts[rows])
         return w[:, None] * out
     f.nodes = 0
     return f

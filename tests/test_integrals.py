@@ -337,84 +337,109 @@ def test_as_dict_round_trip():
 # ------------------------------------------------------------- chunked kernel
 
 
-def test_chunked_columns_match_one_batch():
-    b = backend("taub-nut-2")
-    pts = sample_points(b, 5000)
-    whole = curvature_batch(b, pts)
-    expect = np.stack([getattr(whole, c) for c in integrals._COLS], axis=1)
-    assert np.array_equal(integrals._columns(b, pts), expect)
-
-
 CHARTS = ("flat-torus", "round-s4", "taub-nut-1", "taub-nut-2",
           "schwarzschild")
 
 
+def _call_cases():
+    """(id, backend, 300 sample points) on each chart backend; TN-2 twice,
+    with every Dirac string down and with every string up, each time on
+    sample points whose own gauge that is."""
+    for name in CHARTS:
+        b = backend(name)
+        if name != "taub-nut-2":
+            yield name, b, sample_points(b, 300)
+            continue
+        pts = sample_points(b, 1000)
+        for gauge, rows in b.gauges(pts):
+            if len(set(gauge.string_signs)) == 1:
+                yield f"{name}{gauge.string_signs}", gauge, pts[rows][:300]
+
+
+CALL_CASES = list(_call_cases())
+
+
+@pytest.mark.parametrize("name,b,pts", CALL_CASES,
+                         ids=[c[0] for c in CALL_CASES])
+def test_chunked_columns_match_one_batch(name, b, pts):
+    # a node's bits depend on the node alone: chunked columns, every call
+    # size from 1 to 300 and a few 5-node windows give one call's bits
+    def columns(p):
+        batch = curvature_batch(b, p)
+        return np.stack([getattr(batch, c) for c in integrals._COLS], axis=1)
+
+    whole = columns(pts)
+    assert len(pts) == 300
+    assert np.array_equal(integrals._columns(b, pts), whole)
+    for size in range(1, len(pts) + 1):
+        assert np.array_equal(columns(pts[:size]), whole[:size]), size
+    for start in (1, 7, 133, 295):
+        assert np.array_equal(columns(pts[start:start + 5]),
+                              whole[start:start + 5]), start
+
+
 def _kernel_chunk(b):
-    """Nodes per kernel call on `b`: 256 x 61 metric evaluations, rounded
-    down to a multiple of 8 nodes."""
-    return 256 * 61 // curvature.stencil_size(b) // 8 * 8
+    """Nodes per kernel call on `b`: 256 x 61 metric evaluations."""
+    return 256 * 61 // curvature.stencil_size(b)
 
 
-def test_kernel_chunk_is_sized_by_metric_evaluations():
+def test_kernel_chunk_is_sized_by_metric_evaluations(monkeypatch):
     assert [curvature.stencil_size(backend(n)) for n in CHARTS] == [
         1, 113, 61, 61, 61]
-    assert _kernel_chunk(backend("round-s4")) == 136
+    assert _kernel_chunk(backend("round-s4")) == 138
     assert _kernel_chunk(backend("taub-nut-2")) == quad._BLOCK == 256
+    sizes = []
+
+    def spy(backend, pts):
+        sizes.append(len(pts))
+        return curvature_batch(backend, pts)
+
+    monkeypatch.setattr(curvature, "curvature_batch", spy)
+    for name in ("round-s4", "taub-nut-1"):
+        b = backend(name)
+        integrals._columns(b, sample_points(b, 300))
+    # plain chunks of the kernel's size, the last one taking what is left
+    assert sizes == [138, 138, 24, 256, 44]
 
 
 @pytest.mark.parametrize("resolution", [2, 4])
-@pytest.mark.parametrize("name", ["round-s4", "taub-nut-2"])
+@pytest.mark.parametrize("name", CHARTS)
 def test_integrand_batches_are_bounded(monkeypatch, name, resolution):
-    groups = []              # [gauge group size, its kernel call sizes]
-    columns = integrals._columns
+    sizes = []
 
-    def group_spy(backend, pts):
-        groups.append([len(pts), []])
-        return columns(backend, pts)
-
-    def call_spy(backend, pts):
-        groups[-1][1].append(len(pts))
+    def spy(backend, pts):
+        sizes.append(len(pts))
         return curvature_batch(backend, pts)
 
-    monkeypatch.setattr(integrals, "_columns", group_spy)
-    monkeypatch.setattr(curvature, "curvature_batch", call_spy)
+    monkeypatch.setattr(curvature, "curvature_batch", spy)
     b = backend(name)
-    integrate_invariants(b, resolution=resolution)
-    sizes = [n for _, calls in groups for n in calls]
-    # the refined meshes have more nodes than one chunk; no call holds
-    # more than 256 x 61 stencil points, and each gauge group's calls are
-    # a whole number of 8-node groups or the whole group (round S4's
-    # 60-node mesh at resolution 2 is one call of 60)
-    assert sum(sizes) > _kernel_chunk(b)
+    ci = integrate_invariants(b, resolution=resolution)
+    # the kernel evaluates each node once, with no padding, and no call
+    # holds more than 256 x 61 stencil points
+    assert sum(sizes) == ci.node_count
     assert max(sizes) * curvature.stencil_size(b) <= 256 * 61
-    for size, calls in groups:
-        assert sum(calls) == size
-        assert calls == [size] or all(n % 8 == 0 for n in calls), groups
     if name == "taub-nut-2":
-        # one gauge's share of a block is padded to whole 8-node groups
-        # of at least `_LEAST_CALL` nodes, and the blocks are such already
-        assert all(size % 8 == 0 and size >= integrals._LEAST_CALL
-                   for size, _ in groups), groups
+        assert ci.node_count == {2: 4992, 4: 19584}[resolution]
 
 
 @pytest.mark.parametrize("name", CHARTS)
 def test_chunk_size_does_not_change_integrals(monkeypatch, name):
-    # The streamed sums do not depend on the block, but a node's kernel
-    # values may depend on the size of its kernel call: on OpenBLAS 0.3.31
-    # a call under about 80 nodes, or one whose count is 1 to 4 above a
-    # multiple of 8, rounds some invariants differently (100- or 138-node
-    # chunks moved I_gb by up to 2.3e-14).  The chunk sizes the rule
-    # picks, and blocks and chunks of 1000 or 4096 nodes, give equal
-    # integrals on every chart backend.
+    # The streamed sums do not depend on the block, and a node's kernel
+    # values do not depend on the size of its kernel call (no product in
+    # the kernel has a shape that holds the node count).  The chunk size
+    # the rule picks, 100- and 138-node chunks (each once moved I_gb by up
+    # to 2.3e-14, when BLAS picked its kernels by the call's size), and
+    # blocks and chunks of 1000 or 4096 nodes give equal integrals on
+    # every chart backend.
     b = backend(name)
     results = []
-    for chunk in (_kernel_chunk(b), 1000, 4096):
+    for chunk in (_kernel_chunk(b), 100, 138, 1000, 4096):
         monkeypatch.setattr(quad, "_BLOCK", chunk)
         monkeypatch.setattr(integrals, "_CHUNK_POINTS",
                             chunk * curvature.stencil_size(b))
         results.append(integrate_invariants(
             b, resolution=2 if name == "taub-nut-2" else 4).as_dict())
-    assert results[0] == results[1] == results[2]
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_integral_peak_memory_is_bounded():
