@@ -27,13 +27,13 @@ exterior power of the Cholesky legs; |Riem|^2 is 4 |R6|^2, Ricci a
 (36, 16) +-1 map of each point's R6, and the Pontryagin contraction
 8 sum (R6 star) o R6, where star, the Levi-Civita symbol on pairs, is a
 signed (6, 6) antidiagonal; no four-index Riemann is formed.
-`curvature_batch`
-evaluates exactly the points it is given in one vectorized pass, with the
-point axis last in elementwise stages; its working arrays grow with the
-batch (about 12 KiB per Taub-NUT point at peak, nearly all of it the
-metric stencil), so callers with many points bound the batch themselves:
-``integrals._columns`` feeds it 256 x 61 stencil points at most, a size
-whose arrays stay near one core's L2 cache (see ``integrals``).
+`curvature_batch` evaluates exactly the points it is given in one
+vectorized pass, with the point axis last in elementwise stages; its
+working arrays grow with the batch (about 12 KiB per Taub-NUT point at
+peak, nearly all of it the metric stencil), so callers with many points
+bound the batch themselves: ``integrals._columns`` feeds it 256 x 61
+stencil points at most, a size whose arrays stay near one core's L2
+cache (see ``integrals``).
 
 Conventions fixed here and relied on everywhere else:
 

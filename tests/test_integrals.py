@@ -343,8 +343,8 @@ CHARTS = ("flat-torus", "round-s4", "taub-nut-1", "taub-nut-2",
 
 def _call_cases():
     """(id, backend, 300 sample points) on each chart backend; TN-2 twice,
-    with every Dirac string down and with every string up, each time on
-    sample points whose own gauge that is."""
+    with every Dirac string down and with every string up, each on sample
+    points that `gauges` puts in that gauge."""
     for name in CHARTS:
         b = backend(name)
         if name != "taub-nut-2":
@@ -383,11 +383,8 @@ def _kernel_chunk(b):
     return 256 * 61 // curvature.stencil_size(b)
 
 
-def test_kernel_chunk_is_sized_by_metric_evaluations(monkeypatch):
-    assert [curvature.stencil_size(backend(n)) for n in CHARTS] == [
-        1, 113, 61, 61, 61]
-    assert _kernel_chunk(backend("round-s4")) == 138
-    assert _kernel_chunk(backend("taub-nut-2")) == quad._BLOCK == 256
+def _kernel_calls(monkeypatch):
+    """The node count of each kernel call from here on, in a list."""
     sizes = []
 
     def spy(backend, pts):
@@ -395,6 +392,15 @@ def test_kernel_chunk_is_sized_by_metric_evaluations(monkeypatch):
         return curvature_batch(backend, pts)
 
     monkeypatch.setattr(curvature, "curvature_batch", spy)
+    return sizes
+
+
+def test_kernel_chunk_is_sized_by_metric_evaluations(monkeypatch):
+    assert [curvature.stencil_size(backend(n)) for n in CHARTS] == [
+        1, 113, 61, 61, 61]
+    assert _kernel_chunk(backend("round-s4")) == 138
+    assert _kernel_chunk(backend("taub-nut-2")) == quad._BLOCK == 256
+    sizes = _kernel_calls(monkeypatch)
     for name in ("round-s4", "taub-nut-1"):
         b = backend(name)
         integrals._columns(b, sample_points(b, 300))
@@ -405,13 +411,7 @@ def test_kernel_chunk_is_sized_by_metric_evaluations(monkeypatch):
 @pytest.mark.parametrize("resolution", [2, 4])
 @pytest.mark.parametrize("name", CHARTS)
 def test_integrand_batches_are_bounded(monkeypatch, name, resolution):
-    sizes = []
-
-    def spy(backend, pts):
-        sizes.append(len(pts))
-        return curvature_batch(backend, pts)
-
-    monkeypatch.setattr(curvature, "curvature_batch", spy)
+    sizes = _kernel_calls(monkeypatch)
     b = backend(name)
     ci = integrate_invariants(b, resolution=resolution)
     # the kernel evaluates each node once, with no padding, and no call
