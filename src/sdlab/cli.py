@@ -461,14 +461,17 @@ def build_parser(command=None, check=None) -> _Parser:
     Any other name, None included, builds every subparser at its level,
     so help and "invalid choice" errors list them all.  A subparser's
     help and errors do not depend on its siblings, so both parsers read
-    a command's arguments to the same result and bytes.
+    a command's arguments to the same result and bytes.  ``--version``
+    first builds none: it prints and exits before a command is read.
     """
-    if command != "verify" and command not in _COMMANDS:
-        command = None
     parser = _Parser(prog="sdlab",
                      description="modular structure of abelian gauge fields "
                                  "on four-manifolds")
     parser.add_argument("--version", action="version", version=__version__)
+    if command == "--version":
+        return parser
+    if command != "verify" and command not in _COMMANDS:
+        command = None
     sub = parser.add_subparsers(dest="cmd", metavar="command")
     for name, spec in _COMMANDS.items():
         if command in (None, name):
