@@ -7,7 +7,7 @@ vectorized.  Each writes one contiguous row per component
 (`_component_rows`) and returns the (n, 4, 4) view of those rows, which
 the curvature kernel reads back as rows.  `chart_scales` gives the
 kernel, in one pass, each point's step scale and its clearance from the
-chart's excluded set (poles, Taub-NUT centres and Dirac strings).
+chart's excluded set (poles and Taub-NUT centres).
 
 Charts and conventions:
 
@@ -15,18 +15,18 @@ Charts and conventions:
 * ``round-s4``: hyperspherical angles (chi, theta, phi, psi), radius a.
 * ``multi-taub-nut``: Gibbons-Hawking form on (x, y, z, t_fiber),
   g = V dx.dx + V^{-1}(dt + w)^2 with V = 1 + sum_a m/|x - p_a| and the
-  one-form w in the per-center string gauge
-      w = sum_a m ((z - z_a)/r_a - 1) dphi_a,
+  one-form w in a per-center string gauge s_a = +-1
+      w = sum_a m ((z - z_a)/r_a - s_a) dphi_a,
   written component-wise without cancellation:
-      w_x = sum_a m (y - y_a) / (r_a (r_a + z - z_a)),
-      w_y = -sum_a m (x - x_a) / (r_a (r_a + z - z_a)).
-  The Dirac string of center a is the downward ray {x = x_a, y = y_a,
-  z < z_a}; it and the centers themselves are the excluded set.  The
-  strings are pure gauge: a backend is built with every string down, and
-  only `facing_away` makes a copy with some strings up; `gauges` sorts
-  an integral's nodes by the copy facing away from each.  The fiber
-  period is 4 pi m (2 pi at the default m = 1/2), which makes the centers
-  smooth points.
+      w_x = sum_a s_a m (y - y_a) / (r_a (r_a + s_a (z - z_a))),
+      w_y = -sum_a s_a m (x - x_a) / (r_a (r_a + s_a (z - z_a))).
+  The Dirac string of center a is the ray {x = x_a, y = y_a} below it
+  (s_a = +1) or above it (s_a = -1).  The strings are pure gauge, and a
+  point takes the gauge facing away from it: s_a = +1 for each center at
+  or below its z and -1 for each above, so only the centers are
+  excluded.  `metric` evaluates each stencil point in its node's gauge.
+  The fiber period is 4 pi m (2 pi at the default m = 1/2), which makes
+  the centers smooth points.
 * ``schwarzschild``: global disc chart (X, Y, theta, phi) with
   u^2 = X^2 + Y^2 and area radius r = 2m + u^2:
       g = 8m (dX^2 + dY^2) + 4 (X dX + Y dY)^2
@@ -134,9 +134,12 @@ class GeometryBackend:
 
     __delattr__ = __setattr__
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray, nodes=None) -> np.ndarray:
         """Batch metric, (n, 4) -> (n, 4, 4), positive definite and
-        exactly symmetric: the view `_component_rows` returns."""
+        exactly symmetric: the view `_component_rows` returns.  Row i
+        belongs to node nodes[i % k] of the (k, 4) `nodes` (x itself if
+        None) and takes that node's gauge; a backend with one gauge
+        ignores `nodes`."""
         raise NotImplementedError
 
     def chart_scales(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +152,6 @@ class GeometryBackend:
         """Single length scale used by cutoff preconditions; only ALF
         backends define it, as compact ones have no cutoff."""
         raise NotImplementedError
-
-    def facing_away(self, x) -> "GeometryBackend":
-        """This metric in the gauge whose artifacts lie farthest from x."""
-        return self
-
-    def gauges(self, x: np.ndarray) -> list:
-        """(copy, rows) pairs that cover the (n, 4) points x: each copy is
-        the `facing_away` of every point in its rows, a slice or indices."""
-        return [(self, slice(None))]
 
     def reduction(self, resolution: int, cutoff: float | None):
         """Symmetry reduction of the volume integral: (segments, tail_at).
@@ -189,7 +183,7 @@ class FlatTorus(GeometryBackend):
     def params(self) -> dict:
         return {"radii": list(self.radii)}
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray, nodes=None) -> np.ndarray:
         rows, g = _component_rows(np.atleast_2d(x).shape[0])
         for i, r in enumerate(self.radii):
             rows[5 * i] = r * r
@@ -225,7 +219,7 @@ class RoundS4(GeometryBackend):
     def params(self) -> dict:
         return {"a": self.a}
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray, nodes=None) -> np.ndarray:
         x = np.atleast_2d(x)
         a2 = self.a * self.a
         s_chi = np.sin(x[:, 0]) ** 2
@@ -261,7 +255,7 @@ class RoundS4(GeometryBackend):
 
 class MultiTaubNut(GeometryBackend):
     id = "multi-taub-nut"
-    excluded = "string-excluded"
+    excluded = "center-excluded"
     alf = True
     cyclic_axes = (3,)
 
@@ -273,10 +267,7 @@ class MultiTaubNut(GeometryBackend):
         if any(len(c) != 3 for c in centers):
             raise DescriptorError("centers-shape", "need 3 coordinates per center")
         _check_lengths((mass,), [x for c in centers for x in c])
-        # string_signs: +1 hangs a Dirac string below its centre, -1 above;
-        # a pure gauge, all +1 but on the copies that `facing_away` makes
-        self.__dict__.update(mass=mass, centers=centers,
-                             string_signs=(1,) * len(centers))
+        self.__dict__.update(mass=mass, centers=centers)
 
     @property
     def topology(self) -> dict:
@@ -296,31 +287,35 @@ class MultiTaubNut(GeometryBackend):
     @property
     def params(self) -> dict:
         return {"mass": self.mass, "centers": [list(c) for c in self.centers],
-                "fiber_period": self.fiber_period(),
-                "string_signs": list(self.string_signs)}
+                "fiber_period": self.fiber_period()}
 
     def fiber_period(self) -> float:
         return 4 * math.pi * self.mass
 
-    def _potential_and_oneform(self, x: np.ndarray):
+    def _potential_and_oneform(self, x: np.ndarray, nodes=None):
+        """V, w_x and w_y at (n, 4) points, row i in the gauge facing away
+        from node nodes[i % k] (see `metric`)."""
         x = np.atleast_2d(x)
-        V = np.ones(x.shape[0])
-        wx = np.zeros(x.shape[0])
-        wy = np.zeros(x.shape[0])
-        for (cx, cy, cz), s in zip(self.centers, self.string_signs):
-            dx = x[:, 0] - cx
-            dy = x[:, 1] - cy
-            dz = x[:, 2] - cz
+        nodes = x if nodes is None else np.atleast_2d(nodes)
+        x = x.reshape(-1, len(nodes), 4)    # x[j, i] belongs to nodes[i]
+        V = np.ones(x.shape[:2])
+        wx = np.zeros(x.shape[:2])
+        wy = np.zeros(x.shape[:2])
+        for cx, cy, cz in self.centers:
+            s = np.where(nodes[:, 2] >= cz, 1.0, -1.0)  # string down or up
+            dx = x[..., 0] - cx
+            dy = x[..., 1] - cy
+            dz = x[..., 2] - cz
             r = np.sqrt(dx * dx + dy * dy + dz * dz)
             V += self.mass / r
             denom = r * (r + s * dz)  # vanishes only on the string ray
             wx += s * self.mass * dy / denom
             wy += -s * self.mass * dx / denom
-        return V, wx, wy
+        return V.ravel(), wx.ravel(), wy.ravel()
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray, nodes=None) -> np.ndarray:
         x = np.atleast_2d(x)
-        V, wx, wy = self._potential_and_oneform(x)
+        V, wx, wy = self._potential_and_oneform(x, nodes)
         rows, g = _component_rows(x.shape[0])
         inv_v = 1.0 / V
         rows[0] = V + wx * wx * inv_v
@@ -332,36 +327,17 @@ class MultiTaubNut(GeometryBackend):
         rows[15] = inv_v
         return g
 
-    def facing_away(self, x) -> "MultiTaubNut":
-        """The copy whose strings all point away from chart point x (its z
-        decides): down from each centre at or below it, up from each centre
-        above it, so that the nearest excluded point is a centre."""
-        nut = MultiTaubNut(self.mass, self.centers)
-        object.__setattr__(nut, "string_signs", tuple(
-            1 if x[2] >= c[2] else -1 for c in self.centers))
-        return nut
-
-    def gauges(self, x: np.ndarray) -> list:
-        # a point's gauge is fixed by how many centres lie at or below it
-        below = sum(x[:, 2] >= c[2] for c in self.centers)
-        groups = (np.flatnonzero(below == k)
-                  for k in range(len(self.centers) + 1))
-        return [(self.facing_away(x[rows[0]]), rows) for rows in groups
-                if len(rows)]
-
     def _excluded_distance(self, x: np.ndarray) -> np.ndarray:
-        """Distance (chart euclidean, 3-space) to centers and string rays."""
+        """Distance (chart euclidean, 3-space) to the nearest centre: in
+        the gauge facing away from x no string is nearer."""
         x = np.atleast_2d(x)
         d = np.full(x.shape[0], np.inf)
-        for (cx, cy, cz), s in zip(self.centers, self.string_signs):
+        for cx, cy, cz in self.centers:
             dx = x[:, 0] - cx
             dy = x[:, 1] - cy
             dz = x[:, 2] - cz
             rho = np.sqrt(dx * dx + dy * dy)
-            r = np.sqrt(rho * rho + dz * dz)
-            # on the string side of the center the nearest excluded point is
-            # the ray itself, on the other side it is the center
-            d = np.minimum(d, np.where(s * dz >= 0, r, rho))
+            d = np.minimum(d, np.sqrt(rho * rho + dz * dz))
         return d
 
     def chart_scales(self, x: np.ndarray):
@@ -517,7 +493,7 @@ class Schwarzschild(GeometryBackend):
     def params(self) -> dict:
         return {"mass": self.mass, "circle_period": 8 * math.pi * self.mass}
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray, nodes=None) -> np.ndarray:
         x = np.atleast_2d(x)
         m = self.mass
         X, Y, th = x[:, 0], x[:, 1], x[:, 2]

@@ -169,13 +169,15 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
     """The metric (n, 4, 4) at the points and its derivatives with the point
     axis last: d1[i, j, k] = d_k g_ij and d2[i, j, k, l] = d_k d_l g_ij.
     Each derivative is fixed-order elementwise arithmetic on one point's
-    stencil values, so its bits do not depend on the other points."""
+    stencil values, taken in that point's gauge, so its bits do not
+    depend on the other points."""
     n = pts.shape[0]
     offsets, axes, (a, b) = _stencil(backend.cyclic_axes)
     m, k = len(offsets), len(axes)
-    # coordinate-major points (4, m, n) in, component rows (16, m, n) out
+    # coordinate-major points (4, m, n) in, row i of node i % n and in its
+    # gauge; component rows (16, m, n) out
     g = backend.metric((pts.T[:, None] + offsets.T[:, :, None] * h)
-                       .reshape(4, m * n).T)
+                       .reshape(4, m * n).T, pts)
     g = g.reshape(m * n, 16).T.reshape(16, m, n)
     h12 = 12.0 * h
     # a mixed derivative is the first difference, along a, of the first
@@ -198,12 +200,12 @@ def _metric_derivatives(backend: GeometryBackend, pts: np.ndarray, h: np.ndarray
 
 
 def curvature_batch(backend: GeometryBackend, pts: np.ndarray) -> CurvatureBatch:
-    """Assemble curvature for (n, 4) points in one batch, in the gauge of
-    `backend` as given.  The step h is 1e-3 x the step scale of
-    ``backend.chart_scales``; a point whose clearance is at most 2.5 h
-    raises ChartError with the slug ``backend.excluded``.  The metric is
-    evaluated on `_stencil` (113 points per point in general, 61 when one
-    coordinate is cyclic), so memory grows with n (see the module
+    """Assemble curvature for (n, 4) points in one batch, each in its own
+    gauge (``GeometryBackend.metric``).  The step h is 1e-3 x the step
+    scale of ``backend.chart_scales``; a point whose clearance is at most
+    2.5 h raises ChartError with the slug ``backend.excluded``.  The metric
+    is evaluated on `_stencil` (113 points per point in general, 61 when
+    one coordinate is cyclic), so memory grows with n (see the module
     docstring)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = pts.shape[0]
@@ -267,8 +269,6 @@ def _sample_from_batch(batch: CurvatureBatch, i: int) -> CurvatureSample:
 
 
 def curvature_at(backend: GeometryBackend, x) -> CurvatureSample:
-    """Curvature sample at one point in the gauge ``backend.facing_away(x)``,
-    where a centre, never a Dirac string, limits the step."""
+    """Curvature sample at one chart point."""
     pt = np.asarray(x, dtype=float).reshape(1, 4)
-    batch = curvature_batch(backend.facing_away(pt[0]), pt)
-    return _sample_from_batch(batch, 0)
+    return _sample_from_batch(curvature_batch(backend, pt), 0)

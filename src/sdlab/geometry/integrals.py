@@ -11,16 +11,15 @@ estimate; infinite ALF volumes are truncated at `cutoff_rho` and
 finished with a power-law tail fitted on the last segment.
 
 The integrand is where the integration path meets the curvature kernel.
-It gets blocks of whole mesh rows (`quadrature._BLOCK`, 256 nodes) and
-evaluates each node in the string gauge `facing_away` gives it
-(`GeometryBackend.gauges`), one `_columns` call a gauge; only the
-two-centre chart puts nodes of two gauges in one block.  `_columns`
-splits its nodes into kernel calls of at most `_CHUNK_POINTS` = 256 x 61
-metric evaluations (256 Taub-NUT or Schwarzschild nodes, 138 on round
-S4).  One call's 2 MB stencil block (one core's L2 cache) sets the peak
-memory, and 256 nodes a call was fastest on TN-2 in a scan of 64 to
-4096.  The sums do not depend on the blocks, and a node's invariants do
-not depend on its call (see `curvature`).
+It gets blocks of whole mesh rows (`quadrature._BLOCK`, 256 nodes), one
+`_columns` call a block; the kernel evaluates each node in its own
+string gauge (``GeometryBackend.metric``).  `_columns` splits its nodes
+into kernel calls of at most `_CHUNK_POINTS` = 256 x 61 metric
+evaluations (256 Taub-NUT or Schwarzschild nodes, 138 on round S4).  One
+call's 2 MB stencil block (one core's L2 cache) sets the peak memory,
+and 256 nodes a call was fastest on TN-2 in a scan of 64 to 4096.  The
+sums do not depend on the blocks, and a node's invariants do not depend
+on its call (see `curvature`).
 """
 
 from __future__ import annotations
@@ -90,16 +89,12 @@ def _columns(backend: GeometryBackend, pts: np.ndarray) -> np.ndarray:
 
 
 def _integrand(seg: Segment):
-    """Weighted `_COLS` at the segment's mesh nodes, each node in the gauge
-    `facing_away` gives it, one `_columns` call a gauge; `f.nodes` counts
-    the nodes evaluated so far."""
+    """Weighted `_COLS` at the segment's mesh nodes, one `_columns` call a
+    block; `f.nodes` counts the nodes evaluated so far."""
     def f(*coords):
         pts, w = seg.embed(*coords)
         f.nodes += len(pts)
-        out = np.empty((len(pts), len(_COLS)))
-        for gauge, rows in seg.backend.gauges(pts):
-            out[rows] = _columns(gauge, pts[rows])
-        return w[:, None] * out
+        return w[:, None] * _columns(seg.backend, pts)
     f.nodes = 0
     return f
 

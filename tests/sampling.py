@@ -2,8 +2,8 @@
 
 `sample_points(backend, count)` picks the spread by ``backend.id``.  In
 each spread every point's clearance from the chart's excluded set (the
-second array of ``backend.chart_scales``: poles, Taub-NUT centres and
-Dirac strings) exceeds the curvature kernel's margin of 2.5 default steps.
+second array of ``backend.chart_scales``: poles and Taub-NUT centres)
+exceeds the curvature kernel's margin of 2.5 default steps.
 """
 
 import math

@@ -202,9 +202,9 @@ def test_report_makes_one_kernel_call(monkeypatch, name):
         finally:
             inside.pop()
 
-    def spy_metric(self, x):
+    def spy_metric(self, x, nodes=None):
         metric_calls.append(bool(inside))
-        return metric(self, x)
+        return metric(self, x, nodes)
 
     monkeypatch.setattr(boundary, "curvature_batch", spy_batch)
     monkeypatch.setattr(curvature, "_metric_derivatives", spy_derivs)

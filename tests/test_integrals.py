@@ -8,7 +8,6 @@ The single-center ALF space has I_gb = 1, I_p = -2/3; the two-center one
 doubles both.  The flat torus integrates identically to zero.
 """
 
-import functools
 import math
 import os
 import pathlib
@@ -120,31 +119,6 @@ def test_coincident_centers_integrate_as_one_charge_two_center():
     assert coarse.I_p == pytest.approx(-1.0 / 3.0, abs=2.5e-3)
     assert fine.I_gb == pytest.approx(coarse.I_gb, abs=1e-9)
     assert fine.I_p == pytest.approx(coarse.I_p, abs=1e-9)
-
-
-@functools.lru_cache(maxsize=None)
-def two_center_integrals(centers, facing=None):
-    """`as_dict()` of the pair's integral, in the copy facing away from
-    (0, 0, facing) if that is given, else in the gauge it is built in."""
-    nut = MultiTaubNut(0.5, centers)
-    if facing is not None:
-        nut = nut.facing_away((0.0, 0.0, facing))
-    return integrate_invariants(nut, resolution=1).as_dict()
-
-
-# the three gauges a copy facing away reaches: (1, 1), then (1, -1) or
-# (-1, 1) depending on the centre order, then (-1, -1)
-@pytest.mark.parametrize("facing", [2.0, 0.0, -2.0],
-                         ids=["above", "between", "below"])
-@pytest.mark.parametrize("centers", [((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
-                                     ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))])
-def test_two_center_string_gauge_invariant(centers, facing):
-    # the Dirac strings are a gauge choice, and every node is evaluated in
-    # the gauge facing away from it, whatever the given copy's: each copy
-    # integrates to the same bytes.  (The centre order is no gauge: it
-    # orders the sum V = 1 + m/r0 + m/r1, which rounds differently.)
-    assert two_center_integrals(centers, facing) \
-        == two_center_integrals(centers)
 
 
 @pytest.mark.parametrize("centers, shift", [
@@ -342,18 +316,14 @@ CHARTS = ("flat-torus", "round-s4", "taub-nut-1", "taub-nut-2",
 
 
 def _call_cases():
-    """(id, backend, 300 sample points) on each chart backend; TN-2 twice,
-    with every Dirac string down and with every string up, each on sample
-    points that `gauges` puts in that gauge."""
+    """(id, backend, 300 sample points) on each chart backend; the TN-2
+    points lie below, between and above its centres, in three gauges."""
     for name in CHARTS:
         b = backend(name)
-        if name != "taub-nut-2":
-            yield name, b, sample_points(b, 300)
-            continue
-        pts = sample_points(b, 1000)
-        for gauge, rows in b.gauges(pts):
-            if len(set(gauge.string_signs)) == 1:
-                yield f"{name}{gauge.string_signs}", gauge, pts[rows][:300]
+        pts = sample_points(b, 300)
+        if name == "taub-nut-2":
+            assert set(np.digitize(pts[:, 2], [-1.0, 1.0])) == {0, 1, 2}
+        yield name, b, pts
 
 
 CALL_CASES = list(_call_cases())
@@ -422,6 +392,25 @@ def test_integrand_batches_are_bounded(monkeypatch, name, resolution):
         assert ci.node_count == {2: 4992, 4: 19584}[resolution]
 
 
+@pytest.mark.parametrize("resolution, calls", [(2, 22), (4, 90)])
+def test_two_centre_integral_makes_one_kernel_call_a_block(monkeypatch,
+                                                           resolution, calls):
+    # each integrand block, whatever gauges its nodes take, is one kernel
+    # call (44 and 180 calls when each gauge had a call of its own)
+    blocks = []
+    columns = integrals._columns
+
+    def spy(b, pts):
+        blocks.append(len(pts))
+        return columns(b, pts)
+
+    monkeypatch.setattr(integrals, "_columns", spy)
+    sizes = _kernel_calls(monkeypatch)
+    ci = integrate_invariants(backend("taub-nut-2"), resolution=resolution)
+    assert sizes == blocks and len(sizes) == calls
+    assert sum(sizes) == ci.node_count
+
+
 @pytest.mark.parametrize("name", CHARTS)
 def test_chunk_size_does_not_change_integrals(monkeypatch, name):
     # The streamed sums do not depend on the block, and a node's kernel
@@ -440,6 +429,29 @@ def test_chunk_size_does_not_change_integrals(monkeypatch, name):
         results.append(integrate_invariants(
             b, resolution=2 if name == "taub-nut-2" else 4).as_dict())
     assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("nut", [
+    MultiTaubNut(0.5, ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))),
+    MultiTaubNut(0.5, ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))),
+    *map(_seeded_or_entry, SEEDED_TN2)],
+    ids=["lower-first", "upper-first", *SEEDED_TN2])
+def test_gauge_groups_integrate_to_the_bits_of_one_call(integrals_at,
+                                                        monkeypatch, nut):
+    # a kernel call once held the nodes of one gauge, those with as many
+    # centres at or below them; one call a block gives the same bytes
+    whole = integrals_at(nut, 2).as_dict()
+    columns = integrals._columns
+
+    def by_gauge(b, pts):
+        out = np.empty((len(pts), len(integrals._COLS)))
+        below = sum(pts[:, 2] >= c[2] for c in b.centers)
+        for k in set(below):
+            out[below == k] = columns(b, pts[below == k])
+        return out
+
+    monkeypatch.setattr(integrals, "_columns", by_gauge)
+    assert integrate_invariants(nut, 2).as_dict() == whole
 
 
 def test_integral_peak_memory_is_bounded():
@@ -532,8 +544,7 @@ print("numpy.ma" in sys.modules)
 
 def test_alf_integrals_do_not_import_numpy_ma(tmp_path):
     # numpy imports numpy.ma (12-15 ms) for np.median, and np.unique
-    # does too; the tail fit of every ALF integral and the gauge groups of
-    # the two-centre one must not pay for it
+    # does too; the tail fit of every ALF integral must not pay for it
     env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _NO_MA_CHILD], env=env,
