@@ -336,6 +336,7 @@ class MultiTaubNut(GeometryBackend):
             dx = x[:, 0] - cx
             dy = x[:, 1] - cy
             dz = x[:, 2] - cz
+            # r through rho: these bits set the step at every node
             rho = np.sqrt(dx * dx + dy * dy)
             d = np.minimum(d, np.sqrt(rho * rho + dz * dz))
         return d
