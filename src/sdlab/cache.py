@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import os
 import pathlib
 import warnings
+
+try:  # hashlib's digests, without mapping OpenSSL, as `random` takes sha512
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .jsonio import canonical_dumps, canonical_loads
 
@@ -35,14 +42,14 @@ def cache_dir() -> pathlib.Path:
 def code_stamp() -> str:
     """SHA-256 of the `_STAMPED` sources, read once per process."""
     geometry = pathlib.Path(__file__).parent / "geometry"
-    digest = hashlib.sha256()
+    digest = sha256()
     for name in _STAMPED:
         digest.update((geometry / f"{name}.py").read_bytes())
     return digest.hexdigest()
 
 
 def cache_key(payload: dict) -> str:
-    return hashlib.sha256(canonical_dumps(payload).encode("ascii")).hexdigest()
+    return sha256(canonical_dumps(payload).encode("ascii")).hexdigest()
 
 
 def load(key: str):

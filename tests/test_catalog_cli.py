@@ -1,5 +1,6 @@
 """Catalog entries, manifest parsing, canonical JSON, cache, CLI surface."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -558,6 +559,16 @@ def test_cache_key_tracks_payload():
     a = cache.cache_key({"resolution": 4})
     b = cache.cache_key({"resolution": 5})
     assert a != b and len(a) == 64
+
+
+def test_cache_digests_are_hashlibs():
+    payload = {"manifold": "taub-nut-1", "resolution": 2, "cutoff": None}
+    assert cache.cache_key(payload) == hashlib.sha256(
+        jsonio.canonical_dumps(payload).encode("ascii")).hexdigest()
+    geometry = pathlib.Path(cache.__file__).parent / "geometry"
+    assert cache.code_stamp() == hashlib.sha256(b"".join(
+        (geometry / f"{name}.py").read_bytes() for name in cache._STAMPED
+    )).hexdigest()
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

@@ -263,17 +263,21 @@ LIGHT = ("weights/round-s4", "integrate/round-s4", "partition/taub-nut-1",
          "catalog-list", "catalog-show/taub-nut-2",
          "verify-modularity/round-s4", "verify-gauss-bonnet/taub-nut-1")
 
-# Each row: exit code, stdout, the heavy libraries and the code-generating
-# standard modules loaded, and the sdlab modules executed so far.  A module that `sdlab.cli` registered lazily
-# and nothing has touched is still a `_LazyModule`, not a ModuleType, and
-# asking its type runs nothing.
+# Each row: exit code, stdout, the heavy libraries, OpenSSL's hashlib
+# backend, numpy.polynomial and the code-generating standard modules loaded
+# since the interpreter started, and the sdlab modules executed so far.  A
+# module that `sdlab.cli` registered lazily and nothing has touched is still
+# a `_LazyModule`, not a ModuleType, and asking its type runs nothing.
 _CHILD = """
-import contextlib, io, json, sys, types
+import sys
+at_start = set(sys.modules)
+import contextlib, io, json, types
 from sdlab import cli
 
 def loaded():
-    return [m for m in ("numpy._core", "scipy", "dataclasses", "inspect")
-            if m in sys.modules]
+    return [m for m in ("numpy._core", "numpy.polynomial", "_hashlib",
+                        "scipy", "dataclasses", "inspect")
+            if m in sys.modules and m not in at_start]
 
 def executed():
     return sorted(n for n, m in sys.modules.items()
@@ -335,6 +339,25 @@ def test_light_commands_never_load_numpy(golden, tmp_path, monkeypatch):
     kernels = {"sdlab.geometry.curvature", "sdlab.geometry.boundary",
                "sdlab.spectral_zeta", "sdlab.lattice_sum"}
     assert not kernels & set(rows[-1][3])
+
+
+def test_no_command_loads_openssl_or_numpy_polynomial(golden, tmp_path,
+                                                       monkeypatch):
+    # SHA-256 comes from CPython's builtin module and the Gauss rules from
+    # numpy's linalg, whether a command fills the cache or reads it
+    monkeypatch.setenv("SDLAB_CACHE_DIR", str(tmp_path))
+    cases = ("weights/taub-nut-2", "integrate/taub-nut-1",
+             "boundary/taub-nut-2", "verify-theta")
+    argvs = [[a for a in CASES[c] if a != "--no-cache"] for c in cases]
+    assert main(argvs[1]) == 0      # the integrate reads it from the cache
+    _, *rows = _child_rows(argvs)
+    for case, (code, out, loaded, _) in zip(cases, rows):
+        want = golden[case]["stdout"]
+        if case.startswith("integrate/"):       # recorded with --no-cache
+            want = want.replace('"cache_hit": false', '"cache_hit": true')
+        assert (code, out) == (golden[case]["code"], want), case
+        assert "numpy._core" in loaded, case
+        assert not {"_hashlib", "numpy.polynomial"} & set(loaded), case
 
 
 # the sdlab modules that `import sdlab.cli` and `sdlab --version` execute
