@@ -24,9 +24,10 @@ Charts and conventions:
   (s_a = +1) or above it (s_a = -1).  The strings are pure gauge, and a
   point takes the gauge facing away from it: s_a = +1 for each center at
   or below its z and -1 for each above, so only the centers are
-  excluded.  `metric` evaluates each stencil point in its node's gauge.
-  The fiber period is 4 pi m (2 pi at the default m = 1/2), which makes
-  the centers smooth points.
+  excluded, each with the ball of radius 2e-7 m about it.  `metric`
+  evaluates each stencil point in its node's gauge.  The fiber period
+  is 4 pi m (2 pi at the default m = 1/2), which makes the centers
+  smooth points.
 * ``schwarzschild``: global disc chart (X, Y, theta, phi) with
   u^2 = X^2 + Y^2 and area radius r = 2m + u^2:
       g = 8m (dX^2 + dY^2) + 4 (X dX + Y dY)^2
@@ -60,6 +61,10 @@ np = _lazy("numpy")
 _COINCIDENT = 1e-9
 # half-separation over mass below which the mass-graded mesh misses a pair
 _CLOSE = 3e-3
+# distance to a centre over mass below which a point has no clearance:
+# rounding swamps |Riem|^2 nearer (off by 1e-2 at 1e-7, 0.8 at 1e-8), and
+# the nearest integral node, of a pair at _CLOSE at resolution 64, is 6.2e-7
+_FLOOR = 2e-7
 
 
 def _component_rows(n: int):
@@ -343,7 +348,8 @@ class MultiTaubNut(GeometryBackend):
 
     def chart_scales(self, x: np.ndarray):
         d = self._excluded_distance(x)
-        return np.minimum(0.25 * d, 2.0 * self.mass), d
+        return (np.minimum(0.25 * d, 2.0 * self.mass),
+                np.where(d < _FLOOR * self.mass, 0.0, d))
 
     def geometry_scale(self) -> float:
         # the spread of the centres about their centroid, the point the

@@ -694,16 +694,21 @@ def test_cli_rho_beyond_cap_is_one_error_line(argv, tmp_path):
      "point-too-far"),
     (["curvature", "--manifold", "taub-nut-1", "--point=1e300,0,0,0"],
      "point-too-far"),
+    (["curvature", "--manifold", "taub-nut-1", "--point=1e-9,0,0,0"],
+     "center-excluded"),
+    (["curvature", "--manifold", "taub-nut-1", "--point=0,0,1e-150,0"],
+     "center-excluded"),
     (["verify", "modularity", "--manifold", "flat-torus", "--tol", "-1"],
      "tol-positive"),
     (["verify", "modularity", "--manifold", "flat-torus", "--tol", "0"],
      "tol-positive"),
 ], ids=["schwarzschild-1e30", "schwarzschild-1e5", "tn1-1e300",
+        "tn1-near-centre", "tn1-centre-1e-150",
         "modularity-tol-negative", "modularity-tol-zero"])
 def test_cli_meaningless_request_is_one_error_line(argv, slug, tmp_path):
     # the points once gave a LinAlgError traceback, invariants of 0.64 on a
-    # Ricci-flat metric, or overflow warnings; the tolerances a check that
-    # could not pass
+    # Ricci-flat metric, |Riem|^2 of 1342.7 where the closed form gives 384,
+    # or overflow warnings; the tolerances a check that could not pass
     env = dict(os.environ, SDLAB_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(pathlib.Path(sdlab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "sdlab.cli", *argv],

@@ -20,7 +20,7 @@ from sdlab.catalog import builtin_names, get_entry
 from sdlab.errors import ChartError, DescriptorError
 from sdlab.geometry import (FlatTorus, MultiTaubNut, RoundS4, Schwarzschild,
                             boundary_report, curvature_at)
-from sdlab.geometry import boundary, curvature, integrals
+from sdlab.geometry import backends, boundary, curvature, integrals
 from sdlab.geometry import quadrature as quad
 from sdlab.geometry.curvature import curvature_batch
 
@@ -326,6 +326,10 @@ _PAIR = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
 EXCLUDED = {
     "nut-centre": (_NUT, (0.0, 0.0, 0.0, 0.1), "center-excluded"),
     "nut-string": (_NUT, (0.0, 0.0, -2.0, 0.1), None),
+    # within 2e-7 m of a centre rounding swamps the stencil, which once
+    # gave 3.5 times |Riem|^2 at 2e-9 m: refused there, not just outside
+    "nut-floor-inside": (_NUT, (9e-8, 0.0, 0.0, 0.1), "center-excluded"),
+    "nut-floor-outside": (_NUT, (1.1e-7, 0.0, 0.0, 0.1), None),
     "two-nut-centre": (MultiTaubNut(0.5, _PAIR), (0.0, 0.0, 1.0, 0.1),
                        "center-excluded"),
     # on the ray of the upper string down and of the lower string up
@@ -354,6 +358,23 @@ def test_excluded_points_rejected(case):
     with pytest.raises(ChartError) as err:
         curvature_at(backend, point)
     assert err.value.slug == slug == backend.excluded
+
+
+def test_centre_floor_lies_below_every_integral_node():
+    # the closest pair the reduction takes, at the finest resolution: its
+    # nodes nearest the upper centre, in the corner s = 0, tau = 1 of the
+    # ball's doubled mesh, keep their clearance
+    mass = 0.5
+    c = backends._CLOSE * mass
+    nut = MultiTaubNut(mass, ((0.0, 0.0, -c), (0.0, 0.0, c)))
+    ball = nut.reduction(integrals.MAX_RESOLUTION, 20.0)[0][0]
+    s_edges, tau_edges = (quad.split_edges(e) for e in ball.edges)
+    s, tau = np.meshgrid(quad.panel_rule(s_edges[:2], 8)[0],
+                         quad.panel_rule(tau_edges[-2:], 8)[0])
+    pts, _ = ball.embed(s.ravel(), tau.ravel())
+    nearest = np.min(np.hypot(pts[:, 0], pts[:, 2] - c))
+    assert 2 * backends._FLOOR * mass < nearest < 1e-6 * mass
+    assert np.all(np.isfinite(curvature_batch(nut, pts).inv_R_full))
 
 
 def test_points_on_a_string_evaluate_in_the_gauge_facing_away():
